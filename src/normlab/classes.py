@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
-from .errors import InvalidK, NotPSD, Singular, ZeroEigenvalue
+from .errors import DimensionMismatch, InvalidK, NotPSD, Singular, ZeroEigenvalue
 from .norms import OP, NormKind, norm
 
 __all__ = [
@@ -80,9 +80,10 @@ def phi(s, k: float, x) -> np.ndarray:
     return s @ x @ si + si @ x @ s + k * x
 
 
-def _pair_values(eigs: np.ndarray, k: float) -> np.ndarray:
+def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
+    # M_ij = l_i/l_j + l_j/l_i + k, the eigenbasis multiplier of phi(S, k).
     ratio = np.divide.outer(eigs, eigs)
-    return np.abs(ratio + 1.0 / ratio + k)
+    return ratio + 1.0 / ratio + k
 
 
 def dk_spectral_test(eigs, k: float, allow_any_k: bool = False) -> tuple[bool, np.ndarray]:
@@ -100,7 +101,7 @@ def dk_spectral_test(eigs, k: float, allow_any_k: bool = False) -> tuple[bool, n
         raise ZeroEigenvalue("spectral criterion needs nonzero eigenvalues")
     if k < 0.0 and not allow_any_k:
         raise InvalidK(f"k must be >= 0 (pass allow_any_k=True to override), got {k}")
-    vals = _pair_values(eigs, k)
+    vals = np.abs(_multiplier_matrix(eigs, k))
     ok = bool(np.all(vals >= k + 2.0 - SPECTRAL_SLACK))
     return ok, vals
 
@@ -111,11 +112,6 @@ def _selfadjoint_eigen(s) -> matcore.HermEigen:
     if mags.min() <= 1e-12 * mags.max():
         raise Singular("self-adjoint matrix is numerically singular")
     return dec
-
-
-def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
-    ratio = np.divide.outer(eigs, eigs)
-    return ratio + 1.0 / ratio + k
 
 
 def schur_rep_residual(s, k: float, x) -> float:
@@ -143,8 +139,10 @@ def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainReport
     if eigs[0] < -1e-10 * max(eigs[-1], 0.0):
         raise NotPSD("multiplier matrix must be positive semidefinite")
     x = matcore.as_matrix(x)
+    if x.shape != n_mat.shape:
+        raise DimensionMismatch(f"entrywise product needs equal shapes, got {n_mat.shape} and {x.shape}")
     lhs = float(np.max(np.real(np.diagonal(n_mat)))) * norm(x, OP)
-    rhs = norm(matcore.hadamard(n_mat, x), OP)
+    rhs = norm(n_mat * x, OP)
     return chain(("maxdiag(N)|X|", "|NoX|"), (lhs, rhs), tol=tol)
 
 

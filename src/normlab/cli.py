@@ -35,19 +35,6 @@ from .norms import NormKind
 
 __all__ = ["CampaignConfig", "parse_args", "run", "main"]
 
-SUITES = (
-    "heinz",
-    "agm",
-    "cpr",
-    "zhan",
-    "cor23",
-    "cor24",
-    "t2",
-    "finalcor",
-    "characterizations",
-    "dk",
-    "conjecture",
-)
 # Probe suites report findings; only theorem suites can fail the run.
 PROBE_SUITES = frozenset({"dk", "conjecture"})
 
@@ -61,28 +48,6 @@ DEFAULT_COUNT = 100
 # The ratio probe runs hundreds of SVD iterations per start, so its
 # default instance count is kept small.
 DEFAULT_DK_COUNT = 10
-
-_CONFIG_KEYS = frozenset(
-    {
-        "suite",
-        "dim",
-        "count",
-        "seed",
-        "norms",
-        "tol",
-        "cond",
-        "t",
-        "r",
-        "k",
-        "p",
-        "n",
-        "eigs",
-        "starts",
-        "iters",
-        "out",
-        "no_timing",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -107,6 +72,251 @@ class CampaignConfig:
     no_timing: bool
 
 
+# A sampler draws one matrix slot of an instance: sampler(config, point, rng).
+def _posdef(config, point, rng):
+    return matcore.random_posdef(config.dim, config.cond, rng)
+
+
+def _selfadjoint(config, point, rng):
+    return matcore.random_selfadjoint_invertible(config.dim, config.cond, rng)
+
+
+def _invertible(config, point, rng):
+    return matcore.random_invertible(config.dim, config.cond, rng)
+
+
+def _general(config, point, rng):
+    return matcore.ginibre(config.dim, rng=rng)
+
+
+def _probe(config, point, rng):
+    return matcore.random_probe_matrix(config.dim, rng)
+
+
+def _form_class(config, point, rng):
+    return classes.sample_for_form(point["form"], config.dim, rng, config.cond)
+
+
+def _single_point(config):
+    return [{}]
+
+
+def _per_norm(*checks, **forms):
+    """Checks that run on every norm, norms outermost.  Unnamed checks take
+    the point as params; named forms add {"form": name}.  Each is called as
+    check(config, params, kind, *matrices)."""
+    entries = [({}, fn) for fn in checks] + [({"form": name}, fn) for name, fn in forms.items()]
+
+    def checks(config, point, kinds, *mats):
+        for kind in kinds:
+            for form, fn in entries:
+                params = {**point, **form}
+                yield params, kind.label, lambda: fn(config, params, kind, *mats)
+
+    return checks
+
+
+def _finalcor_checks(config, point, kinds, s, x):
+    # The max form is an operator-norm bound; each p gives a Schatten row.
+    yield {"form": "max"}, "op", lambda: cpr.final_cor_check(s, x, config.p_values[0], tol=config.tol)[0]
+    for p in config.p_values:
+        yield {"p": p}, NormKind.schatten(p).label, lambda: cpr.final_cor_check(s, x, p, tol=config.tol)[1]
+
+
+def _theorem(points, samplers, checks):
+    """Record generator of a theorem suite.
+
+    points(config) lists the parameter points; matrix slot j of instance i
+    at point pi is drawn by samplers[j] from
+    rng.substream(pi).substream(i).substream(j); checks(config, point,
+    kinds, *matrices) yields (params, norm label, report thunk) per record.
+    """
+
+    def records(config):
+        kinds = [NormKind.parse(s) for s in config.norms]
+        rng = matcore.Rng(config.seed)
+        for pi, point in enumerate(points(config)):
+            for i in range(config.count):
+                sub = rng.substream(pi).substream(i)
+                mats = [sample(config, point, sub.substream(j)) for j, sample in enumerate(samplers)]
+                for params, label, thunk in checks(config, point, kinds, *mats):
+                    t0 = time.perf_counter()
+                    report = thunk()
+                    wall = time.perf_counter() - t0
+                    rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
+                    rec["min_margin"] = report.min_margin
+                    yield rec
+
+    return records
+
+
+def _probe_record(norm_label, params, labels, values, margin, ok, wall, **extra) -> dict:
+    """A probe finding, shaped like a one-link 'ge' chain record."""
+    return {
+        "norm": norm_label,
+        "params": params,
+        "labels": labels,
+        "values": values,
+        "margins": [margin],
+        "relations": ["ge"],
+        "link_pass": [ok],
+        "pass": ok,
+        "min_margin": margin,
+        "wall_time": wall,
+        **extra,
+    }
+
+
+def _dk_records(config):
+    rng = matcore.Rng(config.seed)
+    for pi, k in enumerate(config.k_values):
+        for i in range(config.count):
+            sub = rng.substream(pi).substream(i)
+            if config.eigs is not None:
+                s = np.diag(np.asarray(config.eigs, dtype=float)).astype(complex)
+            else:
+                s = matcore.random_selfadjoint_invertible(config.dim, config.cond, sub.substream(0))
+            t0 = time.perf_counter()
+            res = classes.dk_ratio_minimize(s, k, starts=config.starts, iters=config.iters, rng=sub.substream(1))
+            wall = time.perf_counter() - t0
+            bound = k + 2.0
+            yield _probe_record(
+                "op",
+                {"k": k},
+                ["best_ratio", "k+2"],
+                [res.best_ratio, bound],
+                res.best_ratio - bound,
+                res.verdict != "violated",
+                wall,
+                verdict=res.verdict,
+                spectral_ok=res.spectral_ok,
+                eigenvalues=[float(v) for v in res.eigenvalues],
+                starts_used=res.starts_used,
+            )
+
+
+def _conjecture_records(config):
+    violations_path = config.out + ".violations.jsonl"
+    try:
+        open(violations_path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        raise IoFailure(f"cannot write {violations_path}: {exc}") from None
+    t0 = time.perf_counter()
+    summaries = conjecture.conjecture_search(
+        config.n, list(config.k_values), config.count, matcore.Rng(config.seed), violations_path=violations_path
+    )
+    # The search runs as one campaign; each row carries its total wall time.
+    wall = time.perf_counter() - t0
+    for summ in summaries:
+        yield _probe_record(
+            "-",
+            {"k": summ.k, "n": config.n},
+            ["min_eig"],
+            [summ.min_eig_overall],
+            summ.min_eig_overall,
+            summ.violations == 0,
+            wall,
+            min_eig=summ.min_eig_overall,
+            count=summ.accepted,
+            pass_count=summ.accepted - summ.violations,
+            fail_count=summ.violations,
+            rejected=summ.rejected,
+            violations=summ.violations,
+            hist_counts=[int(c) for c in summ.hist_counts],
+            hist_edges=[float(e) for e in summ.hist_edges],
+        )
+
+
+# Suite name -> record generator, in the order the CLI lists them.
+_SUITES = {
+    "heinz": _theorem(
+        lambda c: [{"alpha": a} for a in c.r_values],
+        (_posdef, _posdef, _probe),
+        _per_norm(lambda c, p, kind, a, b, x: heinz.kittaneh_chain(a, b, x, p["alpha"], kind, tol=c.tol)),
+    ),
+    "agm": _theorem(
+        _single_point,
+        (_general, _general, _probe),
+        _per_norm(lambda c, p, kind, a, b, x: heinz.agm_check(a, b, x, kind, tol=c.tol)),
+    ),
+    "cpr": _theorem(
+        _single_point,
+        (_selfadjoint, _selfadjoint, _probe, _invertible),
+        _per_norm(
+            cpr=lambda c, p, kind, s, t, x, g: cpr.cpr_check(s, x, kind, tol=c.tol),
+            two_sided=lambda c, p, kind, s, t, x, g: cpr.cpr_two_sided_check(s, t, x, kind, tol=c.tol),
+            star=lambda c, p, kind, s, t, x, g: cpr.cpr_star_check(g, x, kind, tol=c.tol),
+        ),
+    ),
+    "zhan": _theorem(
+        lambda c: [{"t": t, "r": r} for t in c.t_values for r in c.r_values],
+        (_posdef, _posdef, _probe),
+        _per_norm(
+            lambda c, p, kind, a, b, x: cpr.zhan_chain(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kind, tol=c.tol)
+        ),
+    ),
+    "cor23": _theorem(
+        lambda c: [{"t": t} for t in c.t_values],
+        (_general, _general, _probe),
+        _per_norm(lambda c, p, kind, a, b, x: cpr.cor23_check(a, b, x, p["t"], kind, tol=c.tol)),
+    ),
+    "cor24": _theorem(
+        lambda c: [{"t": t} for t in c.t_values],
+        (_posdef, _posdef, _probe),
+        _per_norm(lambda c, p, kind, a, b, x: cpr.cor24_check(a, b, x, p["t"], kind, tol=c.tol)),
+    ),
+    "t2": _theorem(
+        _single_point,
+        (_invertible, _probe, _probe),
+        _per_norm(
+            mos1=lambda c, p, kind, s, x, y: cpr.mos1_check(s, x, y, kind, tol=c.tol),
+            mos2=lambda c, p, kind, s, x, y: cpr.mos2_check(s, x, y, kind, tol=c.tol),
+        ),
+    ),
+    "finalcor": _theorem(_single_point, (_invertible, _probe), _finalcor_checks),
+    "characterizations": _theorem(
+        lambda c: [{"form": form_id} for form_id in classes.FORMS],
+        (_form_class, _probe),
+        _per_norm(
+            lambda c, p, kind, s, x: classes.characterization_check(
+                s, x, p["form"], kind, tol=None if classes.FORMS[p["form"]].relation == "eq" else c.tol
+            )
+        ),
+    ),
+    "dk": _dk_records,
+    "conjecture": _conjecture_records,
+}
+SUITES = tuple(_SUITES)
+
+_ALL = ("verify", "conjecture", "dk-probe")
+# Flag -> (subcommands that take it, argparse options).  Every flag except
+# --config is also a config-file key.
+_FLAGS = {
+    "suite": (("verify",), {"help": "suite name: " + ", ".join(SUITES)}),
+    "dim": (("verify",), {"type": int, "help": "matrix dimension (2..12, default 3)"}),
+    "count": (_ALL, {"type": int, "help": "instances per parameter point"}),
+    "seed": (_ALL, {"type": int, "help": "campaign seed (default 0)"}),
+    "norms": (("verify",), {"help": "comma list of norm selectors (default op,tr,fro)"}),
+    "tol": (("verify",), {"type": float, "help": "relative link tolerance (default 1e-8)"}),
+    "cond": (("verify",), {"type": float, "help": "condition bound for sampled matrices (default 100)"}),
+    "t": (("verify",), {"help": "comma list of t values; use --t=-1,0 for negatives"}),
+    "r": (("verify",), {"help": "comma list: Heinz alphas (heinz) or exponents r (zhan)"}),
+    "k": (_ALL, {"help": "comma list of shift values k"}),
+    "p": (("verify",), {"help": "comma list of Schatten exponents p"}),
+    "n": (("verify", "conjecture"), {"type": int, "help": "spectrum size for the conjecture suite (default 3)"}),
+    "eigs": (("verify", "dk-probe"), {"help": "explicit spectrum, e.g. 1,2,-3"}),
+    "starts": (("verify", "dk-probe"), {"type": int, "help": "random starts for the ratio probe (default 64)"}),
+    "iters": (("verify", "dk-probe"), {"type": int, "help": "iterations per start (default 500)"}),
+    "out": (_ALL + ("report",), {"help": "output JSONL path (default results.jsonl)"}),
+    "config": (_ALL, {"help": "JSON config file; flags override its values"}),
+    "no_timing": (
+        _ALL,
+        {"action": "store_true", "default": None, "help": "zero wall-time fields for byte-stable output"},
+    ),
+}
+_CONFIG_KEYS = frozenset(_FLAGS) - {"config"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -116,76 +326,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="normlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-
-    def common(p, *names):
-        if "suite" in names:
-            p.add_argument("--suite", help="suite name: " + ", ".join(SUITES))
-        if "dim" in names:
-            p.add_argument("--dim", type=int, help="matrix dimension (2..12, default 3)")
-        if "count" in names:
-            p.add_argument("--count", type=int, help="instances per parameter point")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, help="campaign seed (default 0)")
-        if "norms" in names:
-            p.add_argument("--norms", help="comma list of norm selectors (default op,tr,fro)")
-        if "tol" in names:
-            p.add_argument("--tol", type=float, help="relative link tolerance (default 1e-8)")
-        if "cond" in names:
-            p.add_argument("--cond", type=float, help="condition bound for sampled matrices (default 100)")
-        if "t" in names:
-            p.add_argument("--t", help="comma list of t values; use --t=-1,0 for negatives")
-        if "r" in names:
-            p.add_argument("--r", help="comma list: Heinz alphas (heinz) or exponents r (zhan)")
-        if "k" in names:
-            p.add_argument("--k", help="comma list of shift values k")
-        if "p" in names:
-            p.add_argument("--p", help="comma list of Schatten exponents p")
-        if "n" in names:
-            p.add_argument("--n", type=int, help="spectrum size for the conjecture suite (default 3)")
-        if "eigs" in names:
-            p.add_argument("--eigs", help="explicit spectrum, e.g. 1,2,-3")
-        if "starts" in names:
-            p.add_argument("--starts", type=int, help="random starts for the ratio probe (default 64)")
-        if "iters" in names:
-            p.add_argument("--iters", type=int, help="iterations per start (default 500)")
-        if "out" in names:
-            p.add_argument("--out", help="output JSONL path (default results.jsonl)")
-        if "config" in names:
-            p.add_argument("--config", help="JSON config file; flags override its values")
-        if "no_timing" in names:
-            p.add_argument("--no-timing", action="store_true", default=None, help="zero wall-time fields for byte-stable output")
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    common(
-        verify,
-        "suite",
-        "dim",
-        "count",
-        "seed",
-        "norms",
-        "tol",
-        "cond",
-        "t",
-        "r",
-        "k",
-        "p",
-        "n",
-        "eigs",
-        "starts",
-        "iters",
-        "out",
-        "config",
-        "no_timing",
-    )
-
-    conj = sub.add_parser("conjecture", help="counterexample search for the positivity conjecture")
-    common(conj, "n", "k", "count", "seed", "out", "config", "no_timing")
-
-    probe = sub.add_parser("dk-probe", help="ratio probe for an explicit spectrum")
-    common(probe, "eigs", "k", "count", "seed", "starts", "iters", "out", "config", "no_timing")
-
-    report = sub.add_parser("report", help="re-summarize an existing JSONL file")
-    common(report, "out")
+    for command, help_text in (
+        ("verify", "run a verification suite"),
+        ("conjecture", "counterexample search for the positivity conjecture"),
+        ("dk-probe", "ratio probe for an explicit spectrum"),
+        ("report", "re-summarize an existing JSONL file"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        for name, (commands, options) in _FLAGS.items():
+            if command in commands:
+                p.add_argument("--" + name.replace("_", "-"), **options)
     return parser
 
 
@@ -353,244 +503,15 @@ def _validate(config: CampaignConfig) -> None:
                 raise ConfigInvalid(f"conjecture k must be in [0, 2], got {k}")
 
 
-class _Recorder:
-    """Accumulates result records with instance numbering and timing."""
-
-    def __init__(self, config: CampaignConfig):
-        self.records: list[dict] = []
-        self._suite = config.suite
-        self._no_timing = config.no_timing
-
-    def add(self, params: dict, norm_label: str, fn, extra: dict | None = None) -> None:
-        t0 = time.perf_counter()
-        report = fn()
-        wall = 0.0 if self._no_timing else time.perf_counter() - t0
-        rec = {
-            "suite": self._suite,
-            "instance": len(self.records),
-            "norm": norm_label,
-            "params": params,
-            "wall_time": wall,
-        }
-        rec.update(report.as_dict())
-        rec["min_margin"] = report.min_margin
-        if extra:
-            rec.update(extra)
-        self.records.append(rec)
-
-    def add_raw(self, rec: dict) -> None:
-        rec = dict(rec)
-        rec.setdefault("suite", self._suite)
-        rec["instance"] = len(self.records)
-        if self._no_timing:
-            rec["wall_time"] = 0.0
-        self.records.append(rec)
-
-
 def _collect_records(config: CampaignConfig) -> list[dict]:
-    suite = config.suite
-    rec = _Recorder(config)
-    kinds = [NormKind.parse(s) for s in config.norms]
-    rng = matcore.Rng(config.seed)
-    d, count, tol, cond = config.dim, config.count, config.tol, config.cond
-
-    if suite == "heinz":
-        for pi, alpha in enumerate(config.r_values):
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                a = matcore.random_posdef(d, cond, sub.substream(0))
-                b = matcore.random_posdef(d, cond, sub.substream(1))
-                x = matcore.random_probe_matrix(d, sub.substream(2))
-                for kind in kinds:
-                    rec.add(
-                        {"alpha": alpha},
-                        kind.label,
-                        lambda: heinz.kittaneh_chain(a, b, x, alpha, kind, tol=tol),
-                    )
-
-    elif suite == "agm":
-        for i in range(count):
-            sub = rng.substream(0).substream(i)
-            a = matcore.ginibre(d, rng=sub.substream(0))
-            b = matcore.ginibre(d, rng=sub.substream(1))
-            x = matcore.random_probe_matrix(d, sub.substream(2))
-            for kind in kinds:
-                rec.add({}, kind.label, lambda: heinz.agm_check(a, b, x, kind, tol=tol))
-
-    elif suite == "cpr":
-        for i in range(count):
-            sub = rng.substream(0).substream(i)
-            s = matcore.random_selfadjoint_invertible(d, cond, sub.substream(0))
-            t_mat = matcore.random_selfadjoint_invertible(d, cond, sub.substream(1))
-            x = matcore.random_probe_matrix(d, sub.substream(2))
-            gen = matcore.random_invertible(d, cond, sub.substream(3))
-            for kind in kinds:
-                rec.add({"form": "cpr"}, kind.label, lambda: cpr.cpr_check(s, x, kind, tol=tol))
-                rec.add(
-                    {"form": "two_sided"},
-                    kind.label,
-                    lambda: cpr.cpr_two_sided_check(s, t_mat, x, kind, tol=tol),
-                )
-                rec.add({"form": "star"}, kind.label, lambda: cpr.cpr_star_check(gen, x, kind, tol=tol))
-
-    elif suite == "zhan":
-        grid = [(t, r) for t in config.t_values for r in config.r_values]
-        for pi, (t, r) in enumerate(grid):
-            params = cpr.ZhanParams(t, r)
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                a = matcore.random_posdef(d, cond, sub.substream(0))
-                b = matcore.random_posdef(d, cond, sub.substream(1))
-                x = matcore.random_probe_matrix(d, sub.substream(2))
-                for kind in kinds:
-                    rec.add(
-                        {"t": t, "r": r},
-                        kind.label,
-                        lambda: cpr.zhan_chain(a, b, x, params, kind, tol=tol),
-                    )
-
-    elif suite == "cor23":
-        for pi, t in enumerate(config.t_values):
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                a = matcore.ginibre(d, rng=sub.substream(0))
-                b = matcore.ginibre(d, rng=sub.substream(1))
-                x = matcore.random_probe_matrix(d, sub.substream(2))
-                for kind in kinds:
-                    rec.add({"t": t}, kind.label, lambda: cpr.cor23_check(a, b, x, t, kind, tol=tol))
-
-    elif suite == "cor24":
-        for pi, t in enumerate(config.t_values):
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                p_mat = matcore.random_posdef(d, cond, sub.substream(0))
-                q_mat = matcore.random_posdef(d, cond, sub.substream(1))
-                x = matcore.random_probe_matrix(d, sub.substream(2))
-                for kind in kinds:
-                    rec.add(
-                        {"t": t},
-                        kind.label,
-                        lambda: cpr.cor24_check(p_mat, q_mat, x, t, kind, tol=tol),
-                    )
-
-    elif suite == "t2":
-        for i in range(count):
-            sub = rng.substream(0).substream(i)
-            s = matcore.random_invertible(d, cond, sub.substream(0))
-            x = matcore.random_probe_matrix(d, sub.substream(1))
-            y = matcore.random_probe_matrix(d, sub.substream(2))
-            for kind in kinds:
-                rec.add({"form": "mos1"}, kind.label, lambda: cpr.mos1_check(s, x, y, kind, tol=tol))
-                rec.add({"form": "mos2"}, kind.label, lambda: cpr.mos2_check(s, x, y, kind, tol=tol))
-
-    elif suite == "finalcor":
-        for i in range(count):
-            sub = rng.substream(0).substream(i)
-            s = matcore.random_invertible(d, cond, sub.substream(0))
-            x = matcore.random_probe_matrix(d, sub.substream(1))
-            rec.add(
-                {"form": "max"},
-                "op",
-                lambda: cpr.final_cor_check(s, x, config.p_values[0], tol=tol)[0],
-            )
-            for p in config.p_values:
-                rec.add(
-                    {"p": p},
-                    NormKind.schatten(p).label,
-                    lambda: cpr.final_cor_check(s, x, p, tol=tol)[1],
-                )
-
-    elif suite == "characterizations":
-        for pi, form_id in enumerate(classes.FORMS):
-            relation = classes.FORMS[form_id].relation
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                s = classes.sample_for_form(form_id, d, sub.substream(0), cond)
-                x = matcore.random_probe_matrix(d, sub.substream(1))
-                for kind in kinds:
-                    rec.add(
-                        {"form": form_id},
-                        kind.label,
-                        lambda: classes.characterization_check(
-                            s, x, form_id, kind, tol=None if relation == "eq" else tol
-                        ),
-                    )
-
-    elif suite == "dk":
-        for pi, k in enumerate(config.k_values):
-            for i in range(count):
-                sub = rng.substream(pi).substream(i)
-                if config.eigs is not None:
-                    s = np.diag(np.asarray(config.eigs, dtype=float)).astype(complex)
-                else:
-                    s = matcore.random_selfadjoint_invertible(d, cond, sub.substream(0))
-                t0 = time.perf_counter()
-                res = classes.dk_ratio_minimize(
-                    s, k, starts=config.starts, iters=config.iters, rng=sub.substream(1)
-                )
-                wall = time.perf_counter() - t0
-                bound = k + 2.0
-                ok = res.verdict != "violated"
-                rec.add_raw(
-                    {
-                        "norm": "op",
-                        "params": {"k": k},
-                        "labels": ["best_ratio", "k+2"],
-                        "values": [res.best_ratio, bound],
-                        "margins": [res.best_ratio - bound],
-                        "relations": ["ge"],
-                        "link_pass": [ok],
-                        "pass": ok,
-                        "min_margin": res.best_ratio - bound,
-                        "verdict": res.verdict,
-                        "spectral_ok": res.spectral_ok,
-                        "eigenvalues": [float(v) for v in res.eigenvalues],
-                        "starts_used": res.starts_used,
-                        "wall_time": wall,
-                    }
-                )
-
-    elif suite == "conjecture":
-        violations_path = config.out + ".violations.jsonl"
-        try:
-            open(violations_path, "w", encoding="utf-8").close()
-        except OSError as exc:
-            raise IoFailure(f"cannot write {violations_path}: {exc}") from None
-        t0 = time.perf_counter()
-        summaries = conjecture.conjecture_search(
-            config.n, list(config.k_values), count, rng, violations_path=violations_path
-        )
-        wall = time.perf_counter() - t0
-        for summ in summaries:
-            ok = summ.violations == 0
-            rec.add_raw(
-                {
-                    "norm": "-",
-                    "params": {"k": summ.k, "n": config.n},
-                    "labels": ["min_eig"],
-                    "values": [summ.min_eig_overall],
-                    "margins": [summ.min_eig_overall],
-                    "relations": ["ge"],
-                    "link_pass": [ok],
-                    "pass": ok,
-                    "min_margin": summ.min_eig_overall,
-                    "min_eig": summ.min_eig_overall,
-                    "count": summ.accepted,
-                    "pass_count": summ.accepted - summ.violations,
-                    "fail_count": summ.violations,
-                    "rejected": summ.rejected,
-                    "violations": summ.violations,
-                    "hist_counts": [int(c) for c in summ.hist_counts],
-                    "hist_edges": [float(e) for e in summ.hist_edges],
-                    # The search runs as one campaign; each row carries its
-                    # total wall time.
-                    "wall_time": wall,
-                }
-            )
-
-    else:  # pragma: no cover - _validate rejects unknown suites
-        raise ConfigInvalid(f"unknown suite {suite!r}")
-    return rec.records
+    """Run the config's suite, numbering records in the order produced."""
+    records = []
+    for rec in _SUITES[config.suite](config):
+        rec.update(suite=config.suite, instance=len(records))
+        if config.no_timing:
+            rec["wall_time"] = 0.0
+        records.append(rec)
+    return records
 
 
 def _write_jsonl(path: str, records: list[dict]) -> None:
@@ -610,6 +531,8 @@ def _read_jsonl(path: str) -> list[dict]:
                 line = line.strip()
                 if line:
                     records.append(json.loads(line))
+                    if not isinstance(records[-1], dict):
+                        raise IoFailure(f"{path} holds a line that is not a JSON object: {line[:40]!r}")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import classes, matcore
 from .errors import DegenerateDenominator, InvalidK, SamplerExhausted, ZeroLambda
 from .norms import OP, norm
 
@@ -100,8 +100,7 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     against k + 2.  Self-pairs are exactly k + 2 and carry no information;
     a singleton spectrum is trivially constrained."""
     lam, k = _validated(lambdas, k)
-    ratio = np.divide.outer(lam, lam)
-    vals = np.abs(ratio + 1.0 / ratio + k)
+    vals = np.abs(classes._multiplier_matrix(lam, k))
     if lam.size > 1:
         search = vals + np.diag(np.full(lam.size, np.inf))
     else:
@@ -117,32 +116,13 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     )
 
 
-def build_conj_matrix(lambdas, k: float, hermitian_mode: bool = False) -> np.ndarray:
-    """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k).
-
-    hermitian_mode admits complex spectra via l_i conj(l_j) in numerator
-    and denominator cross term; this is an experimental reading and not
-    part of the conjecture as stated.
-    """
-    if hermitian_mode:
-        lam = np.asarray(lambdas, dtype=complex)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("lambdas must be a nonempty 1-D vector")
-        if np.any(lam == 0.0):
-            raise ZeroLambda("spectrum entries must be nonzero")
-        k = float(k)
-        if not 0.0 <= k <= 2.0:
-            raise InvalidK(f"conjecture is stated for k in [0, 2], got {k}")
-        cross = np.multiply.outer(lam, lam.conj())
-        sq = np.abs(lam) ** 2
-        den = np.add.outer(sq, sq) + k * cross
-        scale = np.add.outer(sq, sq)
-    else:
-        lam, k = _validated(lambdas, k)
-        cross = np.multiply.outer(lam, lam)
-        sq = lam * lam
-        den = np.add.outer(sq, sq) + k * cross
-        scale = np.add.outer(sq, sq)
+def build_conj_matrix(lambdas, k: float) -> np.ndarray:
+    """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k)."""
+    lam, k = _validated(lambdas, k)
+    cross = np.multiply.outer(lam, lam)
+    sq = lam * lam
+    scale = np.add.outer(sq, sq)
+    den = scale + k * cross
     bad = np.abs(den) <= DEGENERATE_RTOL * scale
     if np.any(bad):
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -297,8 +277,7 @@ def conditional_theorem_check(
     lam, k = _validated(lambdas, k)
     c = build_conj_matrix(lam, k)
     min_eig, psd = psd_check(c)
-    ratio = np.divide.outer(lam, lam)
-    m = ratio + 1.0 / ratio + k
+    m = classes._multiplier_matrix(lam, k)
     n = lam.size
     floor = (k + 2.0) * (1.0 - rtol)
     worst = np.inf

@@ -122,15 +122,15 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     """The bracket A^alpha X B^(1-alpha) + A^(1-alpha) X B^alpha."""
     HeinzParams(alpha)
     x = matcore.as_matrix(x)
-    t1 = matcore.matmul(matcore.matmul(matcore.frac_power(a, alpha), x), matcore.frac_power(b, 1.0 - alpha))
-    t2 = matcore.matmul(matcore.matmul(matcore.frac_power(a, 1.0 - alpha), x), matcore.frac_power(b, alpha))
+    t1 = matcore.frac_power(a, alpha) @ x @ matcore.frac_power(b, 1.0 - alpha)
+    t2 = matcore.frac_power(a, 1.0 - alpha) @ x @ matcore.frac_power(b, alpha)
     return t1 + t2
 
 
 def heinz_check(a, b, x, alpha: float, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
     """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|."""
-    x = matcore.as_matrix(x)
-    lhs = norm(matcore.matmul(a, x) + matcore.matmul(x, b), kind)
+    a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
+    lhs = norm(a @ x + x @ b, kind)
     rhs = norm(heinz_expr(a, b, x, alpha), kind)
     return chain(("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|"), (lhs, rhs), tol=tol)
 
@@ -138,8 +138,8 @@ def heinz_check(a, b, x, alpha: float, kind: NormKind, tol: float = DEFAULT_TOL)
 def agm_check(a, b, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
     """Two-value chain: |A*AX+XBB*| >= 2|AXB| for arbitrary A, B."""
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    lhs = norm(matcore.matmul(matcore.adjoint(a) @ a, x) + matcore.matmul(x, b @ matcore.adjoint(b)), kind)
-    rhs = 2.0 * norm(matcore.matmul(matcore.matmul(a, x), b), kind)
+    lhs = norm((a.conj().T @ a) @ x + x @ (b @ b.conj().T), kind)
+    rhs = 2.0 * norm(a @ x @ b, kind)
     return chain(("|A*AX+XBB*|", "2|AXB|"), (lhs, rhs), tol=tol)
 
 

@@ -37,9 +37,7 @@ __all__ = [
     "polar_abs",
     "haar_unitary",
     "random_posdef",
-    "random_posdef_spectral",
     "random_selfadjoint_invertible",
-    "random_selfadjoint_spectral",
     "random_invertible",
     "random_normal_invertible",
     "random_scaled_unitary",
@@ -48,12 +46,7 @@ __all__ = [
     "random_hermitian",
     "ginibre",
     "random_probe_matrix",
-    "matmul",
-    "add",
-    "scale",
-    "adjoint",
     "inverse",
-    "hadamard",
     "direct_sum",
 ]
 
@@ -192,62 +185,30 @@ def haar_unitary(n: int, rng: Rng) -> np.ndarray:
     QR of a complex Ginibre matrix; multiplying Q by the phases of R's
     diagonal makes the factorization unique and the law exactly Haar.
     """
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
-    g = rng.generator()
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
-
-
-def random_posdef_spectral(n: int, cond: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral data (eigenvalues ascending, Haar eigenvectors) of a random
-    positive definite matrix with eigenvalues log-uniform in
-    [cond**-0.5, cond**0.5]."""
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
-    g = rng.generator()
-    eigs = np.sort(np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond)))
-    q = _haar_from_generator(n, g)
-    return eigs, q
+    return _haar_from_generator(n, rng.generator())
 
 
 def random_posdef(n: int, cond: float, rng: Rng) -> np.ndarray:
-    """Random Hermitian positive definite matrix with condition <= cond."""
-    eigs, q = random_posdef_spectral(n, cond, rng)
-    a = (q * eigs) @ q.conj().T
-    return 0.5 * (a + a.conj().T)
-
-
-def random_selfadjoint_spectral(n: int, cond: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral data of a random self-adjoint invertible matrix: positive
-    log-uniform magnitudes with independent random signs, |eig| >= cond**-0.5."""
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
+    """Random Hermitian positive definite matrix with Haar eigenvectors and
+    eigenvalues log-uniform in [cond**-0.5, cond**0.5] (condition <= cond)."""
     g = rng.generator()
-    mags = np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond))
-    signs = np.where(g.random(n) < 0.5, -1.0, 1.0)
-    q = _haar_from_generator(n, g)
-    return mags * signs, q
+    eigs = np.sort(_log_uniform(g, n, cond))
+    return _hermitian(_haar_from_generator(n, g), eigs)
 
 
 def random_selfadjoint_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
-    """Random self-adjoint invertible matrix (signed spectrum, |eig| bounded
-    away from zero by cond**-0.5)."""
-    eigs, q = random_selfadjoint_spectral(n, cond, rng)
-    a = (q * eigs) @ q.conj().T
-    return 0.5 * (a + a.conj().T)
+    """Random self-adjoint invertible matrix: positive log-uniform
+    magnitudes with independent random signs, |eig| >= cond**-0.5."""
+    g = rng.generator()
+    eigs = _log_uniform(g, n, cond) * _random_signs(g, n)
+    return _hermitian(_haar_from_generator(n, g), eigs)
 
 
 def random_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
     """Random invertible matrix U diag(s) V* with independent Haar factors
     and singular values log-uniform in [cond**-0.5, cond**0.5]."""
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
     g = rng.generator()
-    svals = np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond))
+    svals = _log_uniform(g, n, cond)
     u = _haar_from_generator(n, g)
     v = _haar_from_generator(n, g)
     return (u * svals) @ v.conj().T
@@ -256,13 +217,10 @@ def random_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
 def random_normal_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
     """Random invertible normal matrix U diag(d) U* with complex d,
     |d| log-uniform in [cond**-0.5, cond**0.5]."""
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
     g = rng.generator()
-    mags = np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond))
-    phases = np.exp(2j * np.pi * g.random(n))
+    d = _log_uniform(g, n, cond) * np.exp(2j * np.pi * g.random(n))
     q = _haar_from_generator(n, g)
-    return (q * (mags * phases)) @ q.conj().T
+    return (q * d) @ q.conj().T
 
 
 def random_scaled_unitary(n: int, rng: Rng) -> np.ndarray:
@@ -276,27 +234,21 @@ def random_scaled_reflection(n: int, rng: Rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint unitary (Q diag(+-1) Q*)."""
     g = rng.generator()
     c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
-    signs = np.where(g.random(n) < 0.5, -1.0, 1.0)
-    q = _haar_from_generator(n, g)
-    refl = (q * signs) @ q.conj().T
-    return c * 0.5 * (refl + refl.conj().T)
+    signs = _random_signs(g, n)
+    return c * _hermitian(_haar_from_generator(n, g), signs)
 
 
 def random_scaled_selfadjoint(n: int, cond: float, rng: Rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint invertible matrix."""
     g = rng.generator()
     c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
-    mags = np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(max(cond, 1.0)))
-    signs = np.where(g.random(n) < 0.5, -1.0, 1.0)
-    q = _haar_from_generator(n, g)
-    a = (q * (mags * signs)) @ q.conj().T
-    return c * 0.5 * (a + a.conj().T)
+    eigs = _log_uniform(g, n, max(cond, 1.0)) * _random_signs(g, n)
+    return c * _hermitian(_haar_from_generator(n, g), eigs)
 
 
 def random_hermitian(n: int, rng: Rng) -> np.ndarray:
     """Gaussian Hermitian matrix (G + G*)/2."""
-    g = rng.generator()
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+    z = _ginibre_from_generator(n, n, rng.generator())
     return 0.5 * (z + z.conj().T)
 
 
@@ -304,9 +256,7 @@ def ginibre(n: int, m: int | None = None, rng: Rng | None = None) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex Gaussian entries."""
     if rng is None:
         raise ValueError("rng is required")
-    m = n if m is None else m
-    g = rng.generator()
-    return (g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))) / np.sqrt(2.0)
+    return _ginibre_from_generator(n, n if m is None else m, rng.generator())
 
 
 def random_probe_matrix(n: int, rng: Rng) -> np.ndarray:
@@ -326,46 +276,44 @@ def random_probe_matrix(n: int, rng: Rng) -> np.ndarray:
         x[i, j] = 1.0
         return x
     if pick == 1:
-        z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+        z = _ginibre_from_generator(n, n, g)
         return 0.5 * (z + z.conj().T)
     if pick == 2:
         return _haar_from_generator(n, g)
-    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+    return _ginibre_from_generator(n, n, g)
+
+
+def _ginibre_from_generator(n: int, m: int, g: np.random.Generator) -> np.ndarray:
+    return (g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))) / np.sqrt(2.0)
 
 
 def _haar_from_generator(n: int, g: np.random.Generator) -> np.ndarray:
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_ginibre_from_generator(n, n, g))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
 
 
+def _log_uniform(g: np.random.Generator, n: int, cond: float) -> np.ndarray:
+    # n magnitudes log-uniform in [cond**-0.5, cond**0.5].
+    if cond < 1.0:
+        raise ValueError("cond must be >= 1")
+    return np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond))
+
+
+def _random_signs(g: np.random.Generator, n: int) -> np.ndarray:
+    return np.where(g.random(n) < 0.5, -1.0, 1.0)
+
+
+def _hermitian(q: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    # Q diag(eigs) Q*, with rounding folded back symmetrically.
+    a = (q * eigs) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
 def _log_uniform_scale(g: np.random.Generator) -> float:
     # Magnitude log-uniform in [0.1, 10]; keeps scalar factors moderate.
     return float(10.0 ** g.uniform(-1.0, 1.0))
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def inverse(a) -> np.ndarray:
@@ -377,14 +325,6 @@ def inverse(a) -> np.ndarray:
     if smallest <= SINGULAR_RTOL * max(np.linalg.norm(a), 1e-300):
         raise Singular("matrix is numerically singular")
     return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"entrywise product needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
 
 
 def direct_sum(a, b) -> np.ndarray:

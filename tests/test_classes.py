@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normlab import classes, matcore
 from normlab.classes import EQUALITY_FORMS, FORMS
-from normlab.errors import InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
+from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, norm
 
 
@@ -108,6 +108,8 @@ def test_schur_theorem_validation():
         classes.schur_theorem_bound_check(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(NotHermitian):
         classes.schur_theorem_bound_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        classes.schur_theorem_bound_check(np.eye(2), np.eye(3))
 
 
 # ---------------------------------------------------------------- probe

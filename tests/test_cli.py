@@ -174,6 +174,53 @@ def test_report_reproduces_summary(tmp_path):
     assert summary_path.read_bytes() == original
 
 
+def test_report_rejects_records_that_are_not_objects(tmp_path, capsys):
+    out = tmp_path / "list.jsonl"
+    out.write_text('{"suite": "heinz", "pass": true}\n[1, 2]\n')
+    with pytest.raises(IoFailure):
+        cli._read_jsonl(str(out))
+    assert cli.main(["report", "--out", str(out)]) == 4
+    assert "io failure" in capsys.readouterr().err
+
+
+_NORMS = ("op", "schatten:1")
+# suite -> (extra flags, parameter points, records per instance, (norm,
+# params) of the first instance's records in order).
+_LAYOUTS = {
+    "heinz": (["--r", "0.25,0.5"], 2, 2, [(nm, {"alpha": 0.25}) for nm in _NORMS]),
+    "agm": ([], 1, 2, [(nm, {}) for nm in _NORMS]),
+    "cpr": ([], 1, 6, [(nm, {"form": f}) for nm in _NORMS for f in ("cpr", "two_sided", "star")]),
+    "zhan": (["--t=-1,2", "--r", "0.5,1.5"], 4, 2, [(nm, {"t": -1.0, "r": 0.5}) for nm in _NORMS]),
+    "cor23": (["--t=0,1"], 2, 2, [(nm, {"t": 0.0}) for nm in _NORMS]),
+    "cor24": (["--t=0,1"], 2, 2, [(nm, {"t": 0.0}) for nm in _NORMS]),
+    "t2": ([], 1, 4, [(nm, {"form": f}) for nm in _NORMS for f in ("mos1", "mos2")]),
+    "finalcor": (
+        ["--p", "1,3"],
+        1,
+        3,
+        [("op", {"form": "max"}), ("schatten:1", {"p": 1.0}), ("schatten:3", {"p": 3.0})],
+    ),
+    "characterizations": ([], 14, 2, [(nm, {"form": "ineq6"}) for nm in _NORMS]),
+    "dk": (["--k", "0,1", "--starts", "1", "--iters", "2"], 2, 1, [("op", {"k": 0.0})]),
+    "conjecture": (["--k", "0,1"], 2, 1, [("-", {"k": 0.0, "n": 3})]),
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_suite_record_layout(tmp_path, suite):
+    extra, points, per_instance, first = _LAYOUTS[suite]
+    out = tmp_path / f"{suite}.jsonl"
+    argv = ["verify", "--suite", suite, "--dim", "2", "--count", "2", "--norms", ",".join(_NORMS)]
+    assert cli.main([*argv, *extra, "--seed", "3", "--no-timing", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # The conjecture search writes one summary record per k, whatever the count.
+    instances = points if suite == "conjecture" else points * 2
+    assert len(records) == instances * per_instance
+    assert [r["instance"] for r in records] == list(range(len(records)))
+    assert all(r["suite"] == suite for r in records)
+    assert [(r["norm"], r["params"]) for r in records[:per_instance]] == first
+
+
 def test_conjecture_run(tmp_path):
     out = tmp_path / "conj.jsonl"
     argv = [

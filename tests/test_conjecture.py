@@ -101,12 +101,6 @@ def test_build_matrix_degenerate_denominator():
         conjecture.build_conj_matrix([1.0, -1.0], 2.0)
 
 
-def test_build_matrix_hermitian_mode():
-    c = conjecture.build_conj_matrix([1.0 + 1.0j, 2.0 - 0.5j], 1.0, hermitian_mode=True)
-    assert np.allclose(c, c.conj().T)
-    assert np.all(np.diag(c).real == 1.0 / 3.0)
-
-
 def test_psd_check_hand_cases():
     assert conjecture.psd_check(np.eye(2)) == (1.0, True)
     min_eig, ok = conjecture.psd_check(np.diag([1.0, -1.0]))
