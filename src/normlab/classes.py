@@ -146,13 +146,14 @@ def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainReport
     return chain(("maxdiag(N)|X|", "|NoX|"), (lhs, rhs), tol=tol)
 
 
-def _ratio_and_numgrad(m: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Ratio |M o Y| / |Y| with subgradients of numerator and denominator."""
+def _ratio_and_numgrad(m: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Ratio |M o Y| / |Y| with subgradients of numerator and denominator,
+    and the denominator |Y|."""
     un, sn, vhn = np.linalg.svd(m * y)
     ud, sd, vhd = np.linalg.svd(y)
     g_num = m * np.outer(un[:, 0], vhn[0])
     g_den = np.outer(ud[:, 0], vhd[0])
-    return sn[0] / sd[0], g_num, g_den
+    return sn[0] / sd[0], g_num, g_den, sd[0]
 
 
 def dk_ratio_minimize(
@@ -196,11 +197,10 @@ def dk_ratio_minimize(
     for y0 in seeds:
         y = y0.copy()
         for it in range(int(iters)):
-            ratio, g_num, g_den = _ratio_and_numgrad(m, y)
+            ratio, g_num, g_den, denom = _ratio_and_numgrad(m, y)
             if ratio < best_ratio:
                 best_ratio = ratio
                 best_y = y.copy()
-            denom = np.linalg.svd(y, compute_uv=False)[0]
             grad = (g_num - ratio * g_den) / denom
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-14:
@@ -210,7 +210,7 @@ def dk_ratio_minimize(
             if ynorm < 1e-12:
                 break
             y = y / ynorm
-        ratio, _, _ = _ratio_and_numgrad(m, y)
+        ratio = _ratio_and_numgrad(m, y)[0]
         if ratio < best_ratio:
             best_ratio = ratio
             best_y = y.copy()

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -111,16 +112,26 @@ def _per_norm(*checks, **forms):
         for kind in kinds:
             for form, fn in entries:
                 params = {**point, **form}
-                yield params, kind.label, lambda: fn(config, params, kind, *mats)
+                yield params, (kind.label,), lambda: (fn(config, params, kind, *mats),)
+
+    return checks
+
+
+def _all_norms(check):
+    """One check call for all norms, which returns one report per norm:
+    check(config, point, kinds, *matrices)."""
+
+    def checks(config, point, kinds, *mats):
+        yield point, [kind.label for kind in kinds], lambda: check(config, point, kinds, *mats)
 
     return checks
 
 
 def _finalcor_checks(config, point, kinds, s, x):
     # The max form is an operator-norm bound; each p gives a Schatten row.
-    yield {"form": "max"}, "op", lambda: cpr.final_cor_check(s, x, config.p_values[0], tol=config.tol)[0]
+    yield {"form": "max"}, ("op",), lambda: cpr.final_cor_check(s, x, config.p_values[0], tol=config.tol)[:1]
     for p in config.p_values:
-        yield {"p": p}, NormKind.schatten(p).label, lambda: cpr.final_cor_check(s, x, p, tol=config.tol)[1]
+        yield {"p": p}, (NormKind.schatten(p).label,), lambda: cpr.final_cor_check(s, x, p, tol=config.tol)[1:]
 
 
 def _theorem(points, samplers, checks):
@@ -129,7 +140,9 @@ def _theorem(points, samplers, checks):
     points(config) lists the parameter points; matrix slot j of instance i
     at point pi is drawn by samplers[j] from
     rng.substream(pi).substream(i).substream(j); checks(config, point,
-    kinds, *matrices) yields (params, norm label, report thunk) per record.
+    kinds, *matrices) yields (params, norm labels, thunk), and the thunk
+    returns one report per label, each giving one record.  The thunk's
+    wall time is split evenly over its records.
     """
 
     def records(config):
@@ -139,13 +152,14 @@ def _theorem(points, samplers, checks):
             for i in range(config.count):
                 sub = rng.substream(pi).substream(i)
                 mats = [sample(config, point, sub.substream(j)) for j, sample in enumerate(samplers)]
-                for params, label, thunk in checks(config, point, kinds, *mats):
+                for params, labels, thunk in checks(config, point, kinds, *mats):
                     t0 = time.perf_counter()
-                    report = thunk()
-                    wall = time.perf_counter() - t0
-                    rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
-                    rec["min_margin"] = report.min_margin
-                    yield rec
+                    reports = thunk()
+                    wall = (time.perf_counter() - t0) / len(reports)
+                    for label, report in zip(labels, reports):
+                        rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
+                        rec["min_margin"] = report.min_margin
+                        yield rec
 
     return records
 
@@ -232,7 +246,7 @@ _SUITES = {
     "heinz": _theorem(
         lambda c: [{"alpha": a} for a in c.r_values],
         (_posdef, _posdef, _probe),
-        _per_norm(lambda c, p, kind, a, b, x: heinz.kittaneh_chain(a, b, x, p["alpha"], kind, tol=c.tol)),
+        _all_norms(lambda c, p, kinds, a, b, x: heinz.kittaneh_chains(a, b, x, p["alpha"], kinds, tol=c.tol)),
     ),
     "agm": _theorem(
         _single_point,
@@ -251,8 +265,8 @@ _SUITES = {
     "zhan": _theorem(
         lambda c: [{"t": t, "r": r} for t in c.t_values for r in c.r_values],
         (_posdef, _posdef, _probe),
-        _per_norm(
-            lambda c, p, kind, a, b, x: cpr.zhan_chain(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kind, tol=c.tol)
+        _all_norms(
+            lambda c, p, kinds, a, b, x: cpr.zhan_chains(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kinds, tol=c.tol)
         ),
     ),
     "cor23": _theorem(
@@ -452,6 +466,17 @@ def _validate(config: CampaignConfig) -> None:
         raise UsageError("missing --suite")
     if config.suite not in SUITES:
         raise ConfigInvalid(f"unknown suite {config.suite!r}; expected one of {', '.join(SUITES)}")
+    for flag, values in (
+        ("--tol", (config.tol,)),
+        ("--cond", (config.cond,)),
+        ("--t", config.t_values),
+        ("--r", config.r_values),
+        ("--k", config.k_values),
+        ("--p", config.p_values),
+        ("--eigs", config.eigs or ()),
+    ):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigInvalid(f"{flag} values must be finite, got {', '.join(map(str, values))}")
     if not 2 <= config.dim <= 12:
         raise ConfigInvalid(f"--dim must be in [2, 12], got {config.dim}")
     if config.count < 1:

@@ -17,15 +17,15 @@ from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import InvalidParams
 from .heinz import (
-    DEGENERATE_INTERVAL,
     DEFAULT_NODES,
     PairBasis,
-    gauss_legendre_nodes,
+    _mean,
+    _mean_nodes,
     pair_basis,
     power_pair_sv,
     weighted_sv,
 )
-from .norms import OP, NormKind, direct_sum_norm, norm, norm_from_sv
+from .norms import OP, NormKind, direct_sum_norm, norm, norms_from_sv
 
 __all__ = [
     "ZhanParams",
@@ -33,6 +33,7 @@ __all__ = [
     "cpr_two_sided_check",
     "cpr_star_check",
     "zhan_chain",
+    "zhan_chains",
     "zhan_check",
     "cor23_check",
     "cor24_check",
@@ -90,26 +91,6 @@ def cpr_star_check(s, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainRepor
     return chain(("|S*XS^-1+S^-1XS*|", "2|X|"), (lhs, 2.0 * norm(x, kind)), tol=tol)
 
 
-def _quad_sv(basis: PairBasis, t: float) -> np.ndarray:
-    """Singular values of A^2 X + X B^2 + t AXB via the entrywise weight."""
-    la, mu = basis.a_eigs, basis.b_eigs
-    w = (la**2)[:, None] + (mu**2)[None, :] + t * np.outer(la, mu)
-    return weighted_sv(basis, w)
-
-
-def _h_value(basis: PairBasis, s: float, kind: NormKind) -> float:
-    """H(s) = |A^s X B^{2-s} + A^{2-s} X B^s|."""
-    return norm_from_sv(power_pair_sv(basis, [s], total=2.0)[0], kind)
-
-
-def _first_member(basis: PairBasis, t: float, kind: NormKind) -> float:
-    return 2.0 * norm_from_sv(_quad_sv(basis, t), kind)
-
-
-def _last_member(h_r: float, t: float) -> float:
-    return (t + 2.0) * h_r
-
-
 def zhan_chain(
     a,
     b,
@@ -119,8 +100,21 @@ def zhan_chain(
     tol: float = DEFAULT_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> ChainReport:
+    """The :func:`zhan_chains` report for the one norm kind."""
+    return zhan_chains(a, b, x, params, (kind,), tol, nodes)[0]
+
+
+def zhan_chains(
+    a,
+    b,
+    x,
+    params: ZhanParams,
+    kinds,
+    tol: float = DEFAULT_TOL,
+    nodes: int = DEFAULT_NODES,
+) -> tuple[ChainReport, ...]:
     """Eight-member refinement chain between 2|A^2X+XB^2+tAXB| and
-    (t+2)H(r), largest first.
+    (t+2)H(r), one report per norm in kinds, largest first.
 
     With H(s) = |A^s X B^{2-s} + A^{2-s} X B^s|, g = |AXB| and c = 4-2t:
 
@@ -136,11 +130,15 @@ def zhan_chain(
     Regime 1 (r <= 1): nu runs over [0, r-1/2], mid = (2r+1)/4.
     Regime 2 (r >= 1): nu runs over [r-1/2, 1], mid = (2r+3)/4.
     A zero-length nu interval evaluates the integrand at its endpoint.
+
+    The pair is diagonalized once; one batched SVD over the H exponents and
+    the quadrature nodes and one over the quadratic and AXB weights serve
+    every norm.
     """
     if not isinstance(params, ZhanParams):
         params = ZhanParams(*params)
     basis = pair_basis(a, b, x)
-    return _zhan_from_basis(basis, params.t, params.r, params.regime, kind, tol, nodes)
+    return _zhan_reports(basis, params.t, params.r, params.regime, kinds, tol, nodes)
 
 
 def _zhan_from_basis(
@@ -152,11 +150,32 @@ def _zhan_from_basis(
     tol: float,
     nodes: int,
 ) -> ChainReport:
-    c = 4.0 - 2.0 * t
-    g = norm_from_sv(weighted_sv(basis, np.outer(basis.a_eigs, basis.b_eigs)), kind)
-    h32 = _h_value(basis, 1.5, kind)
-    h_r = _h_value(basis, r, kind)
+    """One norm's chain with the regime given; r = 1 lies in both."""
+    return _zhan_reports(basis, t, r, regime, (kind,), tol, nodes)[0]
 
+
+_ZHAN_LABELS = (
+    "2|A^2X+XB^2+tAXB|",
+    "2|A^2X+XB^2+2AXB|-c|AXB|",
+    "4H(3/2)-c|AXB|",
+    "2H(3/2)+2H(r)-c|AXB|",
+    "(4/L)intH-c|AXB|",
+    "4H(mid)-c|AXB|",
+    "4H(r)-c|AXB|",
+    "(t+2)H(r)",
+)
+
+
+def _zhan_reports(
+    basis: PairBasis,
+    t: float,
+    r: float,
+    regime: int,
+    kinds,
+    tol: float,
+    nodes: int,
+) -> tuple[ChainReport, ...]:
+    c = 4.0 - 2.0 * t
     if regime == 1:
         lo, hi = 0.0, r - 0.5
         mid = (2.0 * r + 1.0) / 4.0
@@ -164,37 +183,31 @@ def _zhan_from_basis(
         lo, hi = r - 0.5, 1.0
         mid = (2.0 * r + 3.0) / 4.0
 
-    if hi - lo < DEGENERATE_INTERVAL:
-        mean_h = _h_value(basis, lo + 0.5, kind)
-    else:
-        pts, w = gauss_legendre_nodes(lo, hi, nodes)
-        sv = power_pair_sv(basis, pts + 0.5, total=2.0)
-        vals = np.array([norm_from_sv(row, kind) for row in sv])
-        mean_h = float(np.dot(w, vals) / (hi - lo))
+    pts, w = _mean_nodes(lo, hi, lo, nodes)
+    h_sv = power_pair_sv(basis, np.concatenate(([1.5, r, mid], pts + 0.5)), total=2.0)
+    # The quadratic bracket A^2 X + X B^2 + s AXB at s = t and s = 2, and AXB.
+    la, mu = basis.a_eigs, basis.b_eigs
+    cross = np.outer(la, mu)
+    squares = (la**2)[:, None] + (mu**2)[None, :]
+    q_sv = weighted_sv(basis, np.stack((squares + t * cross, squares + 2.0 * cross, cross)))
 
-    m0 = _first_member(basis, t, kind)
-    m1 = _first_member(basis, 2.0, kind) - c * g
-    m2 = 4.0 * h32 - c * g
-    m3 = 2.0 * h32 + 2.0 * h_r - c * g
-    m4 = 4.0 * mean_h - c * g
-    m5 = 4.0 * _h_value(basis, mid, kind) - c * g
-    m6 = 4.0 * h_r - c * g
-    m7 = _last_member(h_r, t)
-
-    return chain(
-        (
-            "2|A^2X+XB^2+tAXB|",
-            "2|A^2X+XB^2+2AXB|-c|AXB|",
-            "4H(3/2)-c|AXB|",
-            "2H(3/2)+2H(r)-c|AXB|",
-            "(4/L)intH-c|AXB|",
-            "4H(mid)-c|AXB|",
-            "4H(r)-c|AXB|",
-            "(t+2)H(r)",
-        ),
-        (m0, m1, m2, m3, m4, m5, m6, m7),
-        tol=tol,
-    )
+    reports = []
+    for h, q in zip(norms_from_sv(h_sv, kinds), norms_from_sv(q_sv, kinds)):
+        h32, h_r, h_mid = h[:3].tolist()
+        mean_h = _mean(h[3:], w, lo, hi)
+        q_t, q_2, g = q.tolist()
+        members = (
+            2.0 * q_t,
+            2.0 * q_2 - c * g,
+            4.0 * h32 - c * g,
+            2.0 * h32 + 2.0 * h_r - c * g,
+            4.0 * mean_h - c * g,
+            4.0 * h_mid - c * g,
+            4.0 * h_r - c * g,
+            (t + 2.0) * h_r,
+        )
+        reports.append(chain(_ZHAN_LABELS, members, tol=tol))
+    return tuple(reports)
 
 
 def zhan_check(
@@ -207,15 +220,11 @@ def zhan_check(
 ) -> ChainReport:
     """Two-value chain 2|A^2X+tAXB+XB^2| >= (2+t)H(r).
 
-    Shares its evaluation helpers with :func:`zhan_chain`, so its two values
-    coincide bitwise with that chain's first and last members.
+    These are the first and last members of :func:`zhan_chain`, taken from
+    the same evaluation, so they coincide with that chain's bitwise.
     """
-    if not isinstance(params, ZhanParams):
-        params = ZhanParams(*params)
-    basis = pair_basis(a, b, x)
-    lhs = _first_member(basis, params.t, kind)
-    rhs = _last_member(_h_value(basis, params.r, kind), params.t)
-    return chain(("2|A^2X+XB^2+tAXB|", "(t+2)H(r)"), (lhs, rhs), tol=tol)
+    full = zhan_chain(a, b, x, params, kind, tol=tol)
+    return chain((full.labels[0], full.labels[-1]), (full.values[0], full.values[-1]), tol=tol)
 
 
 def cor23_check(a, b, x, t: float, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:

@@ -6,10 +6,14 @@ bracket A^s X B^{w-s} + A^{w-s} X B^s equals Q_A (W(s) o X~) Q_B* with
 X~ = Q_A* X Q_B and scalar weights W(s)_ij = a_i^s b_j^{w-s} + a_i^{w-s} b_j^s.
 Unitarily invariant norms drop the outer unitaries, so chain members and
 quadrature nodes reduce to one batched SVD of small weighted matrices.
+Singular values do not depend on the norm, so that one SVD stack serves
+every norm of an instance.  The Gauss-Legendre base rule is computed once
+per node count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +21,7 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .norms import NormKind, norm, norm_from_sv
+from .norms import NormKind, norm, norms_from_sv
 
 __all__ = [
     "HeinzParams",
@@ -31,6 +35,7 @@ __all__ = [
     "agm_check",
     "integral_mean_norm",
     "kittaneh_chain",
+    "kittaneh_chains",
     "gauss_legendre_nodes",
 ]
 
@@ -103,19 +108,45 @@ def power_pair_sv(basis: PairBasis, exponents, total: float = 1.0) -> np.ndarray
 
 
 def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
-    """Singular values of an entrywise-weighted rotated free matrix."""
+    """Singular values of the rotated free matrix weighted entrywise by one
+    weight matrix or, batched, by each matrix of a (..., m, n) stack."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != basis.x_rot.shape:
+    if w.shape[-2:] != basis.x_rot.shape:
         raise DimensionMismatch("weight shape must match the rotated free matrix")
     return np.linalg.svd(w * basis.x_rot, compute_uv=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_base(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only because the
+    cache hands the same arrays to every caller."""
+    base, w = np.polynomial.legendre.leggauss(nodes)
+    base.flags.writeable = False
+    w.flags.writeable = False
+    return base, w
 
 
 def gauss_legendre_nodes(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped affinely to [lo, hi];
     weights sum to hi - lo."""
-    base, w = np.polynomial.legendre.leggauss(int(nodes))
+    base, w = _legendre_base(int(nodes))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * base, half * w
+
+
+def _mean_nodes(lo: float, hi: float, endpoint: float, nodes: int):
+    """Nodes and weights for the mean over [lo, hi]; an interval shorter
+    than DEGENERATE_INTERVAL is one node, the endpoint, with no weights."""
+    if hi - lo < DEGENERATE_INTERVAL:
+        return np.array([endpoint]), None
+    return gauss_legendre_nodes(lo, hi, nodes)
+
+
+def _mean(vals: np.ndarray, w, lo: float, hi: float) -> float:
+    """Mean of the integrand from its values at the nodes of _mean_nodes."""
+    if w is None:
+        return float(vals[0])
+    return float(np.dot(w, vals) / (hi - lo))
 
 
 def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
@@ -160,14 +191,8 @@ def integral_mean_norm(
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
     basis = pair_basis(a, b, x)
-    return _integral_mean_from_basis(basis, lo, hi, kind, nodes)
-
-
-def _integral_mean_from_basis(basis: PairBasis, lo: float, hi: float, kind: NormKind, nodes: int) -> float:
     pts, w = gauss_legendre_nodes(lo, hi, nodes)
-    sv = power_pair_sv(basis, pts, total=1.0)
-    vals = np.array([norm_from_sv(row, kind) for row in sv])
-    return float(np.dot(w, vals) / (hi - lo))
+    return _mean(norms_from_sv(power_pair_sv(basis, pts, total=1.0), (kind,))[0], w, lo, hi)
 
 
 def kittaneh_chain(
@@ -179,7 +204,21 @@ def kittaneh_chain(
     tol: float = DEFAULT_TOL,
     nodes: int = DEFAULT_NODES,
 ) -> ChainReport:
-    """Five-value refinement chain for the Heinz bracket, largest first:
+    """The :func:`kittaneh_chains` report for the one norm kind."""
+    return kittaneh_chains(a, b, x, alpha, (kind,), tol, nodes)[0]
+
+
+def kittaneh_chains(
+    a,
+    b,
+    x,
+    alpha: float,
+    kinds,
+    tol: float = DEFAULT_TOL,
+    nodes: int = DEFAULT_NODES,
+) -> tuple[ChainReport, ...]:
+    """Five-value refinement chain for the Heinz bracket, one report per
+    norm in kinds, largest first:
 
         |AX+XB|
         >= 0.5|AX+XB| + 0.5 H(alpha)
@@ -191,11 +230,14 @@ def kittaneh_chain(
     [0, alpha] with midpoint map alpha/2 for alpha <= 1/2, and [alpha, 1]
     with midpoint map (1+alpha)/2 otherwise.  A zero-length interval
     (alpha at 0 or 1) evaluates the integrand at the endpoint.
+
+    The pair is diagonalized once, and one batched SVD over the bracket
+    exponents and the quadrature nodes serves every norm.
     """
     HeinzParams(alpha)
     basis = pair_basis(a, b, x)
     regime = 1 if alpha <= 0.5 else 2
-    return _kittaneh_from_basis(basis, alpha, regime, kind, tol, nodes)
+    return _kittaneh_reports(basis, alpha, regime, kinds, tol, nodes)
 
 
 def _kittaneh_from_basis(
@@ -206,6 +248,21 @@ def _kittaneh_from_basis(
     tol: float,
     nodes: int,
 ) -> ChainReport:
+    """One norm's chain with the regime given; alpha = 1/2 lies in both."""
+    return _kittaneh_reports(basis, alpha, regime, (kind,), tol, nodes)[0]
+
+
+_KITTANEH_LABELS = ("|AX+XB|", "(|AX+XB|+H(a))/2", "mean H", "H(midmap)", "H(a)")
+
+
+def _kittaneh_reports(
+    basis: PairBasis,
+    alpha: float,
+    regime: int,
+    kinds,
+    tol: float,
+    nodes: int,
+) -> tuple[ChainReport, ...]:
     if regime == 1:
         lo, hi = 0.0, alpha
         mid_map = 0.5 * alpha
@@ -213,25 +270,12 @@ def _kittaneh_from_basis(
         lo, hi = alpha, 1.0
         mid_map = 0.5 * (1.0 + alpha)
 
-    sv = power_pair_sv(basis, [1.0, alpha, mid_map], total=1.0)
-    v_sum = norm_from_sv(sv[0], kind)
-    v_alpha = norm_from_sv(sv[1], kind)
-    v_mid = norm_from_sv(sv[2], kind)
-    if hi - lo < DEGENERATE_INTERVAL:
-        endpoint = alpha
-        v_int = norm_from_sv(power_pair_sv(basis, [endpoint], total=1.0)[0], kind)
-    else:
-        v_int = _integral_mean_from_basis(basis, lo, hi, kind, nodes)
-    v_half = 0.5 * v_sum + 0.5 * v_alpha
-
-    return chain(
-        (
-            "|AX+XB|",
-            "(|AX+XB|+H(a))/2",
-            "mean H",
-            "H(midmap)",
-            "H(a)",
-        ),
-        (v_sum, v_half, v_int, v_mid, v_alpha),
-        tol=tol,
-    )
+    pts, w = _mean_nodes(lo, hi, alpha, nodes)
+    sv = power_pair_sv(basis, np.concatenate(([1.0, alpha, mid_map], pts)), total=1.0)
+    reports = []
+    for vals in norms_from_sv(sv, kinds):
+        v_sum, v_alpha, v_mid = vals[:3].tolist()
+        v_int = _mean(vals[3:], w, lo, hi)
+        v_half = 0.5 * v_sum + 0.5 * v_alpha
+        reports.append(chain(_KITTANEH_LABELS, (v_sum, v_half, v_int, v_mid, v_alpha), tol=tol))
+    return tuple(reports)

@@ -1,7 +1,9 @@
 """Unitarily invariant norms: operator, Schatten p, Ky Fan k.
 
 All three families are functions of the singular values alone, so every
-entry point funnels through :func:`norm_from_sv`.  Selector strings used by
+entry point funnels through :func:`norm_from_sv`, or through
+:func:`norms_from_sv` when one stack of singular values serves several
+norms at once.  Selector strings used by
 the CLI ("op", "fro", "tr", "schatten:<p>", "kyfan:<k>") parse via
 :meth:`NormKind.parse`.
 """
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import matcore
 
-__all__ = ["NormKind", "norm", "norm_from_sv", "direct_sum_norm", "OP", "TR", "FRO"]
+__all__ = ["NormKind", "norm", "norm_from_sv", "norms_from_sv", "direct_sum_norm", "OP", "TR", "FRO"]
 
 # Singular values below this fraction of the largest are clamped to zero
 # before p-th powers, stabilizing Schatten norms near p=1.
@@ -106,6 +108,39 @@ def norm_from_sv(sv: np.ndarray, kind: NormKind) -> float:
         k = int(kind.param)
         return float(np.sum(sv[:k]))
     raise ValueError(f"unknown norm family {kind.family!r}")
+
+
+def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
+    """Every norm in kinds for every row of an (m, n) stack of descending
+    singular values: entry [i, j] is the kinds[i] norm of row j.
+
+    Clamps and reduces the whole stack at once.  Entries equal
+    :func:`norm_from_sv` of the row bitwise, except that the vectorized
+    1/p-th root of a Schatten norm with p not in {1, 2} may differ from the
+    scalar root in the last bit.
+    """
+    sv = np.asarray(sv, dtype=float)
+    out = np.zeros((len(kinds), sv.shape[0]))
+    if sv.shape[1] == 0:
+        return out
+    top = sv[:, 0]
+    clipped = np.where(sv < SV_CLIP_RTOL * top[:, None], 0.0, sv)
+    for i, kind in enumerate(kinds):
+        if kind.family == "operator":
+            out[i] = top
+        elif kind.family == "schatten":
+            p = kind.param
+            if p == 1.0:
+                out[i] = np.sum(clipped, axis=1)
+            elif p == 2.0:
+                out[i] = np.sqrt(np.sum(clipped * clipped, axis=1))
+            else:
+                out[i] = np.sum(clipped**p, axis=1) ** (1.0 / p)
+        elif kind.family == "kyfan":
+            out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
+        else:
+            raise ValueError(f"unknown norm family {kind.family!r}")
+    return out
 
 
 def norm(a, kind: NormKind) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from normlab import cli
 from normlab.errors import ConfigInvalid, IoFailure, UsageError
+from normlab.norms import NormKind
 
 
 def test_parse_basic_verify():
@@ -74,6 +75,33 @@ def test_invalid_configs_rejected():
     for argv in cases:
         with pytest.raises(ConfigInvalid):
             cli.parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "heinz", "--tol", "nan"],
+        ["verify", "--suite", "heinz", "--tol", "inf"],
+        ["verify", "--suite", "heinz", "--cond", "nan"],
+        ["verify", "--suite", "heinz", "--cond", "inf"],
+        ["verify", "--suite", "zhan", "--t=nan"],
+        ["verify", "--suite", "cor23", "--t=-inf"],
+        ["verify", "--suite", "zhan", "--r", "nan"],
+        ["verify", "--suite", "dk", "--k", "nan"],
+        ["conjecture", "--k", "0,nan"],
+        ["verify", "--suite", "finalcor", "--p", "inf"],
+        ["dk-probe", "--eigs", "1,nan"],
+        ["dk-probe", "--eigs", "1,inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.jsonl"
+    assert cli.main([*argv, "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_subcommands_pin_suite():
@@ -346,3 +374,28 @@ def test_run_rejects_unvalidated_config(tmp_path):
     bad = cli.CampaignConfig(**{**cfg.__dict__, "dim": 40})
     with pytest.raises(ConfigInvalid):
         cli.run(bad)
+
+
+_MULTI_NORMS = ("op", "tr", "fro", "kyfan:2", "schatten:3")
+
+
+@pytest.mark.parametrize(
+    "suite, extra",
+    [("heinz", ["--r", "0,0.25,0.75,1"]), ("zhan", ["--t=-1,2", "--r", "0.5,1,1.5"])],
+)
+def test_multi_norm_records_equal_single_norm_runs(tmp_path, suite, extra):
+    # heinz and zhan evaluate all norms of an instance at once; each record
+    # must be the one a run with that norm alone writes, in norm order.
+    def run(norms, name):
+        out = tmp_path / name
+        argv = ["verify", "--suite", suite, "--dim", "3", "--count", "2", "--seed", "4", "--no-timing"]
+        assert cli.main([*argv, *extra, "--norms", norms, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        for rec in records:
+            del rec["instance"]
+        return records
+
+    multi = run(",".join(_MULTI_NORMS), "all.jsonl")
+    assert [r["norm"] for r in multi] == [NormKind.parse(s).label for s in _MULTI_NORMS] * (len(multi) // 5)
+    for k, sel in enumerate(_MULTI_NORMS):
+        assert multi[k :: len(_MULTI_NORMS)] == run(sel, f"{k}.jsonl")
