@@ -22,7 +22,7 @@ def main() -> None:
     b = random_posdef(4, 50.0, rng.substream(1))
     x = random_probe_matrix(4, rng.substream(2))
 
-    rep = agm_check(a, b, x, OP)
+    (rep,) = agm_check(a, b, x, (OP,))
     print("arithmetic-geometric mean bound (operator norm):")
     for label, value in zip(rep.labels, rep.values):
         print(f"  {label:<24} = {value:.6f}")
@@ -30,11 +30,11 @@ def main() -> None:
 
     print("\nHeinz bracket is symmetric around 1/2 and widest at the ends:")
     for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
-        rep = heinz_check(a, b, x, alpha, OP)
+        (rep,) = heinz_check(a, b, x, alpha, (OP,))
         print(f"  alpha = {alpha:<5} bracket = {rep.values[1]:.6f}  pass = {rep.ok}")
 
     print("\nfive-member chain at alpha = 0.3:")
-    rep = kittaneh_chain(a, b, x, 0.3, OP)
+    (rep,) = kittaneh_chain(a, b, x, 0.3, (OP,))
     for label, value in zip(rep.labels, rep.values):
         print(f"  {label:<28} = {value:.6f}")
     print(f"  link margins: {['%.3e' % m for m in rep.margins]}")

@@ -48,7 +48,7 @@ def main() -> None:
     print("\ncharacterization forms on their own classes (n = 4):")
     for idx, form_id in enumerate(sorted(FORMS)):
         s = sample_for_form(form_id, 4, rng.substream(100 + idx))
-        rep = characterization_check(s, x, form_id)
+        (rep,) = characterization_check(s, x, form_id)
         relation = "eq" if form_id in EQUALITY_FORMS else "ineq"
         print(f"  {form_id:<8} ({relation:<5}) margin = {rep.min_margin:+.3e}  "
               f"pass = {rep.ok}")
@@ -56,7 +56,7 @@ def main() -> None:
     # Equalities really are class-specific: the reflection identity fails
     # for a generic normal operator.
     s_normal = sample_for_form("ineq9", 4, rng.substream(2))
-    rep = characterization_check(s_normal, x, "eq14")
+    (rep,) = characterization_check(s_normal, x, "eq14")
     print(f"\nreflection equality on a generic normal S: pass = {rep.ok} "
           f"(margin {rep.min_margin:+.3e})")
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch, InvalidK, NotPSD, Singular, ZeroEigenvalue
-from .norms import OP, NormKind, norm
+from .norms import OP, norm, stack_norms
 
 __all__ = [
     "DkProbeResult",
@@ -268,30 +268,30 @@ _EXPR_LABELS = {
 }
 
 
-def _expressions(s: np.ndarray, x: np.ndarray, kind: NormKind) -> dict[str, float]:
+def _expressions(s: np.ndarray, x: np.ndarray, kinds) -> list[dict[str, float]]:
+    """The five expression values in every norm of kinds, from one batched
+    SVD of SXS^-1, S^-1XS, S*XS^-1, S^-1XS*, their two sums and X."""
     si = matcore.inverse(s)
     s_star, si_star = s.conj().T, si.conj().T
     a = s @ x @ si
     b = si @ x @ s
     c = s_star @ x @ si
     d = si @ x @ s_star
-    return {
-        "E1": norm(a + b, kind),
-        "E2": norm(c + d, kind),
-        "N1": norm(a, kind) + norm(b, kind),
-        "N2": norm(c, kind) + norm(d, kind),
-        "TWO_X": 2.0 * norm(x, kind),
-    }
+    return [
+        {"E1": e1, "E2": e2, "N1": na + nb, "N2": nc + nd, "TWO_X": 2.0 * nx}
+        for e1, e2, na, nb, nc, nd, nx in stack_norms((a + b, c + d, a, b, c, d, x), kinds).tolist()
+    ]
 
 
 def characterization_check(
     s,
     x,
     form: CharacterizationForm | str,
-    kind: NormKind = OP,
+    kinds=(OP,),
     tol: float | None = None,
-) -> ChainReport:
-    """Evaluate one characterization relation on a single sample.
+) -> tuple[ChainReport, ...]:
+    """Evaluate one characterization relation on a single sample, one
+    report per norm in kinds.
 
     Inequality reports put the expected-larger side first so the margin is
     nonnegative on the characterized class; equality reports use an 'eq'
@@ -305,16 +305,15 @@ def characterization_check(
             raise ValueError(f"unknown form id {form!r}") from None
     s = matcore.as_matrix(s)
     x = matcore.as_matrix(x)
-    vals = _expressions(s, x, kind)
-    lhs_label, rhs_label = _EXPR_LABELS[form.lhs], _EXPR_LABELS[form.rhs]
-    lv, rv = vals[form.lhs], vals[form.rhs]
-    if form.relation == "eq":
-        return chain((lhs_label, rhs_label), (lv, rv), tol=EQUALITY_TOL if tol is None else tol, relations=("eq",))
     if tol is None:
-        tol = DEFAULT_TOL
-    if form.relation == "ge":
-        return chain((lhs_label, rhs_label), (lv, rv), tol=tol)
-    return chain((rhs_label, lhs_label), (rv, lv), tol=tol)
+        tol = EQUALITY_TOL if form.relation == "eq" else DEFAULT_TOL
+    relations = ("eq",) if form.relation == "eq" else None
+    sides = (form.rhs, form.lhs) if form.relation == "le" else (form.lhs, form.rhs)
+    labels = tuple(_EXPR_LABELS[side] for side in sides)
+    return tuple(
+        chain(labels, [vals[side] for side in sides], tol=tol, relations=relations)
+        for vals in _expressions(s, x, kinds)
+    )
 
 
 # Operator class that makes each relation an identity or a theorem.

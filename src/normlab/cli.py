@@ -15,7 +15,9 @@ Everything emitted is a deterministic function of (config, seed) except
 wall-time fields, which ``--no-timing`` zeroes; reruns with the same
 config and seed are then byte-identical.  Exit status: 0 on success (for
 probe suites, findings do not fail the run), 1 when a theorem suite has a
-failing record, 2 for usage or configuration errors, 4 for I/O failures.
+failing record, 2 for usage or configuration errors, 3 for a numerical
+failure (an input the kernels reject, such as a matrix that is singular or
+not positive definite in floating point), 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classes, conjecture, cpr, heinz, matcore
-from .errors import ConfigInvalid, IoFailure, UsageError
+from .errors import ConfigInvalid, IoFailure, NormlabError, UsageError
 from .norms import NormKind
 
 __all__ = ["CampaignConfig", "parse_args", "run", "main"]
@@ -102,47 +104,39 @@ def _single_point(config):
     return [{}]
 
 
-def _per_norm(*checks, **forms):
-    """Checks that run on every norm, norms outermost.  Unnamed checks take
-    the point as params; named forms add {"form": name}.  Each is called as
-    check(config, params, kind, *matrices)."""
+def _norm_major(*checks, **forms):
+    """Instance check over forms that each take every norm at once:
+    fn(config, params, kinds, *matrices) returns one report per norm.
+    Unnamed checks take the point as params; named forms add {"form":
+    name}.  Each runs once, and its rows come norms outermost, then forms."""
     entries = [({}, fn) for fn in checks] + [({"form": name}, fn) for name, fn in forms.items()]
 
-    def checks(config, point, kinds, *mats):
-        for kind in kinds:
-            for form, fn in entries:
-                params = {**point, **form}
-                yield params, (kind.label,), lambda: (fn(config, params, kind, *mats),)
+    def check(config, point, kinds, *mats):
+        evaluated = []
+        for form, fn in entries:
+            params = {**point, **form}
+            evaluated.append((params, fn(config, params, kinds, *mats)))
+        return [(params, kind.label, reports[j]) for j, kind in enumerate(kinds) for params, reports in evaluated]
 
-    return checks
-
-
-def _all_norms(check):
-    """One check call for all norms, which returns one report per norm:
-    check(config, point, kinds, *matrices)."""
-
-    def checks(config, point, kinds, *mats):
-        yield point, [kind.label for kind in kinds], lambda: check(config, point, kinds, *mats)
-
-    return checks
+    return check
 
 
-def _finalcor_checks(config, point, kinds, s, x):
+def _finalcor(config, point, kinds, s, x):
     # The max form is an operator-norm bound; each p gives a Schatten row.
-    yield {"form": "max"}, ("op",), lambda: cpr.final_cor_check(s, x, config.p_values[0], tol=config.tol)[:1]
-    for p in config.p_values:
-        yield {"p": p}, (NormKind.schatten(p).label,), lambda: cpr.final_cor_check(s, x, p, tol=config.tol)[1:]
+    op_report, *power_reports = cpr.final_cor_check(s, x, config.p_values, tol=config.tol)
+    rows = [({"form": "max"}, "op", op_report)]
+    return rows + [({"p": p}, NormKind.schatten(p).label, rep) for p, rep in zip(config.p_values, power_reports)]
 
 
-def _theorem(points, samplers, checks):
+def _theorem(points, samplers, check):
     """Record generator of a theorem suite.
 
     points(config) lists the parameter points; matrix slot j of instance i
     at point pi is drawn by samplers[j] from
-    rng.substream(pi).substream(i).substream(j); checks(config, point,
-    kinds, *matrices) yields (params, norm labels, thunk), and the thunk
-    returns one report per label, each giving one record.  The thunk's
-    wall time is split evenly over its records.
+    rng.substream(pi).substream(i).substream(j); check(config, point,
+    kinds, *matrices) evaluates the instance once and returns its rows
+    (params, norm label, report) in record order.  The check's wall time
+    is split evenly over the instance's records.
     """
 
     def records(config):
@@ -152,14 +146,13 @@ def _theorem(points, samplers, checks):
             for i in range(config.count):
                 sub = rng.substream(pi).substream(i)
                 mats = [sample(config, point, sub.substream(j)) for j, sample in enumerate(samplers)]
-                for params, labels, thunk in checks(config, point, kinds, *mats):
-                    t0 = time.perf_counter()
-                    reports = thunk()
-                    wall = (time.perf_counter() - t0) / len(reports)
-                    for label, report in zip(labels, reports):
-                        rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
-                        rec["min_margin"] = report.min_margin
-                        yield rec
+                t0 = time.perf_counter()
+                rows = check(config, point, kinds, *mats)
+                wall = (time.perf_counter() - t0) / len(rows)
+                for params, label, report in rows:
+                    rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
+                    rec["min_margin"] = report.min_margin
+                    yield rec
 
     return records
 
@@ -246,54 +239,54 @@ _SUITES = {
     "heinz": _theorem(
         lambda c: [{"alpha": a} for a in c.r_values],
         (_posdef, _posdef, _probe),
-        _all_norms(lambda c, p, kinds, a, b, x: heinz.kittaneh_chains(a, b, x, p["alpha"], kinds, tol=c.tol)),
+        _norm_major(lambda c, p, kinds, a, b, x: heinz.kittaneh_chain(a, b, x, p["alpha"], kinds, tol=c.tol)),
     ),
     "agm": _theorem(
         _single_point,
         (_general, _general, _probe),
-        _per_norm(lambda c, p, kind, a, b, x: heinz.agm_check(a, b, x, kind, tol=c.tol)),
+        _norm_major(lambda c, p, kinds, a, b, x: heinz.agm_check(a, b, x, kinds, tol=c.tol)),
     ),
     "cpr": _theorem(
         _single_point,
         (_selfadjoint, _selfadjoint, _probe, _invertible),
-        _per_norm(
-            cpr=lambda c, p, kind, s, t, x, g: cpr.cpr_check(s, x, kind, tol=c.tol),
-            two_sided=lambda c, p, kind, s, t, x, g: cpr.cpr_two_sided_check(s, t, x, kind, tol=c.tol),
-            star=lambda c, p, kind, s, t, x, g: cpr.cpr_star_check(g, x, kind, tol=c.tol),
+        _norm_major(
+            cpr=lambda c, p, kinds, s, t, x, g: cpr.cpr_check(s, x, kinds, tol=c.tol),
+            two_sided=lambda c, p, kinds, s, t, x, g: cpr.cpr_two_sided_check(s, t, x, kinds, tol=c.tol),
+            star=lambda c, p, kinds, s, t, x, g: cpr.cpr_star_check(g, x, kinds, tol=c.tol),
         ),
     ),
     "zhan": _theorem(
         lambda c: [{"t": t, "r": r} for t in c.t_values for r in c.r_values],
         (_posdef, _posdef, _probe),
-        _all_norms(
-            lambda c, p, kinds, a, b, x: cpr.zhan_chains(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kinds, tol=c.tol)
+        _norm_major(
+            lambda c, p, kinds, a, b, x: cpr.zhan_chain(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kinds, tol=c.tol)
         ),
     ),
     "cor23": _theorem(
         lambda c: [{"t": t} for t in c.t_values],
         (_general, _general, _probe),
-        _per_norm(lambda c, p, kind, a, b, x: cpr.cor23_check(a, b, x, p["t"], kind, tol=c.tol)),
+        _norm_major(lambda c, p, kinds, a, b, x: cpr.cor23_check(a, b, x, p["t"], kinds, tol=c.tol)),
     ),
     "cor24": _theorem(
         lambda c: [{"t": t} for t in c.t_values],
         (_posdef, _posdef, _probe),
-        _per_norm(lambda c, p, kind, a, b, x: cpr.cor24_check(a, b, x, p["t"], kind, tol=c.tol)),
+        _norm_major(lambda c, p, kinds, a, b, x: cpr.cor24_check(a, b, x, p["t"], kinds, tol=c.tol)),
     ),
     "t2": _theorem(
         _single_point,
         (_invertible, _probe, _probe),
-        _per_norm(
-            mos1=lambda c, p, kind, s, x, y: cpr.mos1_check(s, x, y, kind, tol=c.tol),
-            mos2=lambda c, p, kind, s, x, y: cpr.mos2_check(s, x, y, kind, tol=c.tol),
+        _norm_major(
+            mos1=lambda c, p, kinds, s, x, y: cpr.mos1_check(s, x, y, kinds, tol=c.tol),
+            mos2=lambda c, p, kinds, s, x, y: cpr.mos2_check(s, x, y, kinds, tol=c.tol),
         ),
     ),
-    "finalcor": _theorem(_single_point, (_invertible, _probe), _finalcor_checks),
+    "finalcor": _theorem(_single_point, (_invertible, _probe), _finalcor),
     "characterizations": _theorem(
         lambda c: [{"form": form_id} for form_id in classes.FORMS],
         (_form_class, _probe),
-        _per_norm(
-            lambda c, p, kind, s, x: classes.characterization_check(
-                s, x, p["form"], kind, tol=None if classes.FORMS[p["form"]].relation == "eq" else c.tol
+        _norm_major(
+            lambda c, p, kinds, s, x: classes.characterization_check(
+                s, x, p["form"], kinds, tol=None if classes.FORMS[p["form"]].relation == "eq" else c.tol
             )
         ),
     ),
@@ -542,7 +535,7 @@ def _collect_records(config: CampaignConfig) -> list[dict]:
 def _write_jsonl(path: str, records: list[dict]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for record in sorted(records, key=lambda r: r["instance"]):
+            for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
@@ -638,6 +631,9 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 4
+    except NormlabError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

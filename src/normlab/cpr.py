@@ -1,6 +1,11 @@
 """Sandwich inequalities for invertible conjugations and the two-parameter
 power-pair chain, including direct-sum variants and a Schatten power form.
 
+Every check takes a tuple of norm kinds and returns one report per kind
+(:func:`final_cor_check` takes Schatten exponents instead).  Each forms its
+inverses and products once and runs one batched SVD over its equal-shape
+matrices, which serves every norm.
+
 Chains here reuse the :mod:`normlab.heinz` pair-basis evaluator with total
 power 2: H(s) denotes |A^s X B^{2-s} + A^{2-s} X B^s| and the quadratic
 bracket A^2 X + X B^2 + t AXB carries the entrywise weight
@@ -19,13 +24,14 @@ from .errors import InvalidParams
 from .heinz import (
     DEFAULT_NODES,
     PairBasis,
+    _dominance,
     _mean,
     _mean_nodes,
     pair_basis,
     power_pair_sv,
     weighted_sv,
 )
-from .norms import OP, NormKind, direct_sum_norm, norm, norms_from_sv
+from .norms import OP, NormKind, norms_from_sv, stack_norms
 
 __all__ = [
     "ZhanParams",
@@ -33,7 +39,6 @@ __all__ = [
     "cpr_two_sided_check",
     "cpr_star_check",
     "zhan_chain",
-    "zhan_chains",
     "zhan_check",
     "cor23_check",
     "cor24_check",
@@ -61,50 +66,35 @@ class ZhanParams:
         return 1 if self.r <= 1.0 else 2
 
 
-def cpr_check(s, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|SXS^-1 + S^-1XS| >= 2|X| for self-adjoint invertible S."""
     s = matcore.as_matrix(s)
     matcore.require_hermitian(s)
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
-    lhs = norm(s @ x @ si + si @ x @ s, kind)
-    return chain(("|SXS^-1+S^-1XS|", "2|X|"), (lhs, 2.0 * norm(x, kind)), tol=tol)
+    return _dominance(("|SXS^-1+S^-1XS|", "2|X|"), s @ x @ si + si @ x @ s, x, 2.0, kinds, tol)
 
 
-def cpr_two_sided_check(s, t, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|SXT^-1 + S^-1XT| >= 2|X| for self-adjoint invertible S, T."""
     s, t = matcore.as_matrix(s), matcore.as_matrix(t)
     matcore.require_hermitian(s)
     matcore.require_hermitian(t)
     si, ti = matcore.inverse(s), matcore.inverse(t)
     x = matcore.as_matrix(x)
-    lhs = norm(s @ x @ ti + si @ x @ t, kind)
-    return chain(("|SXT^-1+S^-1XT|", "2|X|"), (lhs, 2.0 * norm(x, kind)), tol=tol)
+    return _dominance(("|SXT^-1+S^-1XT|", "2|X|"), s @ x @ ti + si @ x @ t, x, 2.0, kinds, tol)
 
 
-def cpr_star_check(s, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|S*XS^-1 + S^-1XS*| >= 2|X| for arbitrary invertible S."""
     s = matcore.as_matrix(s)
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
-    lhs = norm(s.conj().T @ x @ si + si @ x @ s.conj().T, kind)
-    return chain(("|S*XS^-1+S^-1XS*|", "2|X|"), (lhs, 2.0 * norm(x, kind)), tol=tol)
+    lhs = s.conj().T @ x @ si + si @ x @ s.conj().T
+    return _dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), lhs, x, 2.0, kinds, tol)
 
 
 def zhan_chain(
-    a,
-    b,
-    x,
-    params: ZhanParams,
-    kind: NormKind,
-    tol: float = DEFAULT_TOL,
-    nodes: int = DEFAULT_NODES,
-) -> ChainReport:
-    """The :func:`zhan_chains` report for the one norm kind."""
-    return zhan_chains(a, b, x, params, (kind,), tol, nodes)[0]
-
-
-def zhan_chains(
     a,
     b,
     x,
@@ -141,19 +131,6 @@ def zhan_chains(
     return _zhan_reports(basis, params.t, params.r, params.regime, kinds, tol, nodes)
 
 
-def _zhan_from_basis(
-    basis: PairBasis,
-    t: float,
-    r: float,
-    regime: int,
-    kind: NormKind,
-    tol: float,
-    nodes: int,
-) -> ChainReport:
-    """One norm's chain with the regime given; r = 1 lies in both."""
-    return _zhan_reports(basis, t, r, regime, (kind,), tol, nodes)[0]
-
-
 _ZHAN_LABELS = (
     "2|A^2X+XB^2+tAXB|",
     "2|A^2X+XB^2+2AXB|-c|AXB|",
@@ -175,6 +152,8 @@ def _zhan_reports(
     tol: float,
     nodes: int,
 ) -> tuple[ChainReport, ...]:
+    """The chains of :func:`zhan_chain` with the regime given; r = 1 lies in
+    both."""
     c = 4.0 - 2.0 * t
     if regime == 1:
         lo, hi = 0.0, r - 0.5
@@ -215,19 +194,21 @@ def zhan_check(
     b,
     x,
     params: ZhanParams,
-    kind: NormKind,
+    kinds,
     tol: float = DEFAULT_TOL,
-) -> ChainReport:
-    """Two-value chain 2|A^2X+tAXB+XB^2| >= (2+t)H(r).
+) -> tuple[ChainReport, ...]:
+    """Two-value chain 2|A^2X+tAXB+XB^2| >= (2+t)H(r), one per norm in kinds.
 
     These are the first and last members of :func:`zhan_chain`, taken from
     the same evaluation, so they coincide with that chain's bitwise.
     """
-    full = zhan_chain(a, b, x, params, kind, tol=tol)
-    return chain((full.labels[0], full.labels[-1]), (full.values[0], full.values[-1]), tol=tol)
+    return tuple(
+        chain((full.labels[0], full.labels[-1]), (full.values[0], full.values[-1]), tol=tol)
+        for full in zhan_chain(a, b, x, params, kinds, tol=tol)
+    )
 
 
-def cor23_check(a, b, x, t: float, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def cor23_check(a, b, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|A*AX + XBB* + t|A|X|B*|| >= (t+2)|AXB| for arbitrary A, B, t <= 2.
 
     The quadratic bound for positive pairs applied to |A| and |B*|; at
@@ -242,12 +223,11 @@ def cor23_check(a, b, x, t: float, kind: NormKind, tol: float = DEFAULT_TOL) -> 
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
     abs_a = matcore.polar_abs(a)
     abs_b_star = matcore.polar_abs(b.conj().T)
-    lhs = norm(a.conj().T @ a @ x + x @ b @ b.conj().T + t * (abs_a @ x @ abs_b_star), kind)
-    rhs = (t + 2.0) * norm(a @ x @ b, kind)
-    return chain(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), (lhs, rhs), tol=tol)
+    lhs = a.conj().T @ a @ x + x @ b @ b.conj().T + t * (abs_a @ x @ abs_b_star)
+    return _dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), lhs, a @ x @ b, t + 2.0, kinds, tol)
 
 
-def cor24_check(p, q, x, t: float, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
     if not t <= 2.0:
         raise InvalidParams(f"t must be <= 2, got {t}")
@@ -255,15 +235,11 @@ def cor24_check(p, q, x, t: float, kind: NormKind, tol: float = DEFAULT_TOL) -> 
     p_inv = matcore.frac_power(p, -1.0)
     q_inv = matcore.frac_power(q, -1.0)
     p, q = matcore.as_matrix(p), matcore.as_matrix(q)
-    lhs = norm(p @ x @ q_inv + p_inv @ x @ q + t * x, kind)
-    return chain(
-        ("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"),
-        (lhs, (t + 2.0) * norm(x, kind)),
-        tol=tol,
-    )
+    lhs = p @ x @ q_inv + p_inv @ x @ q + t * x
+    return _dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), lhs, x, t + 2.0, kinds, tol)
 
 
-def mos1_check(s, x, y, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Direct-sum variant, first form:
 
     |(SYS^-1 + S^{*-1}YS*) (+) (S*XS^{*-1} + S^-1XS)| >= 2|X (+) Y|.
@@ -274,12 +250,10 @@ def mos1_check(s, x, y, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport
     x, y = matcore.as_matrix(x), matcore.as_matrix(y)
     block_y = s @ y @ si + si_star @ y @ s_star
     block_x = s_star @ x @ si_star + si @ x @ s
-    lhs = direct_sum_norm(block_y, block_x, kind)
-    rhs = 2.0 * direct_sum_norm(x, y, kind)
-    return chain(("|blockY(+)blockX|", "2|X(+)Y|"), (lhs, rhs), tol=tol)
+    return _direct_sum_dominance(block_y, block_x, x, y, kinds, tol)
 
 
-def mos2_check(s, x, y, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Direct-sum variant, second form:
 
     |(SYS^{*-1} + S^{*-1}YS) (+) (S*XS^-1 + S^-1XS*)| >= 2|X (+) Y|.
@@ -290,23 +264,28 @@ def mos2_check(s, x, y, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport
     x, y = matcore.as_matrix(x), matcore.as_matrix(y)
     block_y = s @ y @ si_star + si_star @ y @ s
     block_x = s_star @ x @ si + si @ x @ s_star
-    lhs = direct_sum_norm(block_y, block_x, kind)
-    rhs = 2.0 * direct_sum_norm(x, y, kind)
-    return chain(("|blockY(+)blockX|", "2|X(+)Y|"), (lhs, rhs), tol=tol)
+    return _direct_sum_dominance(block_y, block_x, x, y, kinds, tol)
 
 
-def final_cor_check(s, x, p: float, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ChainReport]:
-    """Two sub-checks on the pair E1 = SXS^-1 + S^{*-1}XS*,
+def _direct_sum_dominance(block_y, block_x, x, y, kinds, tol: float) -> tuple[ChainReport, ...]:
+    lhs, rhs = matcore.direct_sum(block_y, block_x), matcore.direct_sum(x, y)
+    return _dominance(("|blockY(+)blockX|", "2|X(+)Y|"), lhs, rhs, 2.0, kinds, tol)
+
+
+def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+    """Sub-checks on the pair E1 = SXS^-1 + S^{*-1}XS*,
     E2 = S*XS^{*-1} + S^-1XS:
 
     (i)  max(|E1|, |E2|) >= 2|X| in the operator norm;
-    (ii) |E1|_p^p + |E2|_p^p >= 2^(p+1) |X|_p^p.
+    (ii) |E1|_p^p + |E2|_p^p >= 2^(p+1) |X|_p^p for each p in ps.
 
-    Returned as two 2-value reports; they live on different scales and do
-    not form one monotone chain.
+    Returned as 2-value reports, (i) first and then one (ii) per p; they
+    live on different scales and do not form one monotone chain.  One
+    batched SVD of E1, E2 and X serves all of them.
     """
-    if p < 1.0:
-        raise InvalidParams(f"Schatten exponent must be >= 1, got {p}")
+    for p in ps:
+        if p < 1.0:
+            raise InvalidParams(f"Schatten exponent must be >= 1, got {p}")
     s = matcore.as_matrix(s)
     si = matcore.inverse(s)
     s_star, si_star = s.conj().T, si.conj().T
@@ -314,15 +293,11 @@ def final_cor_check(s, x, p: float, tol: float = DEFAULT_TOL) -> tuple[ChainRepo
     e1 = s @ x @ si + si_star @ x @ s_star
     e2 = s_star @ x @ si_star + si @ x @ s
 
-    op_report = chain(
-        ("max(|E1|,|E2|)", "2|X|"),
-        (max(norm(e1, OP), norm(e2, OP)), 2.0 * norm(x, OP)),
-        tol=tol,
+    kinds = (OP,) + tuple(NormKind.schatten(p) for p in ps)
+    (op1, op2, op_x), *powers = stack_norms((e1, e2, x), kinds).tolist()
+    op_report = chain(("max(|E1|,|E2|)", "2|X|"), (max(op1, op2), 2.0 * op_x), tol=tol)
+    power_reports = tuple(
+        chain(("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"), (n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p), tol=tol)
+        for p, (n1, n2, n_x) in zip(ps, powers)
     )
-    kind = NormKind.schatten(p)
-    power_report = chain(
-        ("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"),
-        (norm(e1, kind) ** p + norm(e2, kind) ** p, 2.0 ** (p + 1.0) * norm(x, kind) ** p),
-        tol=tol,
-    )
-    return op_report, power_report
+    return (op_report,) + power_reports

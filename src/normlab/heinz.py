@@ -6,9 +6,11 @@ bracket A^s X B^{w-s} + A^{w-s} X B^s equals Q_A (W(s) o X~) Q_B* with
 X~ = Q_A* X Q_B and scalar weights W(s)_ij = a_i^s b_j^{w-s} + a_i^{w-s} b_j^s.
 Unitarily invariant norms drop the outer unitaries, so chain members and
 quadrature nodes reduce to one batched SVD of small weighted matrices.
-Singular values do not depend on the norm, so that one SVD stack serves
-every norm of an instance.  The Gauss-Legendre base rule is computed once
-per node count.
+
+Every check takes a tuple of norm kinds and returns one report per kind.
+Singular values do not depend on the norm, so each check evaluates its
+instance once: one SVD stack serves every norm.  The Gauss-Legendre base
+rule is computed once per node count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .norms import NormKind, norm, norms_from_sv
+from .norms import NormKind, norms_from_sv, stack_norms
 
 __all__ = [
     "HeinzParams",
@@ -35,7 +37,6 @@ __all__ = [
     "agm_check",
     "integral_mean_norm",
     "kittaneh_chain",
-    "kittaneh_chains",
     "gauss_legendre_nodes",
 ]
 
@@ -158,20 +159,25 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     return t1 + t2
 
 
-def heinz_check(a, b, x, alpha: float, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def _dominance(labels, larger, smaller, factor: float, kinds, tol: float) -> tuple[ChainReport, ...]:
+    """Two-value chains |larger| >= factor |smaller|, one per norm in kinds,
+    from one batched SVD of the two matrices."""
+    rows = stack_norms((larger, smaller), kinds).tolist()
+    return tuple(chain(labels, (big, factor * small), tol=tol) for big, small in rows)
+
+
+def heinz_check(a, b, x, alpha: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|."""
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    lhs = norm(a @ x + x @ b, kind)
-    rhs = norm(heinz_expr(a, b, x, alpha), kind)
-    return chain(("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|"), (lhs, rhs), tol=tol)
+    labels = ("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|")
+    return _dominance(labels, a @ x + x @ b, heinz_expr(a, b, x, alpha), 1.0, kinds, tol)
 
 
-def agm_check(a, b, x, kind: NormKind, tol: float = DEFAULT_TOL) -> ChainReport:
+def agm_check(a, b, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Two-value chain: |A*AX+XBB*| >= 2|AXB| for arbitrary A, B."""
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    lhs = norm((a.conj().T @ a) @ x + x @ (b @ b.conj().T), kind)
-    rhs = 2.0 * norm(a @ x @ b, kind)
-    return chain(("|A*AX+XBB*|", "2|AXB|"), (lhs, rhs), tol=tol)
+    lhs = (a.conj().T @ a) @ x + x @ (b @ b.conj().T)
+    return _dominance(("|A*AX+XBB*|", "2|AXB|"), lhs, a @ x @ b, 2.0, kinds, tol)
 
 
 def integral_mean_norm(
@@ -196,19 +202,6 @@ def integral_mean_norm(
 
 
 def kittaneh_chain(
-    a,
-    b,
-    x,
-    alpha: float,
-    kind: NormKind,
-    tol: float = DEFAULT_TOL,
-    nodes: int = DEFAULT_NODES,
-) -> ChainReport:
-    """The :func:`kittaneh_chains` report for the one norm kind."""
-    return kittaneh_chains(a, b, x, alpha, (kind,), tol, nodes)[0]
-
-
-def kittaneh_chains(
     a,
     b,
     x,
@@ -240,18 +233,6 @@ def kittaneh_chains(
     return _kittaneh_reports(basis, alpha, regime, kinds, tol, nodes)
 
 
-def _kittaneh_from_basis(
-    basis: PairBasis,
-    alpha: float,
-    regime: int,
-    kind: NormKind,
-    tol: float,
-    nodes: int,
-) -> ChainReport:
-    """One norm's chain with the regime given; alpha = 1/2 lies in both."""
-    return _kittaneh_reports(basis, alpha, regime, (kind,), tol, nodes)[0]
-
-
 _KITTANEH_LABELS = ("|AX+XB|", "(|AX+XB|+H(a))/2", "mean H", "H(midmap)", "H(a)")
 
 
@@ -263,6 +244,8 @@ def _kittaneh_reports(
     tol: float,
     nodes: int,
 ) -> tuple[ChainReport, ...]:
+    """The chains of :func:`kittaneh_chain` with the regime given; alpha =
+    1/2 lies in both."""
     if regime == 1:
         lo, hi = 0.0, alpha
         mid_map = 0.5 * alpha

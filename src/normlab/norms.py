@@ -1,11 +1,10 @@
 """Unitarily invariant norms: operator, Schatten p, Ky Fan k.
 
 All three families are functions of the singular values alone, so every
-entry point funnels through :func:`norm_from_sv`, or through
-:func:`norms_from_sv` when one stack of singular values serves several
-norms at once.  Selector strings used by
-the CLI ("op", "fro", "tr", "schatten:<p>", "kyfan:<k>") parse via
-:meth:`NormKind.parse`.
+entry point funnels through :func:`stack_norms`: one batched SVD of a
+stack of equal-shape matrices, reduced by :func:`norms_from_sv` to every
+requested norm at once.  Selector strings used by the CLI ("op", "fro",
+"tr", "schatten:<p>", "kyfan:<k>") parse via :meth:`NormKind.parse`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import matcore
 
-__all__ = ["NormKind", "norm", "norm_from_sv", "norms_from_sv", "direct_sum_norm", "OP", "TR", "FRO"]
+__all__ = ["NormKind", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
 
 # Singular values below this fraction of the largest are clamped to zero
 # before p-th powers, stabilizing Schatten norms near p=1.
@@ -87,37 +86,13 @@ TR = NormKind.schatten(1.0)
 FRO = NormKind.schatten(2.0)
 
 
-def norm_from_sv(sv: np.ndarray, kind: NormKind) -> float:
-    """Norm value from a descending singular value vector."""
-    sv = np.asarray(sv, dtype=float)
-    if sv.size == 0:
-        return 0.0
-    top = sv[0]
-    if top > 0.0:
-        sv = np.where(sv < SV_CLIP_RTOL * top, 0.0, sv)
-    if kind.family == "operator":
-        return float(top)
-    if kind.family == "schatten":
-        p = kind.param
-        if p == 1.0:
-            return float(np.sum(sv))
-        if p == 2.0:
-            return float(np.sqrt(np.sum(sv * sv)))
-        return float(np.sum(sv**p) ** (1.0 / p))
-    if kind.family == "kyfan":
-        k = int(kind.param)
-        return float(np.sum(sv[:k]))
-    raise ValueError(f"unknown norm family {kind.family!r}")
-
-
 def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     """Every norm in kinds for every row of an (m, n) stack of descending
     singular values: entry [i, j] is the kinds[i] norm of row j.
 
-    Clamps and reduces the whole stack at once.  Entries equal
-    :func:`norm_from_sv` of the row bitwise, except that the vectorized
-    1/p-th root of a Schatten norm with p not in {1, 2} may differ from the
-    scalar root in the last bit.
+    Singular values below SV_CLIP_RTOL times their row's largest are
+    clamped to zero, then the whole stack is reduced at once.  An empty
+    row has every norm 0.
     """
     sv = np.asarray(sv, dtype=float)
     out = np.zeros((len(kinds), sv.shape[0]))
@@ -143,11 +118,15 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     return out
 
 
+def stack_norms(mats, kinds) -> np.ndarray:
+    """Every norm in kinds of every matrix in mats, which share one shape:
+    entry [i, j] is the kinds[i] norm of mats[j], from one batched SVD."""
+    return norms_from_sv(np.linalg.svd(np.stack(mats), compute_uv=False), kinds)
+
+
 def norm(a, kind: NormKind) -> float:
     """Unitarily invariant norm of a matrix."""
-    a = matcore.as_matrix(a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return norm_from_sv(sv, kind)
+    return float(stack_norms((matcore.as_matrix(a),), (kind,))[0, 0])
 
 
 def direct_sum_norm(a, b, kind: NormKind) -> float:

@@ -90,11 +90,11 @@ def test_acceptance_02_heinz_refinement_chain(announce):
         a = matcore.random_posdef(n, 100.0, sub.substream(0))
         b = matcore.random_posdef(n, 100.0, sub.substream(1))
         x = matcore.random_probe_matrix(n, sub.substream(2))
-        rep = heinz.kittaneh_chain(a, b, x, alpha, kind, tol=1e-8)
+        (rep,) = heinz.kittaneh_chain(a, b, x, alpha, (kind,), tol=1e-8)
         assert rep.ok, (i, alpha, kind.label, rep.as_dict())
         worst_margin = min(worst_margin, rep.min_margin)
         if i % 10 == 0:
-            rep64 = heinz.kittaneh_chain(a, b, x, alpha, kind, tol=1e-8, nodes=64)
+            (rep64,) = heinz.kittaneh_chain(a, b, x, alpha, (kind,), tol=1e-8, nodes=64)
             gap = abs(rep.values[2] - rep64.values[2]) / max(1.0, abs(rep64.values[2]))
             worst_nodes = max(worst_nodes, gap)
     ok = worst_nodes <= 1e-8
@@ -123,7 +123,7 @@ def test_acceptance_03_power_pair_chain(announce):
                 b = matcore.random_posdef(n, 50.0, sub.substream(1))
                 x = matcore.random_probe_matrix(n, sub.substream(2))
                 kind = KINDS5[i % 5]
-                rep = cpr.zhan_chain(a, b, x, params, kind, tol=1e-8)
+                (rep,) = cpr.zhan_chain(a, b, x, params, (kind,), tol=1e-8)
                 assert rep.ok, (t, r, i, kind.label, rep.as_dict())
                 worst_margin = min(worst_margin, rep.min_margin)
                 checked += 1
@@ -137,8 +137,8 @@ def test_acceptance_03_power_pair_chain(announce):
         x = matcore.random_probe_matrix(n, sub.substream(2))
         basis = heinz.pair_basis(a, b, x)
         kind = KINDS5[i % 5]
-        low = cpr._zhan_from_basis(basis, 0.5, 1.0, 1, kind, 1e-8, 32)
-        high = cpr._zhan_from_basis(basis, 0.5, 1.0, 2, kind, 1e-8, 32)
+        (low,) = cpr._zhan_reports(basis, 0.5, 1.0, 1, (kind,), 1e-8, 32)
+        (high,) = cpr._zhan_reports(basis, 0.5, 1.0, 2, (kind,), 1e-8, 32)
         for v1, v2 in zip(low.values, high.values):
             worst_seam = max(worst_seam, abs(v1 - v2) / max(1.0, abs(v1)))
     ok = worst_seam <= 1e-10
@@ -165,7 +165,7 @@ def test_acceptance_04_quadratic_corollaries(announce):
         if i % 5 == 4:
             a = np.triu(a)  # deliberately non-normal
         x = matcore.random_probe_matrix(n, sub.substream(2))
-        rep = cpr.cor23_check(a, b, x, t, KINDS5[i % 5], tol=1e-8)
+        (rep,) = cpr.cor23_check(a, b, x, t, (KINDS5[i % 5],), tol=1e-8)
         assert rep.ok, (i, t, rep.as_dict())
         worst23 = min(worst23, rep.min_margin)
 
@@ -177,7 +177,7 @@ def test_acceptance_04_quadratic_corollaries(announce):
         p = matcore.random_posdef(n, 100.0, sub.substream(0))
         q = matcore.random_posdef(n, 100.0, sub.substream(1))
         x = matcore.random_probe_matrix(n, sub.substream(2))
-        rep = cpr.cor24_check(p, q, x, t, KINDS5[i % 5], tol=1e-8)
+        (rep,) = cpr.cor24_check(p, q, x, t, (KINDS5[i % 5],), tol=1e-8)
         assert rep.ok, (i, t, rep.as_dict())
         worst24 = min(worst24, rep.min_margin)
     announce(
@@ -202,9 +202,9 @@ def test_acceptance_05_block_and_power_forms(announce):
         x = matcore.random_probe_matrix(n, sub.substream(1))
         y = matcore.random_probe_matrix(n, sub.substream(2))
         kind = KINDS5[i % 5]
-        assert cpr.mos1_check(s, x, y, kind, tol=1e-8).ok
-        assert cpr.mos2_check(s, x, y, kind, tol=1e-8).ok
-        op_rep, pow_rep = cpr.final_cor_check(s, x, p, tol=1e-8)
+        assert cpr.mos1_check(s, x, y, (kind,), tol=1e-8)[0].ok
+        assert cpr.mos2_check(s, x, y, (kind,), tol=1e-8)[0].ok
+        op_rep, pow_rep = cpr.final_cor_check(s, x, (p,), tol=1e-8)
         assert op_rep.ok and pow_rep.ok
 
         # Direct-sum norm identities on this instance's blocks.
@@ -217,7 +217,7 @@ def test_acceptance_05_block_and_power_forms(announce):
         worst_erf = max(worst_erf, abs(got_p - want_p) / max(1.0, want_p))
 
         # Operator-norm block bound against the max form at Y = X.
-        block = cpr.mos1_check(s, x, x, OP, tol=1e-8)
+        (block,) = cpr.mos1_check(s, x, x, (OP,), tol=1e-8)
         worst_pair = max(
             worst_pair, abs(block.values[0] - op_rep.values[0]) / max(1.0, op_rep.values[0])
         )
@@ -353,20 +353,20 @@ def test_acceptance_08_characterizations(announce):
         n = 2 + i % 4
         s = classes.sample_for_form("eq14", n, sub.substream(0))
         x = matcore.random_probe_matrix(n, sub.substream(1))
-        rep = classes.characterization_check(s, x, "eq14", tol=1e-9)
+        (rep,) = classes.characterization_check(s, x, "eq14", tol=1e-9)
         assert rep.ok, (i, rep.as_dict())
         worst_eq = max(worst_eq, abs(rep.margins[0]) / max(1.0, rep.values[0]))
 
         u = classes.sample_for_form("ineq13", n, sub.substream(2))
-        rep = classes.characterization_check(u, x, "ineq13", tol=1e-9)
+        (rep,) = classes.characterization_check(u, x, "ineq13", tol=1e-9)
         assert rep.ok, (i, rep.as_dict())
 
         nrm = classes.sample_for_form("ineq9", n, sub.substream(3))
-        rep = classes.characterization_check(nrm, x, "ineq9")
+        (rep,) = classes.characterization_check(nrm, x, "ineq9")
         assert rep.ok, (i, rep.as_dict())
 
         h = matcore.random_selfadjoint_invertible(n, 100.0, sub.substream(4))
-        rep = cpr.cpr_check(h, x, KINDS5[i % 5])
+        (rep,) = cpr.cpr_check(h, x, (KINDS5[i % 5],))
         assert rep.ok, (i, rep.as_dict())
     announce(
         f"ACCEPTANCE 8 PASS: 300 instances each: reflection-class equality at 1e-9 "

@@ -215,7 +215,7 @@ def test_unknown_form_rejected():
 def test_le_forms_put_expected_larger_side_first():
     u = matcore.random_scaled_unitary(3, matcore.Rng(115))
     x = matcore.ginibre(3, rng=matcore.Rng(116))
-    rep = classes.characterization_check(u, x, "ineq13")
+    (rep,) = classes.characterization_check(u, x, "ineq13")
     assert rep.labels[0] == "2|X|"
     assert rep.ok
 
@@ -227,7 +227,7 @@ def test_all_forms_hold_on_their_class():
             sub = rng.substream(idx).substream(i)
             s = classes.sample_for_form(form_id, 4, sub.substream(0))
             x = matcore.random_probe_matrix(4, sub.substream(1))
-            rep = classes.characterization_check(s, x, form_id)
+            (rep,) = classes.characterization_check(s, x, form_id)
             assert rep.ok, (form_id, rep.as_dict())
 
 
@@ -260,9 +260,9 @@ def test_eq_forms_use_tight_default_tolerance():
     # acceptance, a tight one must narrow it.
     s = matcore.random_scaled_unitary(3, matcore.Rng(119))
     x = matcore.ginibre(3, rng=matcore.Rng(120))
-    assert classes.characterization_check(s, x, "eq16").ok
-    assert classes.characterization_check(s, x, "eq16", tol=1e-2).ok
+    assert classes.characterization_check(s, x, "eq16")[0].ok
+    assert classes.characterization_check(s, x, "eq16", tol=1e-2)[0].ok
     # eq7 fails off its class: generic normal S with complex spectrum.
     s_bad = matcore.random_normal_invertible(3, 100.0, matcore.Rng(121))
-    rep = classes.characterization_check(s_bad, x, "eq14")
+    (rep,) = classes.characterization_check(s_bad, x, "eq14")
     assert not rep.ok

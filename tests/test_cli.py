@@ -381,11 +381,20 @@ _MULTI_NORMS = ("op", "tr", "fro", "kyfan:2", "schatten:3")
 
 @pytest.mark.parametrize(
     "suite, extra",
-    [("heinz", ["--r", "0,0.25,0.75,1"]), ("zhan", ["--t=-1,2", "--r", "0.5,1,1.5"])],
+    [
+        ("heinz", ["--r", "0,0.25,0.75,1"]),
+        ("zhan", ["--t=-1,2", "--r", "0.5,1,1.5"]),
+        ("agm", []),
+        ("cpr", []),
+        ("cor23", ["--t=-1,0.5,2"]),
+        ("cor24", ["--t=-1,0.5,2"]),
+        ("t2", []),
+        ("characterizations", []),
+    ],
 )
 def test_multi_norm_records_equal_single_norm_runs(tmp_path, suite, extra):
-    # heinz and zhan evaluate all norms of an instance at once; each record
-    # must be the one a run with that norm alone writes, in norm order.
+    # Every theorem suite evaluates all norms of an instance at once; each
+    # record must be the one a run with that norm alone writes.
     def run(norms, name):
         out = tmp_path / name
         argv = ["verify", "--suite", suite, "--dim", "3", "--count", "2", "--seed", "4", "--no-timing"]
@@ -396,6 +405,23 @@ def test_multi_norm_records_equal_single_norm_runs(tmp_path, suite, extra):
         return records
 
     multi = run(",".join(_MULTI_NORMS), "all.jsonl")
-    assert [r["norm"] for r in multi] == [NormKind.parse(s).label for s in _MULTI_NORMS] * (len(multi) // 5)
-    for k, sel in enumerate(_MULTI_NORMS):
-        assert multi[k :: len(_MULTI_NORMS)] == run(sel, f"{k}.jsonl")
+    labels = [NormKind.parse(s).label for s in _MULTI_NORMS]
+    # Within an instance norms run outermost, then forms (cpr and t2 have
+    # several).
+    forms = {"cpr": 3, "t2": 2}.get(suite, 1)
+    per_instance = [label for label in labels for _ in range(forms)]
+    assert [r["norm"] for r in multi] == per_instance * (len(multi) // len(per_instance))
+    for k, (sel, label) in enumerate(zip(_MULTI_NORMS, labels)):
+        assert [r for r in multi if r["norm"] == label] == run(sel, f"{k}.jsonl")
+
+
+@pytest.mark.parametrize("suite", ["heinz", "cpr"])
+def test_numerical_failure_exits_3(tmp_path, capsys, suite):
+    # At --cond 1e300 the sampled pair is not positive definite (heinz) and
+    # the sampled S is singular (cpr) in floating point.
+    out = tmp_path / "out.jsonl"
+    argv = ["verify", "--suite", suite, "--dim", "3", "--count", "1", "--cond", "1e300", "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err

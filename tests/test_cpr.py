@@ -31,7 +31,7 @@ def _posdef_triple(seed, n=4, cond=10.0):
 def test_cpr_hand_value():
     s = np.diag([2.0, 1.0])
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
-    rep = cpr.cpr_check(s, x, OP)
+    (rep,) = cpr.cpr_check(s, x, (OP,))
     # SXS^-1 + S^-1XS acts on the single off-diagonal entry by 2 + 1/2.
     assert rep.values[0] == pytest.approx(2.5, abs=1e-12)
     assert rep.values[1] == pytest.approx(2.0, abs=1e-13)
@@ -40,8 +40,7 @@ def test_cpr_hand_value():
 
 def test_cpr_identity_equality():
     x = matcore.ginibre(3, rng=matcore.Rng(70))
-    for kind in KINDS:
-        rep = cpr.cpr_check(np.eye(3), x, kind)
+    for rep in cpr.cpr_check(np.eye(3), x, KINDS):
         assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
@@ -51,7 +50,7 @@ def test_cpr_reflection_equality():
     s = matcore.random_scaled_reflection(4, matcore.Rng(71))
     s = 0.5 * (s + s.conj().T)
     x = matcore.ginibre(4, rng=matcore.Rng(72))
-    rep = cpr.cpr_check(s, x, TR)
+    (rep,) = cpr.cpr_check(s, x, (TR,))
     assert rep.ok
     assert abs(rep.values[0] - rep.values[1]) <= 1e-9 * rep.values[0]
 
@@ -59,7 +58,7 @@ def test_cpr_reflection_equality():
 def test_cpr_requires_selfadjoint():
     x = np.eye(2)
     with pytest.raises(NotHermitian):
-        cpr.cpr_check(np.array([[1.0, 1.0], [0.0, 1.0]]), x, OP)
+        cpr.cpr_check(np.array([[1.0, 1.0], [0.0, 1.0]]), x, (OP,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -68,16 +67,16 @@ def test_cpr_random(seed):
     rng = matcore.Rng(seed)
     s = matcore.random_selfadjoint_invertible(4, 100.0, rng.substream(0))
     x = matcore.random_probe_matrix(4, rng.substream(1))
-    for kind in KINDS:
-        assert cpr.cpr_check(s, x, kind).ok
+    for rep in cpr.cpr_check(s, x, KINDS):
+        assert rep.ok
 
 
 def test_two_sided_reduces_to_one_sided():
     rng = matcore.Rng(73)
     s = matcore.random_selfadjoint_invertible(3, 50.0, rng.substream(0))
     x = matcore.ginibre(3, rng=rng.substream(1))
-    two = cpr.cpr_two_sided_check(s, s, x, OP)
-    one = cpr.cpr_check(s, x, OP)
+    (two,) = cpr.cpr_two_sided_check(s, s, x, (OP,))
+    (one,) = cpr.cpr_check(s, x, (OP,))
     assert abs(two.values[0] - one.values[0]) <= 1e-12 * max(1.0, one.values[0])
 
 
@@ -88,14 +87,14 @@ def test_two_sided_random(seed):
     s = matcore.random_selfadjoint_invertible(3, 100.0, rng.substream(0))
     t = matcore.random_selfadjoint_invertible(3, 100.0, rng.substream(1))
     x = matcore.random_probe_matrix(3, rng.substream(2))
-    for kind in KINDS:
-        assert cpr.cpr_two_sided_check(s, t, x, kind).ok
+    for rep in cpr.cpr_two_sided_check(s, t, x, KINDS):
+        assert rep.ok
 
 
 def test_star_unitary_equality():
     u = matcore.haar_unitary(4, matcore.Rng(74))
     x = matcore.ginibre(4, rng=matcore.Rng(75))
-    rep = cpr.cpr_star_check(u, x, FRO)
+    (rep,) = cpr.cpr_star_check(u, x, (FRO,))
     assert abs(rep.values[0] - rep.values[1]) <= 1e-10 * rep.values[0]
 
 
@@ -103,8 +102,8 @@ def test_star_selfadjoint_matches_plain():
     rng = matcore.Rng(76)
     s = matcore.random_selfadjoint_invertible(3, 20.0, rng.substream(0))
     x = matcore.ginibre(3, rng=rng.substream(1))
-    star = cpr.cpr_star_check(s, x, OP)
-    plain = cpr.cpr_check(s, x, OP)
+    (star,) = cpr.cpr_star_check(s, x, (OP,))
+    (plain,) = cpr.cpr_check(s, x, (OP,))
     assert abs(star.values[0] - plain.values[0]) <= 1e-12 * max(1.0, plain.values[0])
 
 
@@ -114,8 +113,8 @@ def test_star_random_invertible(seed):
     rng = matcore.Rng(seed)
     s = matcore.random_invertible(4, 100.0, rng.substream(0))
     x = matcore.random_probe_matrix(4, rng.substream(1))
-    for kind in KINDS:
-        assert cpr.cpr_star_check(s, x, kind).ok
+    for rep in cpr.cpr_star_check(s, x, KINDS):
+        assert rep.ok
 
 
 # ---------------------------------------------------------------- zhan
@@ -135,7 +134,7 @@ def test_zhan_params_validation():
 def test_zhan_identity_pair_collapses():
     x = matcore.ginibre(3, rng=matcore.Rng(77))
     want = 4.0 * norm(x, OP)
-    rep = cpr.zhan_chain(np.eye(3), np.eye(3), x, ZhanParams(0.0, 1.0), OP)
+    (rep,) = cpr.zhan_chain(np.eye(3), np.eye(3), x, ZhanParams(0.0, 1.0), (OP,))
     assert rep.ok
     for v in rep.values:
         assert abs(v - want) <= 1e-12 * want
@@ -145,7 +144,7 @@ def test_zhan_t2_kills_correction():
     # c = 4 - 2t vanishes at t = 2 and the first two members coincide
     # bitwise (the second subtracts an exact 0.0).
     a, b, x = _posdef_triple(78)
-    rep = cpr.zhan_chain(a, b, x, ZhanParams(2.0, 0.75), TR)
+    (rep,) = cpr.zhan_chain(a, b, x, ZhanParams(2.0, 0.75), (TR,))
     assert rep.values[0] == rep.values[1]
     assert rep.ok
 
@@ -153,9 +152,7 @@ def test_zhan_t2_kills_correction():
 def test_zhan_check_shares_endpoints():
     a, b, x = _posdef_triple(79)
     params = ZhanParams(0.5, 1.25)
-    for kind in KINDS:
-        full = cpr.zhan_chain(a, b, x, params, kind)
-        ends = cpr.zhan_check(a, b, x, params, kind)
+    for full, ends in zip(cpr.zhan_chain(a, b, x, params, KINDS), cpr.zhan_check(a, b, x, params, KINDS)):
         assert full.values[0] == ends.values[0]
         assert full.values[-1] == ends.values[1]
         assert len(full.values) == 8
@@ -163,7 +160,7 @@ def test_zhan_check_shares_endpoints():
 
 def test_zhan_accepts_bare_tuple():
     a, b, x = _posdef_triple(80)
-    rep = cpr.zhan_chain(a, b, x, (0.0, 1.0), OP)
+    (rep,) = cpr.zhan_chain(a, b, x, (0.0, 1.0), (OP,))
     assert rep.ok
 
 
@@ -172,14 +169,14 @@ def test_zhan_trivial_for_very_negative_t():
     # content, but the chain code must still hold (the correction term
     # dominates).
     a, b, x = _posdef_triple(81)
-    rep = cpr.zhan_check(a, b, x, ZhanParams(-2.0, 1.0), OP)
+    (rep,) = cpr.zhan_check(a, b, x, ZhanParams(-2.0, 1.0), (OP,))
     assert rep.values[1] == 0.0
     assert rep.ok
 
 
 def test_zhan_identity_equality():
     x = matcore.ginibre(3, rng=matcore.Rng(82))
-    rep = cpr.zhan_check(np.eye(3), np.eye(3), x, ZhanParams(1.0, 1.0), TR)
+    (rep,) = cpr.zhan_check(np.eye(3), np.eye(3), x, ZhanParams(1.0, 1.0), (TR,))
     assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
@@ -188,9 +185,9 @@ def test_zhan_regime_continuity_at_r1():
     # reflections of each other around the symmetry point of H.
     a, b, x = _posdef_triple(83, n=5)
     basis = heinz.pair_basis(a, b, x)
-    for kind in KINDS:
-        r1 = cpr._zhan_from_basis(basis, 0.5, 1.0, 1, kind, 1e-8, 32)
-        r2 = cpr._zhan_from_basis(basis, 0.5, 1.0, 2, kind, 1e-8, 32)
+    regime1 = cpr._zhan_reports(basis, 0.5, 1.0, 1, KINDS, 1e-8, 32)
+    regime2 = cpr._zhan_reports(basis, 0.5, 1.0, 2, KINDS, 1e-8, 32)
+    for r1, r2 in zip(regime1, regime2):
         for v1, v2 in zip(r1.values, r2.values):
             assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
@@ -199,7 +196,7 @@ def test_zhan_degenerate_r_endpoints():
     # r = 1/2 and r = 3/2 shrink the quadrature window to a point.
     a, b, x = _posdef_triple(84)
     for r in (0.5, 1.5):
-        rep = cpr.zhan_chain(a, b, x, ZhanParams(0.0, r), OP)
+        (rep,) = cpr.zhan_chain(a, b, x, ZhanParams(0.0, r), (OP,))
         assert rep.ok, rep.as_dict()
 
 
@@ -212,7 +209,7 @@ def test_zhan_degenerate_r_endpoints():
 )
 def test_zhan_chain_random(seed, t, r, kind_idx):
     a, b, x = _posdef_triple(seed, n=3)
-    rep = cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS[kind_idx])
+    (rep,) = cpr.zhan_chain(a, b, x, ZhanParams(t, r), (KINDS[kind_idx],))
     assert rep.ok, rep.as_dict()
 
 
@@ -221,14 +218,14 @@ def test_zhan_chain_random(seed, t, r, kind_idx):
 
 def test_cor23_identity_equality():
     x = matcore.ginibre(3, rng=matcore.Rng(85))
-    rep = cpr.cor23_check(np.eye(3), np.eye(3), x, 0.0, OP)
+    (rep,) = cpr.cor23_check(np.eye(3), np.eye(3), x, 0.0, (OP,))
     assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
 def test_cor23_zero_a():
     b = matcore.ginibre(3, rng=matcore.Rng(86))
     x = matcore.ginibre(3, rng=matcore.Rng(87))
-    rep = cpr.cor23_check(np.zeros((3, 3)), b, x, 1.0, OP)
+    (rep,) = cpr.cor23_check(np.zeros((3, 3)), b, x, 1.0, (OP,))
     assert rep.values[1] == 0.0
     assert rep.values[0] == pytest.approx(norm(x @ b @ b.conj().T, OP), rel=1e-12)
 
@@ -238,9 +235,7 @@ def test_cor23_t0_is_agm():
     a = matcore.ginibre(4, rng=rng.substream(0))
     b = matcore.ginibre(4, rng=rng.substream(1))
     x = matcore.ginibre(4, rng=rng.substream(2))
-    for kind in KINDS:
-        got = cpr.cor23_check(a, b, x, 0.0, kind)
-        want = heinz.agm_check(a, b, x, kind)
+    for got, want in zip(cpr.cor23_check(a, b, x, 0.0, KINDS), heinz.agm_check(a, b, x, KINDS)):
         assert got.values[0] == pytest.approx(want.values[0], rel=1e-12)
         assert got.values[1] == pytest.approx(want.values[1], rel=1e-12)
 
@@ -250,16 +245,15 @@ def test_cor23_posdef_reduces_to_power_pair_bound():
     # statement is exactly half of the r = 1 two-value bound.
     a, b, x = _posdef_triple(89)
     for t in T_GRID:
-        for kind in (OP, TR):
-            half = cpr.cor23_check(a, b, x, t, kind)
-            full = cpr.zhan_check(a, b, x, ZhanParams(t, 1.0), kind)
+        halves = cpr.cor23_check(a, b, x, t, (OP, TR))
+        for half, full in zip(halves, cpr.zhan_check(a, b, x, ZhanParams(t, 1.0), (OP, TR))):
             assert 2.0 * half.values[0] == pytest.approx(full.values[0], rel=1e-10)
             assert 2.0 * half.values[1] == pytest.approx(full.values[1], rel=1e-10)
 
 
 def test_cor23_rejects_large_t():
     with pytest.raises(InvalidParams):
-        cpr.cor23_check(np.eye(2), np.eye(2), np.eye(2), 2.5, OP)
+        cpr.cor23_check(np.eye(2), np.eye(2), np.eye(2), 2.5, (OP,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,13 +264,13 @@ def test_cor23_random_arbitrary_matrices(seed, t):
     a = matcore.ginibre(4, rng=rng.substream(0))
     b = matcore.ginibre(4, rng=rng.substream(1))
     x = matcore.random_probe_matrix(4, rng.substream(2))
-    for kind in KINDS:
-        assert cpr.cor23_check(a, b, x, t, kind).ok
+    for rep in cpr.cor23_check(a, b, x, t, KINDS):
+        assert rep.ok
 
 
 def test_cor24_identity_equality():
     x = matcore.ginibre(3, rng=matcore.Rng(90))
-    rep = cpr.cor24_check(np.eye(3), np.eye(3), x, 1.0, TR)
+    (rep,) = cpr.cor24_check(np.eye(3), np.eye(3), x, 1.0, (TR,))
     assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
@@ -284,14 +278,14 @@ def test_cor24_equal_pair_reduces_to_sandwich():
     rng = matcore.Rng(91)
     p = matcore.random_posdef(3, 30.0, rng.substream(0))
     x = matcore.ginibre(3, rng=rng.substream(1))
-    got = cpr.cor24_check(p, p, x, 0.0, OP)
-    want = cpr.cpr_check(p, x, OP)
+    (got,) = cpr.cor24_check(p, p, x, 0.0, (OP,))
+    (want,) = cpr.cpr_check(p, x, (OP,))
     assert got.values[0] == pytest.approx(want.values[0], rel=1e-10)
 
 
 def test_cor24_rejects_large_t():
     with pytest.raises(InvalidParams):
-        cpr.cor24_check(np.eye(2), np.eye(2), np.eye(2), 2.1, OP)
+        cpr.cor24_check(np.eye(2), np.eye(2), np.eye(2), 2.1, (OP,))
 
 
 @settings(max_examples=25, deadline=None)
@@ -301,8 +295,8 @@ def test_cor24_random(seed, t):
     p = matcore.random_posdef(4, 100.0, rng.substream(0))
     q = matcore.random_posdef(4, 100.0, rng.substream(1))
     x = matcore.random_probe_matrix(4, rng.substream(2))
-    for kind in KINDS:
-        assert cpr.cor24_check(p, q, x, t, kind).ok
+    for rep in cpr.cor24_check(p, q, x, t, KINDS):
+        assert rep.ok
 
 
 # ---------------------------------------------------------------- blocks
@@ -312,8 +306,7 @@ def test_mos1_identity_equality():
     rng = matcore.Rng(92)
     x = matcore.ginibre(3, rng=rng.substream(0))
     y = matcore.ginibre(3, rng=rng.substream(1))
-    for kind in KINDS:
-        rep = cpr.mos1_check(np.eye(3), x, y, kind)
+    for rep in cpr.mos1_check(np.eye(3), x, y, KINDS):
         assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
@@ -321,7 +314,7 @@ def test_mos1_zero_block():
     rng = matcore.Rng(93)
     s = matcore.random_invertible(3, 50.0, rng.substream(0))
     x = matcore.ginibre(3, rng=rng.substream(1))
-    rep = cpr.mos1_check(s, x, np.zeros((3, 3)), OP)
+    (rep,) = cpr.mos1_check(s, x, np.zeros((3, 3)), (OP,))
     assert rep.ok
 
 
@@ -331,8 +324,8 @@ def test_mos2_selfadjoint_equal_blocks():
     rng = matcore.Rng(94)
     s = matcore.random_selfadjoint_invertible(3, 40.0, rng.substream(0))
     x = matcore.ginibre(3, rng=rng.substream(1))
-    block = cpr.mos2_check(s, x, x, OP)
-    flat = cpr.cpr_check(s, x, OP)
+    (block,) = cpr.mos2_check(s, x, x, (OP,))
+    (flat,) = cpr.cpr_check(s, x, (OP,))
     assert block.values[0] == pytest.approx(flat.values[0], rel=1e-12)
 
 
@@ -343,14 +336,13 @@ def test_mos_random(seed):
     s = matcore.random_invertible(3, 100.0, rng.substream(0))
     x = matcore.random_probe_matrix(3, rng.substream(1))
     y = matcore.random_probe_matrix(3, rng.substream(2))
-    for kind in KINDS:
-        assert cpr.mos1_check(s, x, y, kind).ok
-        assert cpr.mos2_check(s, x, y, kind).ok
+    for rep in cpr.mos1_check(s, x, y, KINDS) + cpr.mos2_check(s, x, y, KINDS):
+        assert rep.ok
 
 
 def test_final_cor_identity_equalities():
     x = matcore.ginibre(3, rng=matcore.Rng(95))
-    op_rep, pow_rep = cpr.final_cor_check(np.eye(3), x, 3.0)
+    op_rep, pow_rep = cpr.final_cor_check(np.eye(3), x, (3.0,))
     assert abs(op_rep.values[0] - op_rep.values[1]) <= 1e-12 * op_rep.values[0]
     assert abs(pow_rep.values[0] - pow_rep.values[1]) <= 1e-12 * pow_rep.values[0]
 
@@ -358,7 +350,7 @@ def test_final_cor_identity_equalities():
 def test_final_cor_unitary_saturates_op_form():
     u = matcore.haar_unitary(4, matcore.Rng(96))
     x = matcore.ginibre(4, rng=matcore.Rng(97))
-    op_rep, _ = cpr.final_cor_check(u, x, 2.0)
+    op_rep, _ = cpr.final_cor_check(u, x, (2.0,))
     assert abs(op_rep.values[0] - 2.0 * norm(x, OP)) <= 1e-10 * norm(x, OP)
 
 
@@ -368,14 +360,14 @@ def test_final_cor_matches_block_form():
     rng = matcore.Rng(98)
     s = matcore.random_invertible(4, 60.0, rng.substream(0))
     x = matcore.ginibre(4, rng=rng.substream(1))
-    op_rep, _ = cpr.final_cor_check(s, x, 1.0)
-    block = cpr.mos1_check(s, x, x, OP)
+    op_rep, _ = cpr.final_cor_check(s, x, (1.0,))
+    (block,) = cpr.mos1_check(s, x, x, (OP,))
     assert abs(op_rep.values[0] - block.values[0]) <= 1e-12 * max(1.0, block.values[0])
 
 
 def test_final_cor_rejects_bad_exponent():
     with pytest.raises(InvalidParams):
-        cpr.final_cor_check(np.eye(2), np.eye(2), 0.5)
+        cpr.final_cor_check(np.eye(2), np.eye(2), (0.5,))
 
 
 @settings(max_examples=25, deadline=None)
@@ -384,6 +376,6 @@ def test_final_cor_random(seed, p):
     rng = matcore.Rng(seed)
     s = matcore.random_invertible(4, 100.0, rng.substream(0))
     x = matcore.random_probe_matrix(4, rng.substream(1))
-    op_rep, pow_rep = cpr.final_cor_check(s, x, p)
+    op_rep, pow_rep = cpr.final_cor_check(s, x, (p,))
     assert op_rep.ok
     assert pow_rep.ok

@@ -1,0 +1,37 @@
+"""Every demo that calls the check API runs to completion.
+
+conjecture_hunt.py is left out: it takes several seconds and calls none of
+the check functions.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEMOS = (
+    "campaign_tour",
+    "heinz_refinement",
+    "multiplier_classes",
+    "norm_basics",
+    "power_pair_chain",
+    "sandwich_inequalities",
+)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(tmp_path, demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normlab import heinz, matcore
 from normlab.errors import DimensionMismatch, NotPositiveDefinite
-from normlab.norms import FRO, OP, TR, NormKind, norm, norm_from_sv
+from normlab.norms import FRO, OP, TR, NormKind, norm, norms_from_sv
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
 
@@ -80,21 +80,21 @@ def test_power_pair_sv_matches_direct_route():
     for alpha in (0.0, 0.2, 0.5, 0.8):
         sv = heinz.power_pair_sv(basis, [alpha])[0]
         for kind in KINDS:
-            fast = norm_from_sv(sv, kind)
+            fast = norms_from_sv([sv], (kind,))[0, 0]
             slow = norm(heinz.heinz_expr(a, b, x, alpha), kind)
             assert abs(fast - slow) <= 1e-10 * max(1.0, slow)
 
 
 def test_heinz_check_identity_equality():
     x = matcore.ginibre(3, rng=matcore.Rng(55))
-    rep = heinz.heinz_check(np.eye(3), np.eye(3), x, 0.3, OP)
+    (rep,) = heinz.heinz_check(np.eye(3), np.eye(3), x, 0.3, (OP,))
     assert rep.ok
     assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
 
 def test_heinz_check_alpha_zero_equality():
     a, b, x = _pair(56)
-    rep = heinz.heinz_check(a, b, x, 0.0, OP)
+    (rep,) = heinz.heinz_check(a, b, x, 0.0, (OP,))
     assert rep.ok
     assert abs(rep.values[0] - rep.values[1]) <= 1e-10 * rep.values[0]
 
@@ -103,17 +103,17 @@ def test_heinz_check_alpha_zero_equality():
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0))
 def test_heinz_check_random(seed, alpha):
     a, b, x = _pair(seed)
-    for kind in KINDS:
-        assert heinz.heinz_check(a, b, x, alpha, kind).ok
+    for rep in heinz.heinz_check(a, b, x, alpha, KINDS):
+        assert rep.ok
 
 
 def test_agm_identity_and_zero():
     x = matcore.ginibre(3, rng=matcore.Rng(57))
-    rep = heinz.agm_check(np.eye(3), np.eye(3), x, TR)
+    (rep,) = heinz.agm_check(np.eye(3), np.eye(3), x, (TR,))
     assert abs(rep.values[0] - rep.values[1]) <= 1e-12 * rep.values[0]
 
     b = matcore.ginibre(3, rng=matcore.Rng(58))
-    rep = heinz.agm_check(np.zeros((3, 3)), b, x, OP)
+    (rep,) = heinz.agm_check(np.zeros((3, 3)), b, x, (OP,))
     assert rep.values[1] == 0.0
     want = norm(x @ b @ b.conj().T, OP)
     assert rep.values[0] == pytest.approx(want, rel=1e-12)
@@ -127,8 +127,8 @@ def test_agm_random_arbitrary_matrices(seed):
     a = matcore.ginibre(4, rng=rng.substream(0))
     b = matcore.ginibre(4, rng=rng.substream(1))
     x = matcore.random_probe_matrix(4, rng.substream(2))
-    for kind in KINDS:
-        assert heinz.agm_check(a, b, x, kind).ok
+    for rep in heinz.agm_check(a, b, x, KINDS):
+        assert rep.ok
 
 
 def test_integral_mean_identity_pair():
@@ -179,15 +179,14 @@ def test_integrand_symmetry_on_nodes():
     sv_lo = heinz.power_pair_sv(basis, nus)
     sv_hi = heinz.power_pair_sv(basis, 1.0 - nus)
     for row_lo, row_hi, kind in zip(sv_lo, sv_hi, KINDS):
-        lo = norm_from_sv(row_lo, kind)
-        hi = norm_from_sv(row_hi, kind)
+        lo = norms_from_sv([row_lo], (kind,))[0, 0]
+        hi = norms_from_sv([row_hi], (kind,))[0, 0]
         assert abs(lo - hi) <= 1e-10 * max(1.0, lo)
 
 
 def test_kittaneh_identity_pair_collapses():
     x = matcore.ginibre(3, rng=matcore.Rng(64))
-    for kind in KINDS:
-        rep = heinz.kittaneh_chain(np.eye(3), np.eye(3), x, 0.3, kind)
+    for kind, rep in zip(KINDS, heinz.kittaneh_chain(np.eye(3), np.eye(3), x, 0.3, KINDS)):
         assert rep.ok
         want = 2.0 * norm(x, kind)
         for v in rep.values:
@@ -200,9 +199,9 @@ def test_kittaneh_regimes_agree_at_half():
     # same numbers by the nu <-> 1-nu symmetry.
     a, b, x = _pair(65)
     basis = heinz.pair_basis(a, b, x)
-    for kind in KINDS:
-        r1 = heinz._kittaneh_from_basis(basis, 0.5, 1, kind, 1e-8, 32)
-        r2 = heinz._kittaneh_from_basis(basis, 0.5, 2, kind, 1e-8, 32)
+    regime1 = heinz._kittaneh_reports(basis, 0.5, 1, KINDS, 1e-8, 32)
+    regime2 = heinz._kittaneh_reports(basis, 0.5, 2, KINDS, 1e-8, 32)
+    for r1, r2 in zip(regime1, regime2):
         for v1, v2 in zip(r1.values, r2.values):
             assert abs(v1 - v2) <= 1e-10 * max(1.0, v1)
 
@@ -212,7 +211,7 @@ def test_kittaneh_degenerate_alpha():
     # equals |AX+XB| and the chain holds with zero margins.
     a, b, x = _pair(66)
     for alpha in (0.0, 1.0):
-        rep = heinz.kittaneh_chain(a, b, x, alpha, OP)
+        (rep,) = heinz.kittaneh_chain(a, b, x, alpha, (OP,))
         assert rep.ok
         assert max(rep.values) - min(rep.values) <= 1e-10 * max(rep.values)
 
@@ -225,6 +224,6 @@ def test_kittaneh_degenerate_alpha():
 )
 def test_kittaneh_chain_random(seed, alpha, kind_idx):
     a, b, x = _pair(seed, n=3)
-    rep = heinz.kittaneh_chain(a, b, x, alpha, KINDS[kind_idx])
+    (rep,) = heinz.kittaneh_chain(a, b, x, alpha, (KINDS[kind_idx],))
     assert rep.ok, rep.as_dict()
     assert len(rep.values) == 5

@@ -1,13 +1,15 @@
-"""Multi-norm evaluation of the Heinz and Zhan chains: one pair basis and one
-SVD stack per instance serve every norm, and the quadrature base rule is
-computed once per node count."""
+"""Multi-norm evaluation: every check evaluates an instance once and one SVD
+stack serves every norm, with reports equal bit for bit to single-norm
+calls; the quadrature base rule is computed once per node count."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from normlab import cpr, heinz, matcore
+from normlab import classes, cpr, heinz, matcore
 from normlab.cpr import ZhanParams
-from normlab.norms import NormKind, norm, norm_from_sv, norms_from_sv
+from normlab.norms import NormKind, norm, norms_from_sv, stack_norms
 
 KINDS = tuple(NormKind.parse(s) for s in ("op", "tr", "fro", "kyfan:2", "schatten:3"))
 ALPHAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -32,19 +34,83 @@ def _close(got, want, rtol=1e-10):
 def test_kittaneh_chains_equal_single_norm_calls(n):
     a, b, x = _triple(200 + n, n)
     for alpha in ALPHAS:
-        multi = heinz.kittaneh_chains(a, b, x, alpha, KINDS)
-        assert multi == tuple(heinz.kittaneh_chain(a, b, x, alpha, kind) for kind in KINDS)
+        multi = heinz.kittaneh_chain(a, b, x, alpha, KINDS)
+        assert multi == tuple(heinz.kittaneh_chain(a, b, x, alpha, (kind,))[0] for kind in KINDS)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_zhan_chains_equal_single_norm_calls(n):
     a, b, x = _triple(300 + n, n)
     for t, r in ZHAN_POINTS:
-        multi = cpr.zhan_chains(a, b, x, ZhanParams(t, r), KINDS)
-        assert multi == tuple(cpr.zhan_chain(a, b, x, ZhanParams(t, r), kind) for kind in KINDS)
-        for kind, rep in zip(KINDS, multi):
-            ends = cpr.zhan_check(a, b, x, ZhanParams(t, r), kind)
+        multi = cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS)
+        assert multi == tuple(cpr.zhan_chain(a, b, x, ZhanParams(t, r), (kind,))[0] for kind in KINDS)
+        for ends, rep in zip(cpr.zhan_check(a, b, x, ZhanParams(t, r), KINDS), multi):
             assert ends.values == (rep.values[0], rep.values[-1])
+
+
+def _instance(seed, n):
+    rng = matcore.Rng(seed)
+    return SimpleNamespace(
+        a=matcore.random_posdef(n, 50.0, rng.substream(0)),
+        b=matcore.random_posdef(n, 50.0, rng.substream(1)),
+        s=matcore.random_selfadjoint_invertible(n, 50.0, rng.substream(2)),
+        t=matcore.random_selfadjoint_invertible(n, 50.0, rng.substream(3)),
+        g=matcore.random_invertible(n, 50.0, rng.substream(4)),
+        c=matcore.ginibre(n, rng=rng.substream(5)),
+        d=matcore.ginibre(n, rng=rng.substream(6)),
+        x=matcore.random_probe_matrix(n, rng.substream(7)),
+        y=matcore.random_probe_matrix(n, rng.substream(8)),
+    )
+
+
+# Check name -> check(instance, kinds), one report per kind.
+CHECKS = {
+    "heinz_check": lambda m, kinds: heinz.heinz_check(m.a, m.b, m.x, 0.3, kinds),
+    "agm_check": lambda m, kinds: heinz.agm_check(m.c, m.d, m.x, kinds),
+    "zhan_check": lambda m, kinds: cpr.zhan_check(m.a, m.b, m.x, ZhanParams(0.5, 1.25), kinds),
+    "cpr_check": lambda m, kinds: cpr.cpr_check(m.s, m.x, kinds),
+    "cpr_two_sided_check": lambda m, kinds: cpr.cpr_two_sided_check(m.s, m.t, m.x, kinds),
+    "cpr_star_check": lambda m, kinds: cpr.cpr_star_check(m.g, m.x, kinds),
+    "cor23_check": lambda m, kinds: cpr.cor23_check(m.c, m.d, m.x, 0.5, kinds),
+    "cor24_check": lambda m, kinds: cpr.cor24_check(m.a, m.b, m.x, -1.0, kinds),
+    "mos1_check": lambda m, kinds: cpr.mos1_check(m.g, m.x, m.y, kinds),
+    "mos2_check": lambda m, kinds: cpr.mos2_check(m.g, m.x, m.y, kinds),
+    **{
+        f"characterization_check:{form}": lambda m, kinds, form=form: classes.characterization_check(
+            m.g, m.x, form, kinds
+        )
+        for form in classes.FORMS
+    },
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_checks_equal_single_norm_calls(name, n):
+    m = _instance(500 + n, n)
+    multi = CHECKS[name](m, KINDS)
+    assert len(multi) == len(KINDS)
+    assert multi == tuple(CHECKS[name](m, (kind,))[0] for kind in KINDS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_final_cor_check_equals_single_exponent_calls(n):
+    m = _instance(600 + n, n)
+    ps = (1.0, 2.0, 3.0, 1.5)
+    multi = cpr.final_cor_check(m.g, m.x, ps)
+    assert len(multi) == 1 + len(ps)
+    for p, rep in zip(ps, multi[1:]):
+        assert cpr.final_cor_check(m.g, m.x, (p,)) == (multi[0], rep)
+
+
+def test_stack_norms_equal_one_matrix_at_a_time():
+    # One batched SVD gives the same singular values as one SVD per matrix.
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        stack = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        table = stack_norms(stack, KINDS)
+        for j, mat in enumerate(stack):
+            assert table[:, j].tolist() == stack_norms((mat,), KINDS)[:, 0].tolist()
 
 
 def _oracle_mean(h, lo, hi, endpoint, nodes=32):
@@ -58,7 +124,7 @@ def _oracle_mean(h, lo, hi, endpoint, nodes=32):
 def test_kittaneh_chains_match_explicit_products():
     a, b, x = _triple(401, 4)
     for alpha in ALPHAS:
-        reports = heinz.kittaneh_chains(a, b, x, alpha, KINDS)
+        reports = heinz.kittaneh_chain(a, b, x, alpha, KINDS)
         for kind, rep in zip(KINDS, reports):
 
             def h(s):
@@ -77,7 +143,7 @@ def test_kittaneh_chains_match_explicit_products():
 def test_zhan_chains_match_explicit_products():
     a, b, x = _triple(402, 4)
     for t, r in ZHAN_POINTS:
-        reports = cpr.zhan_chains(a, b, x, ZhanParams(t, r), KINDS)
+        reports = cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS)
         for kind, rep in zip(KINDS, reports):
 
             def h(s):
@@ -107,22 +173,42 @@ def test_zhan_chains_match_explicit_products():
 def test_degenerate_intervals_take_the_endpoint():
     a, b, x = _triple(403, 3)
     for alpha in (0.0, 1.0):
-        for rep in heinz.kittaneh_chains(a, b, x, alpha, KINDS):
+        for rep in heinz.kittaneh_chain(a, b, x, alpha, KINDS):
             # The mean over a point is H(alpha) itself.
             assert rep.values[2] == rep.values[4]
             assert rep.ok
     for t in (-1.0, 2.0):
-        for rep in cpr.zhan_chains(a, b, x, ZhanParams(t, 0.5), KINDS):
+        for rep in cpr.zhan_chain(a, b, x, ZhanParams(t, 0.5), KINDS):
             # r = 1/2: the window [0, 0] gives H(1/2) = H(r).
             assert rep.values[4] == rep.values[6]
             assert rep.ok
-        for rep in cpr.zhan_chains(a, b, x, ZhanParams(t, 1.5), KINDS):
+        for rep in cpr.zhan_chain(a, b, x, ZhanParams(t, 1.5), KINDS):
             # r = 3/2: the window [1, 1] gives H(3/2).
             assert rep.values[4] == rep.values[2]
             assert rep.ok
 
 
+def _row_norm(sv, kind):
+    # Scalar reference: clamp one descending row, then reduce it.
+    if sv.size == 0:
+        return 0.0
+    top = sv[0]
+    if top > 0.0:
+        sv = np.where(sv < 1e-14 * top, 0.0, sv)
+    if kind.family == "operator":
+        return float(top)
+    if kind.family == "kyfan":
+        return float(np.sum(sv[: int(kind.param)]))
+    p = kind.param
+    if p == 1.0:
+        return float(np.sum(sv))
+    if p == 2.0:
+        return float(np.sqrt(np.sum(sv * sv)))
+    return float(np.sum(sv**p) ** (1.0 / p))
+
+
 def test_norms_from_sv_matches_norm_from_sv():
+    # The stack reducer equals a one-row-at-a-time reduction.
     rng = np.random.default_rng(7)
     for n in range(1, 13):
         sv = -np.sort(-np.abs(rng.standard_normal((9, n))) * 10.0 ** rng.uniform(-3, 3, (9, n)), axis=1)
@@ -131,7 +217,7 @@ def test_norms_from_sv_matches_norm_from_sv():
         table = norms_from_sv(sv, KINDS)
         assert table.shape == (len(KINDS), 9)
         for kind, row in zip(KINDS, table):
-            want = [norm_from_sv(s, kind) for s in sv]
+            want = [_row_norm(s, kind) for s in sv]
             if kind.family == "schatten" and kind.param not in (1.0, 2.0):
                 # The vectorized 1/p-th root may differ in the last bit.
                 np.testing.assert_allclose(row, want, rtol=4e-16, atol=0.0)
@@ -152,9 +238,9 @@ def test_leggauss_runs_once_per_node_count(monkeypatch):
     heinz._legendre_base.cache_clear()
     a, b, x = _triple(404, 3)
     for _ in range(3):
-        heinz.kittaneh_chains(a, b, x, 0.3, KINDS)
-        heinz.kittaneh_chains(a, b, x, 0.3, KINDS, nodes=64)
-        cpr.zhan_chains(a, b, x, ZhanParams(0.5, 0.8), KINDS)
+        heinz.kittaneh_chain(a, b, x, 0.3, KINDS)
+        heinz.kittaneh_chain(a, b, x, 0.3, KINDS, nodes=64)
+        cpr.zhan_chain(a, b, x, ZhanParams(0.5, 0.8), KINDS)
         heinz.integral_mean_norm(a, b, x, 0.1, 0.6, KINDS[0])
         heinz.gauss_legendre_nodes(0.25, 0.75, 16)
     assert sorted(calls) == [16, 32, 64]

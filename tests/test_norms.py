@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab import matcore
-from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norm_from_sv
+from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norms_from_sv
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
 
@@ -46,8 +46,8 @@ def test_hand_values():
 def test_norm_from_sv_clamps_noise():
     # Tail values below 1e-14 of the top singular value are eigensolver
     # noise and must not leak into trace-class sums.
-    assert norm_from_sv(np.array([1.0, 1e-20]), TR) == 1.0
-    assert norm_from_sv(np.array([0.0]), OP) == 0.0
+    assert norms_from_sv(np.array([[1.0, 1e-20]]), (TR,))[0, 0] == 1.0
+    assert norms_from_sv(np.array([[0.0]]), (OP,))[0, 0] == 0.0
 
 
 def test_fro_equals_entrywise():
