@@ -8,7 +8,9 @@ eigenbasis: with S = Q diag(l) Q* and X~ = Q*XQ,
 
 That representation powers the spectral membership test, the residual
 check, the bound check against the classical PSD multiplier theorem, and a
-multistart minimizer probing inf |phi(X)| / |X| over the unit sphere.
+multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
+which descends all its starts as one (S, n, n) stack with one batched SVD
+of M o Y and one of Y per iteration.
 Sampled checks of the fourteen norm identities that characterize scalar
 multiples of self-adjoint, normal, unitary, and reflection classes round
 out the module.
@@ -23,7 +25,7 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch, InvalidK, NotPSD, Singular, ZeroEigenvalue
-from .norms import OP, norm, stack_norms
+from .norms import OP, stack_norms
 
 __all__ = [
     "DkProbeResult",
@@ -86,6 +88,27 @@ def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
     return ratio + 1.0 / ratio + k
 
 
+def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio |M o Y| / |Y| (operator norm) of every matrix of an (S, n, n)
+    stack, and a subgradient of each ratio, from one batched SVD of M o Y
+    and one of Y."""
+    un, sn, vhn = np.linalg.svd(m * y)
+    ud, sd, vhd = np.linalg.svd(y)
+    ratio = sn[:, 0] / sd[:, 0]
+    g_num = m * (un[:, :, :1] * vhn[:, :1, :])
+    g_den = ud[:, :, :1] * vhd[:, :1, :]
+    return ratio, (g_num - ratio[:, None, None] * g_den) / sd[:, 0, None, None]
+
+
+def _frobenius(y: np.ndarray) -> np.ndarray:
+    """Frobenius norms of an (S, n, n) stack, shaped (S, 1, 1), summed as
+    np.linalg.norm sums one matrix (real and imaginary dot products): the
+    descent turns a last-bit change into a 1e-9 one near nonsmooth points,
+    and this keeps every start on the iterates it takes alone."""
+    f = y.reshape(len(y), 1, y.shape[1] * y.shape[2])
+    return np.sqrt(f.real @ f.real.transpose(0, 2, 1) + f.imag @ f.imag.transpose(0, 2, 1))
+
+
 def dk_spectral_test(eigs, k: float, allow_any_k: bool = False) -> tuple[bool, np.ndarray]:
     """Pairwise criterion |l_i/l_j + l_j/l_i + k| >= k+2 over the spectrum.
 
@@ -141,19 +164,8 @@ def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainReport
     x = matcore.as_matrix(x)
     if x.shape != n_mat.shape:
         raise DimensionMismatch(f"entrywise product needs equal shapes, got {n_mat.shape} and {x.shape}")
-    lhs = float(np.max(np.real(np.diagonal(n_mat)))) * norm(x, OP)
-    rhs = norm(n_mat * x, OP)
-    return chain(("maxdiag(N)|X|", "|NoX|"), (lhs, rhs), tol=tol)
-
-
-def _ratio_and_numgrad(m: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Ratio |M o Y| / |Y| with subgradients of numerator and denominator,
-    and the denominator |Y|."""
-    un, sn, vhn = np.linalg.svd(m * y)
-    ud, sd, vhd = np.linalg.svd(y)
-    g_num = m * np.outer(un[:, 0], vhn[0])
-    g_den = np.outer(ud[:, 0], vhd[0])
-    return sn[0] / sd[0], g_num, g_den, sd[0]
+    nx, nnx = stack_norms((x, n_mat * x), (OP,))[0].tolist()
+    return chain(("maxdiag(N)|X|", "|NoX|"), (float(np.max(np.real(np.diagonal(n_mat)))) * nx, nnx), tol=tol)
 
 
 def dk_ratio_minimize(
@@ -168,9 +180,13 @@ def dk_ratio_minimize(
     Works in the eigenbasis of self-adjoint S, where phi is the entrywise
     multiplier M.  Seeds are every rank-one basis matrix e_i e_j* (whose
     ratio is exactly |M_ij|) plus the identity (ratio |k+2|); `starts`
-    additional random starts follow.  Each start runs a projected
-    subgradient descent on the ratio with step 0.1/sqrt(iter), keeping the
-    best iterate.  Deterministic given the rng.
+    additional random starts follow.  Every start runs a projected
+    subgradient descent on the ratio with step 0.1/sqrt(iter); the starts
+    descend together as one (S, n, n) stack, evaluated at their seeds and
+    after each of `iters` steps.  A start whose subgradient norm falls
+    below 1e-14 keeps its iterate from then on.  The witness is the best
+    iterate over all starts and iterations; ties go to the earliest
+    iteration, then the lowest start.  Deterministic given the rng.
     """
     if rng is None:
         rng = matcore.Rng(0)
@@ -180,40 +196,24 @@ def dk_ratio_minimize(
     m = _multiplier_matrix(eigs, k)
     spectral_ok, _ = dk_spectral_test(eigs, k, allow_any_k=True)
 
-    seeds: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            seeds.append(e)
-    seeds.append(np.eye(n, dtype=complex) / np.sqrt(n))
-    g = rng.generator()
-    for _ in range(int(starts)):
-        z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
-        seeds.append(z / np.linalg.norm(z))
+    # One draw, consumed start by start: the real part, then the imaginary.
+    w = rng.generator().standard_normal((int(starts), 2, n, n))
+    z = (w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0)
+    seeds = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    y = np.concatenate((seeds, np.eye(n, dtype=complex)[None] / np.sqrt(n), z / _frobenius(z)))
 
-    best_ratio = np.inf
-    best_y = seeds[0]
-    for y0 in seeds:
-        y = y0.copy()
-        for it in range(int(iters)):
-            ratio, g_num, g_den, denom = _ratio_and_numgrad(m, y)
-            if ratio < best_ratio:
-                best_ratio = ratio
-                best_y = y.copy()
-            grad = (g_num - ratio * g_den) / denom
-            gnorm = np.linalg.norm(grad)
-            if gnorm < 1e-14:
-                break
-            y = y - (0.1 / np.sqrt(it + 1.0)) * grad / gnorm
-            ynorm = np.linalg.norm(y)
-            if ynorm < 1e-12:
-                break
-            y = y / ynorm
-        ratio = _ratio_and_numgrad(m, y)[0]
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_y = y.copy()
+    best_ratio, best_y = np.inf, y[0]
+    for it in range(int(iters) + 1):
+        ratio, grad = _ratio_subgradients(m, y)
+        i = int(np.argmin(ratio))
+        if ratio[i] < best_ratio:
+            best_ratio, best_y = ratio[i], y[i]
+        gnorm = _frobenius(grad)
+        live = gnorm >= 1e-14
+        # Each start has |y| = 1 and moves by at most 0.1, so the projection
+        # back onto the unit sphere never divides by zero.
+        step = y - (0.1 / np.sqrt(it + 1.0)) * grad / np.where(live, gnorm, 1.0)
+        y = np.where(live, step / _frobenius(step), y)
 
     witness = dec.vectors @ best_y @ dec.vectors.conj().T
     return DkProbeResult(
@@ -222,7 +222,7 @@ def dk_ratio_minimize(
         spectral_ok=spectral_ok,
         best_ratio=float(best_ratio),
         witness=witness,
-        starts_used=len(seeds),
+        starts_used=len(y),
     )
 
 

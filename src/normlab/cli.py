@@ -305,7 +305,7 @@ _FLAGS = {
     "seed": (_ALL, {"type": int, "help": "campaign seed (default 0)"}),
     "norms": (("verify",), {"help": "comma list of norm selectors (default op,tr,fro)"}),
     "tol": (("verify",), {"type": float, "help": "relative link tolerance (default 1e-8)"}),
-    "cond": (("verify",), {"type": float, "help": "condition bound for sampled matrices (default 100)"}),
+    "cond": (("verify",), {"type": float, "help": "condition bound for sampled matrices (1..1e12, default 100)"}),
     "t": (("verify",), {"help": "comma list of t values; use --t=-1,0 for negatives"}),
     "r": (("verify",), {"help": "comma list: Heinz alphas (heinz) or exponents r (zhan)"}),
     "k": (_ALL, {"help": "comma list of shift values k"}),
@@ -476,8 +476,10 @@ def _validate(config: CampaignConfig) -> None:
         raise ConfigInvalid("--count must be >= 1")
     if config.tol <= 0.0:
         raise ConfigInvalid("--tol must be positive")
-    if config.cond < 1.0:
-        raise ConfigInvalid("--cond must be >= 1")
+    # Sampled matrices of condition number beyond 1 / POSDEF_RTOL are
+    # rejected by the kernels, which would abort the campaign.
+    if not 1.0 <= config.cond <= 1.0 / matcore.POSDEF_RTOL:
+        raise ConfigInvalid(f"--cond must be in [1, {1.0 / matcore.POSDEF_RTOL:g}], got {config.cond}")
     if not config.out:
         raise ConfigInvalid("--out must not be empty")
     for sel in config.norms:
@@ -541,6 +543,24 @@ def _write_jsonl(path: str, records: list[dict]) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bad_field(record: dict) -> str | None:
+    """The first field _write_summary reads whose type it cannot use."""
+    for key in ("count", "pass_count", "fail_count", "instance"):
+        if key in record and not (isinstance(record[key], int) and not isinstance(record[key], bool)):
+            return key
+    for key in ("min_margin", "min_eig"):
+        if record.get(key) is not None and not _is_number(record[key]):
+            return key
+    margins = record.get("margins", [])
+    if not (isinstance(margins, list) and all(map(_is_number, margins))):
+        return "margins"
+    return None
+
+
 def _read_jsonl(path: str) -> list[dict]:
     records = []
     try:
@@ -551,6 +571,9 @@ def _read_jsonl(path: str) -> list[dict]:
                     records.append(json.loads(line))
                     if not isinstance(records[-1], dict):
                         raise IoFailure(f"{path} holds a line that is not a JSON object: {line[:40]!r}")
+                    bad = _bad_field(records[-1])
+                    if bad is not None:
+                        raise IoFailure(f"{path} holds a record whose {bad!r} has the wrong type: {line[:40]!r}")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

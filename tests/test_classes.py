@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab import classes, matcore
+from normlab import classes, conjecture, matcore
 from normlab.classes import EQUALITY_FORMS, FORMS
 from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, norm
@@ -103,6 +103,28 @@ def test_schur_theorem_gram_multiplier():
     assert classes.schur_theorem_bound_check(gram, x).ok
 
 
+def test_schur_theorem_equals_single_norm_calls():
+    rng = matcore.Rng(122)
+    for n in (2, 3, 5):
+        z = matcore.ginibre(n, rng=rng.substream(n).substream(0))
+        gram = z.conj().T @ z
+        gram = 0.5 * (gram + gram.conj().T)
+        x = matcore.random_probe_matrix(n, rng.substream(n).substream(1))
+        rep = classes.schur_theorem_bound_check(gram, x)
+        assert rep.values == (float(np.max(np.real(np.diagonal(gram)))) * norm(x, OP), norm(gram * x, OP))
+
+
+def test_conditional_theorem_check_equals_single_norm_calls():
+    for lam, k in (([1.0, 3.0], 1.0), ([1.0, -1.0], 1.0), ([0.0680547, 0.08611596, -0.44417643], 1.0)):
+        rng = matcore.Rng(123)
+        m = classes._multiplier_matrix(np.asarray(lam), k)
+        worst = np.inf
+        for i in range(20):
+            x = matcore.random_probe_matrix(len(lam), rng.substream(i))
+            worst = min(worst, norm(m * x, OP) / norm(x, OP))
+        assert conjecture.conditional_theorem_check(lam, k, 20, rng)["worst_ratio"] == worst
+
+
 def test_schur_theorem_validation():
     with pytest.raises(NotPSD):
         classes.schur_theorem_bound_check(np.diag([1.0, -1.0]), np.eye(2))
@@ -160,6 +182,90 @@ def test_probe_deterministic():
 def test_probe_rejects_singular():
     with pytest.raises(Singular):
         classes.dk_ratio_minimize(np.diag([1.0, 0.0]), 0.0, starts=1, iters=5)
+
+
+def _reference_probe(s, k, starts, iters, rng):
+    """The probe as it ran before the starts were stacked: each start
+    descends alone, and the best iterate wins on strict improvement."""
+    dec = classes._selfadjoint_eigen(s)
+    eigs = dec.eigenvalues
+    n = eigs.size
+    m = classes._multiplier_matrix(eigs, k)
+    seeds = []
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            seeds.append(e)
+    seeds.append(np.eye(n, dtype=complex) / np.sqrt(n))
+    g = rng.generator()
+    for _ in range(starts):
+        z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2.0)
+        seeds.append(z / np.linalg.norm(z))
+
+    def ratio_and_grad(y):
+        un, sn, vhn = np.linalg.svd(m * y)
+        ud, sd, vhd = np.linalg.svd(y)
+        ratio = sn[0] / sd[0]
+        return ratio, (m * np.outer(un[:, 0], vhn[0]) - ratio * np.outer(ud[:, 0], vhd[0])) / sd[0]
+
+    best_ratio, best_y = np.inf, seeds[0]
+    for y0 in seeds:
+        y = y0.copy()
+        for it in range(iters):
+            ratio, grad = ratio_and_grad(y)
+            if ratio < best_ratio:
+                best_ratio, best_y = ratio, y.copy()
+            gnorm = np.linalg.norm(grad)
+            if gnorm < 1e-14:
+                break
+            y = y - (0.1 / np.sqrt(it + 1.0)) * grad / gnorm
+            ynorm = np.linalg.norm(y)
+            if ynorm < 1e-12:
+                break
+            y = y / ynorm
+        ratio = ratio_and_grad(y)[0]
+        if ratio < best_ratio:
+            best_ratio, best_y = ratio, y.copy()
+    spectral_ok, _ = classes.dk_spectral_test(eigs, k, allow_any_k=True)
+    witness = dec.vectors @ best_y @ dec.vectors.conj().T
+    return classes.DkProbeResult(eigs, float(k), spectral_ok, float(best_ratio), witness, len(seeds))
+
+
+def _check_against_reference(s, k, rng):
+    res = classes.dk_ratio_minimize(s, k, starts=6, iters=40, rng=rng)
+    ref = _reference_probe(s, k, 6, 40, rng)
+    assert abs(res.best_ratio - ref.best_ratio) <= 1e-12 * ref.best_ratio
+    assert (res.verdict, res.spectral_ok, res.starts_used) == (ref.verdict, ref.spectral_ok, ref.starts_used)
+    direct = norm(classes.phi(s, k, res.witness), OP) / norm(res.witness, OP)
+    assert abs(direct - res.best_ratio) <= 1e-10 * res.best_ratio
+    return res
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_probe_matches_one_start_at_a_time(n, k):
+    rng = matcore.Rng(200 + n)
+    s = matcore.random_selfadjoint_invertible(n, 30.0, rng.substream(0))
+    _check_against_reference(s, k, rng.substream(1))
+
+
+def test_probe_without_random_starts_descends_the_seeds():
+    s = np.diag([1.0, 2.0, -3.0])
+    res = classes.dk_ratio_minimize(s, 1.0, starts=0, iters=5)
+    assert res.starts_used == 9 + 1
+    assert res.best_ratio == pytest.approx(_reference_probe(s, 1.0, 0, 5, matcore.Rng(0)).best_ratio, rel=1e-12)
+
+
+# (n, k, substream) of constrained spectra whose C is not PSD: there the
+# best ratio comes from the descent, not from a seed.
+@pytest.mark.parametrize("n, k, i", [(3, 0.5, 43), (3, 1.0, 58), (3, 2.0, 18), (4, 0.5, 349), (5, 0.5, 309)])
+def test_probe_descent_matches_one_start_at_a_time(n, k, i):
+    lam, _ = conjecture.sample_constrained_spectrum(n, k, matcore.Rng(7).substream(i))
+    res = _check_against_reference(np.diag(lam), k, matcore.Rng(1))
+    seeds_only = classes.dk_ratio_minimize(np.diag(lam), k, starts=6, iters=0, rng=matcore.Rng(1))
+    assert res.best_ratio < seeds_only.best_ratio - 1e-9
+    assert res.verdict == "violated"
 
 
 @settings(max_examples=15, deadline=None)

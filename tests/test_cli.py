@@ -3,9 +3,10 @@ summary output, determinism, exit codes."""
 
 import json
 
+import numpy as np
 import pytest
 
-from normlab import cli
+from normlab import cli, matcore
 from normlab.errors import ConfigInvalid, IoFailure, UsageError
 from normlab.norms import NormKind
 
@@ -100,6 +101,19 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, argv):
     assert cli.main([*argv, "--count", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["heinz", "zhan", "cor24", "dk"])
+def test_cond_beyond_kernel_tolerance_exits_2(tmp_path, capsys, suite):
+    # Past 1 / POSDEF_RTOL the sampled matrices fail the kernels' positive
+    # definiteness and singularity checks, so the bound is a config error.
+    out = tmp_path / "out.jsonl"
+    argv = ["verify", "--suite", suite, "--dim", "4", "--count", "5", "--seed", "3", "--cond", "2e12"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: --cond" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -209,6 +223,30 @@ def test_report_rejects_records_that_are_not_objects(tmp_path, capsys):
         cli._read_jsonl(str(out))
     assert cli.main(["report", "--out", str(out)]) == 4
     assert "io failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("count", "x"),
+        ("count", True),
+        ("pass_count", 1.5),
+        ("fail_count", None),
+        ("instance", "3"),
+        ("min_margin", "0.1"),
+        ("min_eig", [0.1]),
+        ("margins", 0.1),
+        ("margins", [0.1, None]),
+    ],
+)
+def test_report_rejects_fields_of_the_wrong_type(tmp_path, capsys, field, value):
+    out = tmp_path / "bad.jsonl"
+    good = {"suite": "cpr", "count": 2, "min_margin": None, "margins": [0.5, 1]}
+    out.write_text(json.dumps(good) + "\n" + json.dumps({"suite": "cpr", field: value}) + "\n")
+    assert cli.main(["report", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "io failure" in err
+    assert "Traceback" not in err
 
 
 _NORMS = ("op", "schatten:1")
@@ -416,11 +454,14 @@ def test_multi_norm_records_equal_single_norm_runs(tmp_path, suite, extra):
 
 
 @pytest.mark.parametrize("suite", ["heinz", "cpr"])
-def test_numerical_failure_exits_3(tmp_path, capsys, suite):
-    # At --cond 1e300 the sampled pair is not positive definite (heinz) and
-    # the sampled S is singular (cpr) in floating point.
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, suite):
+    # --cond cannot reach the kernels' tolerances, so the sampler is made to
+    # return a pair member that is not positive definite (heinz) and an S
+    # that is singular (cpr) in floating point.
+    sampler = {"heinz": "random_posdef", "cpr": "random_selfadjoint_invertible"}[suite]
+    monkeypatch.setattr(matcore, sampler, lambda n, cond, rng: np.diag([1.0, 1.0, 0.0]).astype(complex))
     out = tmp_path / "out.jsonl"
-    argv = ["verify", "--suite", suite, "--dim", "3", "--count", "1", "--cond", "1e300", "--out", str(out)]
+    argv = ["verify", "--suite", suite, "--dim", "3", "--count", "1", "--out", str(out)]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ")
