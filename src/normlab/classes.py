@@ -83,8 +83,9 @@ def phi(s, k: float, x) -> np.ndarray:
 
 
 def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
-    # M_ij = l_i/l_j + l_j/l_i + k, the eigenbasis multiplier of phi(S, k).
-    ratio = np.divide.outer(eigs, eigs)
+    # M_ij = l_i/l_j + l_j/l_i + k, the eigenbasis multiplier of phi(S, k);
+    # an (..., n) stack of spectra gives an (..., n, n) stack.
+    ratio = eigs[..., :, None] / eigs[..., None, :]
     return ratio + 1.0 / ratio + k
 
 

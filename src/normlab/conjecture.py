@@ -14,8 +14,12 @@ spectrum satisfies the pairwise constraint
     |l_i/l_j + l_j/l_i + k| >= k + 2.
 
 This module samples constrained spectra at scale, records any PSD
-failures to a JSONL file as they are found, and cross-checks the
-multiplier bound on explicit probes.
+failures to a JSONL file, and cross-checks the multiplier bound on
+explicit probes.  The search runs on stacks: the constraint test, the C
+build and the PSD test take a leading stack axis, and one call of each
+covers a chunk of SEARCH_CHUNK spectra (one eigvalsh per chunk).  On a
+single spectrum or matrix they return scalars.  Violations are written in
+instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -26,16 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classes, matcore
-from .errors import DegenerateDenominator, InvalidK, SamplerExhausted, ZeroLambda
+from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, SamplerExhausted, ZeroLambda
 from .norms import OP, stack_norms
 
 __all__ = [
     "ConstraintResult",
-    "ConjectureInstance",
     "KSummary",
     "constraint_check",
     "build_conj_matrix",
-    "make_instance",
     "psd_check",
     "sample_constrained_spectrum",
     "conjecture_search",
@@ -48,26 +50,22 @@ PSD_SLACK = 1e-10
 # Relative floor below which a denominator counts as degenerate.
 DEGENERATE_RTOL = 1e-12
 HIST_BINS = 20
+# Attempts each spectrum draws from its stream per sampling round.
+SAMPLE_BLOCK = 8
+# Spectra per sampler call, C stack and eigvalsh in the search; bounds the
+# search's memory at any count.
+SEARCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class ConstraintResult:
-    ok: bool
-    min_value: float
-    pair: tuple[int, int]
+    """Constraint verdict; for an (..., n) stack of spectra every field but
+    threshold is a (...)-shaped array and pair a tuple of two such arrays."""
+
+    ok: bool | np.ndarray
+    min_value: float | np.ndarray
+    pair: tuple
     threshold: float
-
-
-@dataclass(frozen=True)
-class ConjectureInstance:
-    """One fully evaluated spectrum: candidate matrix plus verdicts."""
-
-    k: float
-    lambdas: np.ndarray
-    constraint_ok: bool
-    matrix: np.ndarray
-    min_eig: float
-    psd: bool
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,8 @@ class KSummary:
 
 def _validated(lambdas, k: float) -> tuple[np.ndarray, float]:
     lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("lambdas must be a nonempty 1-D real vector")
+    if lam.ndim == 0 or lam.size == 0:
+        raise ValueError("lambdas must be a nonempty real vector or stack of vectors")
     if np.any(lam == 0.0):
         raise ZeroLambda("spectrum entries must be nonzero")
     k = float(k)
@@ -98,64 +96,64 @@ def _validated(lambdas, k: float) -> tuple[np.ndarray, float]:
 def constraint_check(lambdas, k: float) -> ConstraintResult:
     """Minimum of |l_i/l_j + l_j/l_i + k| over distinct-index pairs,
     against k + 2.  Self-pairs are exactly k + 2 and carry no information;
-    a singleton spectrum is trivially constrained."""
+    a singleton spectrum is trivially constrained.  Takes one spectrum or
+    an (..., n) stack of them."""
     lam, k = _validated(lambdas, k)
-    vals = np.abs(classes._multiplier_matrix(lam, k))
-    if lam.size > 1:
-        search = vals + np.diag(np.full(lam.size, np.inf))
-    else:
-        search = vals
-    idx = np.unravel_index(np.argmin(search), search.shape)
-    min_value = float(vals[idx])
+    n = lam.shape[-1]
+    vals = np.abs(classes._multiplier_matrix(lam, k)).reshape(lam.shape[:-1] + (n * n,))
+    # Self-pairs are masked with inf; a singleton's only pair is then (0, 0).
+    search = vals + np.diag(np.full(n, np.inf)).ravel()
+    flat = np.argmin(search, axis=-1)
+    min_value = np.take_along_axis(vals, flat[..., None], axis=-1)[..., 0]
     threshold = k + 2.0
-    return ConstraintResult(
-        ok=min_value >= threshold - classes.SPECTRAL_SLACK,
-        min_value=min_value,
-        pair=(int(idx[0]), int(idx[1])),
-        threshold=threshold,
-    )
+    ok = min_value >= threshold - classes.SPECTRAL_SLACK
+    i, j = np.divmod(flat, n)
+    if lam.ndim == 1:
+        return ConstraintResult(ok=bool(ok), min_value=float(min_value), pair=(int(i), int(j)), threshold=threshold)
+    return ConstraintResult(ok=ok, min_value=min_value, pair=(i, j), threshold=threshold)
 
 
 def build_conj_matrix(lambdas, k: float) -> np.ndarray:
-    """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k)."""
+    """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k);
+    an (..., n) stack of spectra gives an (..., n, n) stack."""
     lam, k = _validated(lambdas, k)
-    cross = np.multiply.outer(lam, lam)
+    cross = lam[..., :, None] * lam[..., None, :]
     sq = lam * lam
-    scale = np.add.outer(sq, sq)
+    scale = sq[..., :, None] + sq[..., None, :]
     den = scale + k * cross
     bad = np.abs(den) <= DEGENERATE_RTOL * scale
     if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        *at, i, j = np.argwhere(bad)[0]
+        where = f" of spectrum {tuple(map(int, at))}" if at else ""
         raise DegenerateDenominator(
-            f"denominator vanishes at pair ({i}, {j}): lambdas {lam[i]!r}, {lam[j]!r}, k={k}"
+            f"denominator vanishes at pair ({i}, {j}){where}: "
+            f"lambdas {lam[(*at, i)]!r}, {lam[(*at, j)]!r}, k={k}"
         )
     c = cross / den
-    np.fill_diagonal(c, 1.0 / (2.0 + k))
+    diag = np.arange(lam.shape[-1])
+    c[..., diag, diag] = 1.0 / (2.0 + k)
     return c
 
 
-def make_instance(lambdas, k: float) -> ConjectureInstance:
-    """Evaluate one spectrum end to end (constraint, matrix, PSD verdict)."""
-    lam, k = _validated(lambdas, k)
-    c = build_conj_matrix(lam, k)
-    min_eig, psd = psd_check(c)
-    return ConjectureInstance(
-        k=k,
-        lambdas=lam,
-        constraint_ok=constraint_check(lam, k).ok,
-        matrix=c,
-        min_eig=min_eig,
-        psd=psd,
-    )
-
-
 def psd_check(c) -> tuple[float, bool]:
-    """(min eigenvalue, PSD verdict) with slack scaled by the top eigenvalue."""
-    c = matcore.as_matrix(c)
+    """(min eigenvalue, PSD verdict) with slack scaled by the top eigenvalue.
+
+    An (..., n, n) stack gives both as (...)-shaped arrays from one
+    eigvalsh.  The input is cast to complex, so a stack and its matrices
+    taken one at a time go through the same LAPACK routine and agree
+    bitwise."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={c.ndim}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("matrix entries must be finite")
     matcore.require_hermitian(c)
     eigs = np.linalg.eigvalsh(c)
-    min_eig = float(eigs[0])
-    return min_eig, min_eig >= -PSD_SLACK * max(1.0, float(eigs[-1]))
+    min_eig = eigs[..., 0]
+    ok = min_eig >= -PSD_SLACK * np.maximum(1.0, eigs[..., -1])
+    if c.ndim == 2:
+        return float(min_eig), bool(ok)
+    return min_eig, ok
 
 
 def sample_constrained_spectrum(
@@ -168,19 +166,46 @@ def sample_constrained_spectrum(
 
     Magnitudes are log-uniform over four decades with independent random
     signs, so mixed-sign pairs with close magnitudes (the binding case of
-    the constraint) appear often enough to stress the boundary.
+    the constraint) appear often enough to stress the boundary.  An attempt
+    takes 2n doubles d of the stream: magnitudes 10**(-2 + 4d) from the
+    first n, a minus sign where d < 1/2 for the next n.  `rejected` is the
+    number of attempts before the accepted one.
+
+    rng may also be a sequence of m Rngs; the result is then an (m, n)
+    stack and an (m,) array of counts, the same as m single calls.  Every
+    spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
+    test covers the blocks of all spectra still pending; draws past the
+    accepted attempt are discarded with the spectrum's generator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator()
-    for attempt in range(int(max_draws)):
-        lam = 10.0 ** g.uniform(-2.0, 2.0, size=n)
-        lam *= np.where(g.random(n) < 0.5, -1.0, 1.0)
-        if constraint_check(lam, k).ok:
-            return lam, attempt
-    raise SamplerExhausted(
-        f"no constrained spectrum after {max_draws} draws (n={n}, k={k})"
-    )
+    single = isinstance(rng, matcore.Rng)
+    gens = [r.generator() for r in ([rng] if single else rng)]
+    lams = np.empty((len(gens), n))
+    rejected = np.empty(len(gens), dtype=int)
+    pending = np.arange(len(gens))
+    max_draws = int(max_draws)
+    for first in range(0, max_draws, SAMPLE_BLOCK):
+        if not pending.size:
+            break
+        draws = np.stack([gens[p].random((SAMPLE_BLOCK, 2, n)) for p in pending])
+        lam = 10.0 ** (-2.0 + 4.0 * draws[:, :, 0])
+        lam = np.where(draws[:, :, 1] < 0.5, -lam, lam)
+        ok = constraint_check(lam, k).ok
+        ok[:, max_draws - first :] = False
+        hit = ok.any(axis=1)
+        at = ok.argmax(axis=1)[hit]
+        done = pending[hit]
+        lams[done] = lam[hit, at]
+        rejected[done] = first + at
+        pending = pending[~hit]
+    if pending.size:
+        raise SamplerExhausted(
+            f"no constrained spectrum after {max_draws} draws (n={n}, k={k})"
+        )
+    if single:
+        return lams[0], int(rejected[0])
+    return lams, rejected
 
 
 def conjecture_search(
@@ -193,9 +218,13 @@ def conjecture_search(
 ) -> list[KSummary]:
     """Sample `count` constrained spectra per k and test PSD of each C.
 
-    Violations are appended to violations_path as JSONL the moment they
-    are found, one object per line with keys k, lambdas, min_eig, seed,
-    instance, so a crashed run keeps everything seen so far.
+    Instance i of the k_idx-th k draws from rng.substream(k_idx).substream(i).
+    The instances of one k go SEARCH_CHUNK at a time through one sampler
+    call, one C stack and one PSD test, so no result depends on the chunk
+    size.  Violations are appended to violations_path as JSONL in instance
+    order at the end of each chunk, one object per line with keys k,
+    lambdas, min_eig, seed, instance, so a crashed run keeps every chunk
+    finished before the crash.
     """
     if n < 2:
         raise ValueError("search needs n >= 2 (n=1 is trivially PSD)")
@@ -204,28 +233,30 @@ def conjecture_search(
     try:
         for k_idx, k in enumerate(k_list):
             k = float(k)
+            stream = rng.substream(k_idx)
             min_eigs = np.empty(count)
             rejected = 0
             violations = 0
-            for i in range(count):
-                sub = rng.substream(k_idx).substream(i)
-                lam, rej = sample_constrained_spectrum(n, k, sub, max_draws=max_draws)
-                rejected += rej
-                c = build_conj_matrix(lam, k)
-                min_eig, ok = psd_check(c)
-                min_eigs[i] = min_eig
-                if not ok:
-                    violations += 1
-                    if sink is not None:
+            for start in range(0, count, SEARCH_CHUNK):
+                stop = min(start + SEARCH_CHUNK, count)
+                rngs = [stream.substream(i) for i in range(start, stop)]
+                lams, rej = sample_constrained_spectrum(n, k, rngs, max_draws=max_draws)
+                rejected += int(rej.sum())
+                mins, ok = psd_check(build_conj_matrix(lams, k))
+                min_eigs[start:stop] = mins
+                bad = np.flatnonzero(~ok)
+                violations += bad.size
+                if sink is not None and bad.size:
+                    for b in bad:
                         record = {
                             "k": k,
-                            "lambdas": [float(v) for v in lam],
-                            "min_eig": min_eig,
+                            "lambdas": [float(v) for v in lams[b]],
+                            "min_eig": float(mins[b]),
                             "seed": rng.seed,
-                            "instance": i,
+                            "instance": start + int(b),
                         }
                         sink.write(json.dumps(record) + "\n")
-                        sink.flush()
+                    sink.flush()
             counts, edges = np.histogram(min_eigs, bins=HIST_BINS)
             summaries.append(
                 KSummary(

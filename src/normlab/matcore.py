@@ -128,9 +128,12 @@ def _require_square(a: np.ndarray) -> None:
 
 
 def require_hermitian(a: np.ndarray) -> None:
-    """Raise NotHermitian unless A equals A* within HERMITICITY_RTOL."""
-    scale_ = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * scale_:
+    """Raise NotHermitian unless A, or every matrix of an (..., n, n) stack,
+    equals its adjoint within HERMITICITY_RTOL (Frobenius norm, relative to
+    max(1, |A|))."""
+    axes = None if a.ndim == 2 else (-2, -1)
+    scale_ = np.maximum(1.0, np.linalg.norm(a, axis=axes))
+    if np.any(np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=axes) > HERMITICITY_RTOL * scale_):
         raise NotHermitian("matrix is not self-adjoint within tolerance")
 
 

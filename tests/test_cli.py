@@ -1,10 +1,15 @@
 """Command-line campaigns: argument handling, config merge, record and
 summary output, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab import cli, matcore
 from normlab.errors import ConfigInvalid, IoFailure, UsageError
@@ -317,6 +322,32 @@ def test_conjecture_run(tmp_path):
     assert len(summary) == 3
     for row in summary[1:]:
         assert row.split(",")[-1] != ""  # min_eig column filled
+
+
+_FUZZ_K = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, -0.0, 2.5, 1e300]),
+    st.floats(-1.0, 3.0),
+)
+# Half the --k lists lie in [0, 2], so runs are frequent, not only rejections.
+_FUZZ_K_LIST = st.one_of(
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    st.lists(_FUZZ_K, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(-2, 14), ks=_FUZZ_K_LIST, count=st.integers(-1, 4))
+def test_conjecture_cli_fuzz(n, ks, count):
+    # Every configuration ends in a documented exit code: 0 for a run, 2
+    # for an out-of-range --n, --k or --count, 3 for a numerical failure.
+    # None escapes as a traceback.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        argv = ["conjecture", "--n", str(n), "--k=" + ",".join(map(repr, ks)), "--count", str(count)]
+        code = cli.main(argv + ["--seed", "1", "--no-timing", "--out", tmp + "/conj.jsonl"])
+    valid = 2 <= n <= 12 and count >= 1 and all(0.0 <= k <= 2.0 for k in ks)
+    assert code in ({0, 3} if valid else {2}), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_dk_probe_run(tmp_path):

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from normlab import conjecture, matcore
+from normlab import classes, conjecture, matcore
 from normlab.errors import (
     DegenerateDenominator,
     InvalidK,
+    NotHermitian,
     SamplerExhausted,
     ZeroLambda,
 )
@@ -110,14 +111,6 @@ def test_psd_check_hand_cases():
     assert abs(min_eig) <= 1e-15
 
 
-def test_make_instance_fields():
-    inst = conjecture.make_instance([1.0, 3.0], 1.0)
-    assert inst.constraint_ok
-    assert inst.psd
-    assert inst.matrix.shape == (2, 2)
-    assert inst.min_eig == pytest.approx(np.linalg.eigvalsh(inst.matrix)[0])
-
-
 def test_sampler_respects_constraint_and_determinism():
     lam, rejected = conjecture.sample_constrained_spectrum(4, 1.0, matcore.Rng(133))
     assert conjecture.constraint_check(lam, 1.0).ok
@@ -133,6 +126,150 @@ def test_sampler_exhaustion():
     # groups; three draws cannot find one.
     with pytest.raises(SamplerExhausted):
         conjecture.sample_constrained_spectrum(12, 2.0, matcore.Rng(0), max_draws=3)
+
+
+def test_stacks_match_single_spectra():
+    # The constraint, the C build and the PSD test on a stack return, entry
+    # by entry, exactly what they return on each spectrum alone.
+    g = matcore.Rng(137).generator()
+    lams = 10.0 ** g.uniform(-2, 2, size=(3, 4, 5)) * np.where(g.random((3, 4, 5)) < 0.5, -1, 1)
+    res = conjecture.constraint_check(lams, 1.0)
+    c = conjecture.build_conj_matrix(lams, 1.0)
+    min_eig, ok = conjecture.psd_check(c)
+    assert res.ok.shape == res.min_value.shape == min_eig.shape == ok.shape == (3, 4)
+    assert c.shape == (3, 4, 5, 5)
+    for idx in np.ndindex(3, 4):
+        one = conjecture.constraint_check(lams[idx], 1.0)
+        assert (res.ok[idx], res.min_value[idx], res.pair[0][idx], res.pair[1][idx]) == (
+            one.ok, one.min_value, one.pair[0], one.pair[1]
+        )
+        single = conjecture.build_conj_matrix(lams[idx], 1.0)
+        assert np.array_equal(c[idx], single)
+        assert (min_eig[idx], ok[idx]) == conjecture.psd_check(single)
+
+
+def test_stack_guards_apply_to_every_matrix():
+    lams = np.array([[1.0, 2.0], [1.0, -1.0]])
+    with pytest.raises(DegenerateDenominator, match=r"spectrum \(1,\)"):
+        conjecture.build_conj_matrix(lams, 2.0)
+    stack = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+    with pytest.raises(NotHermitian):
+        conjecture.psd_check(stack)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        conjecture.psd_check(stack)
+    with pytest.raises(ZeroLambda):
+        conjecture.constraint_check(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
+
+
+# Reference search: one spectrum at a time and one attempt per iteration,
+# with the constraint, C and PSD test written out, so the stacked path is
+# compared with arithmetic it does not share.
+
+
+def _reference_constrained(lam, k):
+    ratio = np.divide.outer(lam, lam)
+    vals = np.abs(ratio + 1.0 / ratio + k)
+    return vals[~np.eye(lam.size, dtype=bool)].min() >= k + 2.0 - classes.SPECTRAL_SLACK
+
+
+def _reference_psd_check(lam, k):
+    cross = np.multiply.outer(lam, lam)
+    sq = lam * lam
+    c = cross / (np.add.outer(sq, sq) + k * cross)
+    np.fill_diagonal(c, 1.0 / (2.0 + k))
+    eigs = np.linalg.eigvalsh(c.astype(complex))
+    min_eig = float(eigs[0])
+    return min_eig, min_eig >= -conjecture.PSD_SLACK * max(1.0, float(eigs[-1]))
+
+
+def _reference_sampler(n, k, rng, max_draws=10**4):
+    # One attempt per iteration: n exponents by uniform(-2, 2), then n
+    # sign draws by random.
+    g = rng.generator()
+    for attempt in range(max_draws):
+        lam = 10.0 ** g.uniform(-2.0, 2.0, size=n)
+        lam *= np.where(g.random(n) < 0.5, -1.0, 1.0)
+        if _reference_constrained(lam, k):
+            return lam, attempt
+    raise SamplerExhausted(f"no constrained spectrum after {max_draws} draws")
+
+
+def _reference_search(n, k_list, count, rng, path):
+    # One PSD test per spectrum, violations written as they are found.
+    out = []
+    with open(path, "a") as sink:
+        for k_idx, k in enumerate(k_list):
+            min_eigs = np.empty(count)
+            rejected = violations = 0
+            for i in range(count):
+                lam, rej = _reference_sampler(n, k, rng.substream(k_idx).substream(i))
+                rejected += rej
+                min_eig, ok = _reference_psd_check(lam, k)
+                min_eigs[i] = min_eig
+                if not ok:
+                    violations += 1
+                    record = {
+                        "k": k,
+                        "lambdas": [float(v) for v in lam],
+                        "min_eig": min_eig,
+                        "seed": rng.seed,
+                        "instance": i,
+                    }
+                    sink.write(json.dumps(record) + "\n")
+            counts, edges = np.histogram(min_eigs, bins=conjecture.HIST_BINS)
+            out.append((k, rejected, violations, float(min_eigs.min()), counts, edges))
+    return out
+
+
+K_GRID = [0.0, 0.5, 1.0, 2.0]
+
+
+def _assert_search_matches_reference(tmp_path, n, count, seed):
+    ref_path, new_path = tmp_path / "ref.jsonl", tmp_path / "new.jsonl"
+    ref = _reference_search(n, K_GRID, count, matcore.Rng(seed), ref_path)
+    new = conjecture.conjecture_search(n, K_GRID, count, matcore.Rng(seed), violations_path=new_path)
+    for r, s in zip(ref, new, strict=True):
+        assert (s.k, s.accepted, s.rejected, s.violations, s.min_eig_overall) == (r[0], count, *r[1:4])
+        assert np.array_equal(s.hist_counts, r[4])
+        assert np.array_equal(s.hist_edges, r[5])
+    assert new_path.read_bytes() == ref_path.read_bytes()
+    return new
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_stacked_search_matches_per_spectrum_reference(tmp_path, monkeypatch, n, seed):
+    # A chunk of 16 makes 37 instances three chunks, the last one short.
+    monkeypatch.setattr(conjecture, "SEARCH_CHUNK", 16)
+    new = _assert_search_matches_reference(tmp_path, n, 37, seed)
+    if n == 8:
+        # About 2 % of n = 8, k = 2 attempts pass, so most spectra need
+        # blocks beyond their first.
+        assert new[-1].rejected > 37 * conjecture.SAMPLE_BLOCK
+        assert sum(s.violations for s in new) > 0
+
+
+def test_stacked_search_matches_reference_at_default_chunk(tmp_path):
+    _assert_search_matches_reference(tmp_path, 3, conjecture.SEARCH_CHUNK + 5, 1)
+
+
+def test_stacked_sampler_matches_single_calls_and_max_draws():
+    rngs = [matcore.Rng(138).substream(i) for i in range(30)]
+    lams, rejected = conjecture.sample_constrained_spectrum(6, 1.0, rngs)
+    assert lams.shape == (30, 6) and rejected.shape == (30,)
+    for rng, lam, rej in zip(rngs, lams, rejected):
+        ref_lam, ref_rej = _reference_sampler(6, 1.0, rng)
+        assert np.array_equal(lam, ref_lam) and rej == ref_rej
+        assert conjecture.sample_constrained_spectrum(6, 1.0, rng)[1] == ref_rej
+    # max_draws counts attempts, not blocks: an instance accepted at
+    # attempt r needs max_draws > r, wherever r falls in a block.
+    late = [(rng, int(rej)) for rng, rej in zip(rngs, rejected) if rej % conjecture.SAMPLE_BLOCK]
+    assert late
+    for rng, rej in late[:5]:
+        with pytest.raises(SamplerExhausted):
+            conjecture.sample_constrained_spectrum(6, 1.0, [rng], max_draws=rej)
+        assert conjecture.sample_constrained_spectrum(6, 1.0, [rng], max_draws=rej + 1)[1][0] == rej
 
 
 def test_search_small_run(tmp_path):
