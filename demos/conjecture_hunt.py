@@ -19,13 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from normlab import Rng
-from normlab.classes import dk_ratio_minimize, phi
-from normlab.conjecture import (
-    build_conj_matrix,
-    conjecture_search,
-    constraint_check,
-    psd_check,
-)
+from normlab.classes import constraint_check, dk_ratio_minimize, phi
+from normlab.conjecture import build_conj_matrix, conjecture_search, psd_check
 
 
 def main() -> None:

@@ -15,8 +15,8 @@ from normlab.classes import (
     EQUALITY_FORMS,
     FORMS,
     characterization_check,
+    constraint_check,
     dk_ratio_minimize,
-    dk_spectral_test,
     sample_for_form,
     schur_rep_residual,
 )
@@ -34,11 +34,9 @@ def main() -> None:
 
     print("\nspectral screen for the lower bound |phi| >= (k+2)|X|:")
     for eigs, k in (([1.0, 2.0, 4.0], 0.0), ([1.0, -1.0], 1.0), ([1.0, -4.0], 1.0)):
-        ok, vals = dk_spectral_test(np.array(eigs), k)
-        # Self-pairs sit at k+2 exactly; the cross pairs carry the signal.
-        off = vals[~np.eye(len(eigs), dtype=bool)]
-        print(f"  spectrum {eigs}, k = {k}: min cross-pair value {off.min():.4f} "
-              f"vs {k + 2:.1f} -> {'passes' if ok else 'excluded'}")
+        res = constraint_check(eigs, k)
+        print(f"  spectrum {eigs}, k = {k}: min cross-pair value {res.min_value:.4f} "
+              f"vs {k + 2:.1f} -> {'passes' if res.ok else 'excluded'}")
 
     print("\nratio probe on an excluded spectrum (confirms with a violating X):")
     res = dk_ratio_minimize(np.diag([1.0, -1.0]), 1.0, starts=8, iters=100,

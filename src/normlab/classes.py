@@ -6,8 +6,10 @@ eigenbasis: with S = Q diag(l) Q* and X~ = Q*XQ,
 
     phi(S,k,X) = Q (M o X~) Q*,   M_ij = l_i/l_j + l_j/l_i + k.
 
-That representation powers the spectral membership test, the residual
-check, the bound check against the classical PSD multiplier theorem, and a
+That representation powers the pairwise criterion min |M_ij| >= k+2
+(constraint_check, which takes one spectrum or a stack of them and serves
+both the ratio probe and the conjecture search), the residual check, the
+bound check against the classical PSD multiplier theorem, and a
 multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
 which descends all its starts as one (S, n, n) stack with one batched SVD
 of M o Y and one of Y per iteration.
@@ -24,16 +26,17 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
-from .errors import DimensionMismatch, InvalidK, NotPSD, Singular, ZeroEigenvalue
+from .errors import DimensionMismatch, NotPSD, Singular
 from .norms import OP, stack_norms
 
 __all__ = [
+    "ConstraintResult",
     "DkProbeResult",
     "CharacterizationForm",
     "FORMS",
     "EQUALITY_FORMS",
     "phi",
-    "dk_spectral_test",
+    "constraint_check",
     "schur_rep_residual",
     "schur_theorem_bound_check",
     "dk_ratio_minimize",
@@ -89,6 +92,40 @@ def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
     return ratio + 1.0 / ratio + k
 
 
+@dataclass(frozen=True)
+class ConstraintResult:
+    """Pairwise criterion verdict; for an (..., n) stack of spectra every
+    field but threshold is a (...)-shaped array and pair a tuple of two such
+    arrays."""
+
+    ok: bool | np.ndarray
+    min_value: float | np.ndarray
+    pair: tuple
+    threshold: float
+
+
+def constraint_check(lambdas, k: float) -> ConstraintResult:
+    """Minimum of |l_i/l_j + l_j/l_i + k| over distinct-index pairs,
+    against k + 2, for any real k.  Self-pairs are exactly |k + 2| and never
+    fail; a singleton spectrum is trivially constrained.  Takes one spectrum
+    or an (..., n) stack of them.  The criterion is necessary for membership
+    when S is self-adjoint with the given eigenvalues."""
+    lam = matcore.as_spectrum(lambdas)
+    k = float(k)
+    n = lam.shape[-1]
+    vals = np.abs(_multiplier_matrix(lam, k)).reshape(lam.shape[:-1] + (n * n,))
+    # Self-pairs are masked with inf; a singleton's only pair is then (0, 0).
+    search = vals + np.diag(np.full(n, np.inf)).ravel()
+    flat = np.argmin(search, axis=-1)
+    min_value = np.take_along_axis(vals, flat[..., None], axis=-1)[..., 0]
+    threshold = k + 2.0
+    ok = min_value >= threshold - SPECTRAL_SLACK
+    i, j = np.divmod(flat, n)
+    if lam.ndim == 1:
+        return ConstraintResult(ok=bool(ok), min_value=float(min_value), pair=(int(i), int(j)), threshold=threshold)
+    return ConstraintResult(ok=ok, min_value=min_value, pair=(i, j), threshold=threshold)
+
+
 def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ratio |M o Y| / |Y| (operator norm) of every matrix of an (S, n, n)
     stack, and a subgradient of each ratio, from one batched SVD of M o Y
@@ -108,26 +145,6 @@ def _frobenius(y: np.ndarray) -> np.ndarray:
     and this keeps every start on the iterates it takes alone."""
     f = y.reshape(len(y), 1, y.shape[1] * y.shape[2])
     return np.sqrt(f.real @ f.real.transpose(0, 2, 1) + f.imag @ f.imag.transpose(0, 2, 1))
-
-
-def dk_spectral_test(eigs, k: float, allow_any_k: bool = False) -> tuple[bool, np.ndarray]:
-    """Pairwise criterion |l_i/l_j + l_j/l_i + k| >= k+2 over the spectrum.
-
-    Returns (ok, values) where values[i, j] is the left side for the pair
-    (i, j).  The criterion is necessary for membership when S is
-    self-adjoint with the given eigenvalues.  k < 0 is rejected unless
-    allow_any_k is set (the bound below is vacuous there).
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ValueError("eigs must be a nonempty 1-D real vector")
-    if np.any(eigs == 0.0):
-        raise ZeroEigenvalue("spectral criterion needs nonzero eigenvalues")
-    if k < 0.0 and not allow_any_k:
-        raise InvalidK(f"k must be >= 0 (pass allow_any_k=True to override), got {k}")
-    vals = np.abs(_multiplier_matrix(eigs, k))
-    ok = bool(np.all(vals >= k + 2.0 - SPECTRAL_SLACK))
-    return ok, vals
 
 
 def _selfadjoint_eigen(s) -> matcore.HermEigen:
@@ -195,7 +212,7 @@ def dk_ratio_minimize(
     eigs = dec.eigenvalues
     n = eigs.size
     m = _multiplier_matrix(eigs, k)
-    spectral_ok, _ = dk_spectral_test(eigs, k, allow_any_k=True)
+    spectral_ok = constraint_check(eigs, k).ok
 
     # One draw, consumed start by start: the real part, then the imaginary.
     w = rng.generator().standard_normal((int(starts), 2, n, n))

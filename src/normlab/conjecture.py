@@ -13,13 +13,13 @@ spectrum satisfies the pairwise constraint
 
     |l_i/l_j + l_j/l_i + k| >= k + 2.
 
-This module samples constrained spectra at scale, records any PSD
-failures to a JSONL file, and cross-checks the multiplier bound on
-explicit probes.  The search runs on stacks: the constraint test, the C
-build and the PSD test take a leading stack axis, and one call of each
-covers a chunk of SEARCH_CHUNK spectra (one eigvalsh per chunk).  On a
-single spectrum or matrix they return scalars.  Violations are written in
-instance order at the end of each chunk.
+This module samples constrained spectra at scale and records any PSD
+failures to a JSONL file.  The pairwise constraint is the ratio probe's
+criterion, classes.constraint_check.  The search runs on stacks: the
+constraint test, the C build and the PSD test take a leading stack axis,
+and one call of each covers a chunk of SEARCH_CHUNK spectra (one eigvalsh
+per chunk).  On a single spectrum or matrix they return scalars.
+Violations are written in instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -29,20 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classes, matcore
-from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, SamplerExhausted, ZeroLambda
-from .norms import OP, stack_norms
+from . import matcore
+from .classes import constraint_check
+from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, SamplerExhausted
 
 __all__ = [
-    "ConstraintResult",
     "KSummary",
-    "constraint_check",
     "build_conj_matrix",
     "psd_check",
     "sample_constrained_spectrum",
     "conjecture_search",
     "load_violations",
-    "conditional_theorem_check",
 ]
 
 # PSD verdicts tolerate eigenvalues this far below zero (scaled).
@@ -58,17 +55,6 @@ SEARCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
-class ConstraintResult:
-    """Constraint verdict; for an (..., n) stack of spectra every field but
-    threshold is a (...)-shaped array and pair a tuple of two such arrays."""
-
-    ok: bool | np.ndarray
-    min_value: float | np.ndarray
-    pair: tuple
-    threshold: float
-
-
-@dataclass(frozen=True)
 class KSummary:
     """Per-k tally of one search run."""
 
@@ -81,42 +67,17 @@ class KSummary:
     hist_edges: np.ndarray
 
 
-def _validated(lambdas, k: float) -> tuple[np.ndarray, float]:
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim == 0 or lam.size == 0:
-        raise ValueError("lambdas must be a nonempty real vector or stack of vectors")
-    if np.any(lam == 0.0):
-        raise ZeroLambda("spectrum entries must be nonzero")
+def _conjecture_k(k) -> float:
     k = float(k)
     if not 0.0 <= k <= 2.0:
         raise InvalidK(f"conjecture is stated for k in [0, 2], got {k}")
-    return lam, k
-
-
-def constraint_check(lambdas, k: float) -> ConstraintResult:
-    """Minimum of |l_i/l_j + l_j/l_i + k| over distinct-index pairs,
-    against k + 2.  Self-pairs are exactly k + 2 and carry no information;
-    a singleton spectrum is trivially constrained.  Takes one spectrum or
-    an (..., n) stack of them."""
-    lam, k = _validated(lambdas, k)
-    n = lam.shape[-1]
-    vals = np.abs(classes._multiplier_matrix(lam, k)).reshape(lam.shape[:-1] + (n * n,))
-    # Self-pairs are masked with inf; a singleton's only pair is then (0, 0).
-    search = vals + np.diag(np.full(n, np.inf)).ravel()
-    flat = np.argmin(search, axis=-1)
-    min_value = np.take_along_axis(vals, flat[..., None], axis=-1)[..., 0]
-    threshold = k + 2.0
-    ok = min_value >= threshold - classes.SPECTRAL_SLACK
-    i, j = np.divmod(flat, n)
-    if lam.ndim == 1:
-        return ConstraintResult(ok=bool(ok), min_value=float(min_value), pair=(int(i), int(j)), threshold=threshold)
-    return ConstraintResult(ok=ok, min_value=min_value, pair=(i, j), threshold=threshold)
+    return k
 
 
 def build_conj_matrix(lambdas, k: float) -> np.ndarray:
     """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k);
     an (..., n) stack of spectra gives an (..., n, n) stack."""
-    lam, k = _validated(lambdas, k)
+    lam, k = matcore.as_spectrum(lambdas), _conjecture_k(k)
     cross = lam[..., :, None] * lam[..., None, :]
     sq = lam * lam
     scale = sq[..., :, None] + sq[..., None, :]
@@ -224,15 +185,19 @@ def conjecture_search(
     size.  Violations are appended to violations_path as JSONL in instance
     order at the end of each chunk, one object per line with keys k,
     lambdas, min_eig, seed, instance, so a crashed run keeps every chunk
-    finished before the crash.
+    finished before the crash.  A k outside [0, 2] (InvalidK) or a count
+    that is not an integer >= 0 (ValueError) is rejected before the file is
+    opened.
     """
     if n < 2:
         raise ValueError("search needs n >= 2 (n=1 is trivially PSD)")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    k_list = [_conjecture_k(k) for k in k_list]
     summaries = []
     sink = open(violations_path, "a") if violations_path is not None else None
     try:
         for k_idx, k in enumerate(k_list):
-            k = float(k)
             stream = rng.substream(k_idx)
             min_eigs = np.empty(count)
             rejected = 0
@@ -287,39 +252,3 @@ def load_violations(path) -> list[dict]:
     except FileNotFoundError:
         return []
     return records
-
-
-def conditional_theorem_check(
-    lambdas,
-    k: float,
-    x_samples: int,
-    rng: matcore.Rng,
-    rtol: float = 1e-10,
-) -> dict:
-    """Cross-check: PSD of C must imply the (k+2) lower bound on probes.
-
-    Evaluates |M o X| / |X| (operator norm) on a stack of random probes in
-    the eigenbasis, which equals the sandwich-map ratio for S = diag(lambdas).
-    Verdicts: 'consistent' (PSD and every probe respects the bound),
-    'anomaly' (PSD yet a probe dips below: implementation bug),
-    'nonmember-witnessed' (not PSD and a probe dips below),
-    'inconclusive' (not PSD, probes all respect the bound).
-    """
-    lam, k = _validated(lambdas, k)
-    c = build_conj_matrix(lam, k)
-    min_eig, psd = psd_check(c)
-    m = classes._multiplier_matrix(lam, k)
-    xs = np.stack([matcore.random_probe_matrix(lam.size, rng.substream(i)) for i in range(x_samples)])
-    worst = np.min(stack_norms(m * xs, (OP,))[0] / stack_norms(xs, (OP,))[0])
-    violated = worst < (k + 2.0) * (1.0 - rtol)
-    if psd:
-        verdict = "anomaly" if violated else "consistent"
-    else:
-        verdict = "nonmember-witnessed" if violated else "inconclusive"
-    return {
-        "min_eig": min_eig,
-        "psd": psd,
-        "worst_ratio": float(worst),
-        "bound": k + 2.0,
-        "verdict": verdict,
-    }

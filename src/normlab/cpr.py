@@ -24,9 +24,9 @@ from .errors import InvalidParams
 from .heinz import (
     DEFAULT_NODES,
     PairBasis,
-    _dominance,
-    _mean,
-    _mean_nodes,
+    dominance,
+    mean_nodes,
+    nodes_mean,
     pair_basis,
     power_pair_sv,
     weighted_sv,
@@ -72,7 +72,7 @@ def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     matcore.require_hermitian(s)
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
-    return _dominance(("|SXS^-1+S^-1XS|", "2|X|"), s @ x @ si + si @ x @ s, x, 2.0, kinds, tol)
+    return dominance(("|SXS^-1+S^-1XS|", "2|X|"), s @ x @ si + si @ x @ s, x, 2.0, kinds, tol)
 
 
 def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -82,7 +82,7 @@ def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[Chain
     matcore.require_hermitian(t)
     si, ti = matcore.inverse(s), matcore.inverse(t)
     x = matcore.as_matrix(x)
-    return _dominance(("|SXT^-1+S^-1XT|", "2|X|"), s @ x @ ti + si @ x @ t, x, 2.0, kinds, tol)
+    return dominance(("|SXT^-1+S^-1XT|", "2|X|"), s @ x @ ti + si @ x @ t, x, 2.0, kinds, tol)
 
 
 def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -91,7 +91,7 @@ def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, 
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
     lhs = s.conj().T @ x @ si + si @ x @ s.conj().T
-    return _dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), lhs, x, 2.0, kinds, tol)
+    return dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), lhs, x, 2.0, kinds, tol)
 
 
 def zhan_chain(
@@ -162,7 +162,7 @@ def _zhan_reports(
         lo, hi = r - 0.5, 1.0
         mid = (2.0 * r + 3.0) / 4.0
 
-    pts, w = _mean_nodes(lo, hi, lo, nodes)
+    pts, w = mean_nodes(lo, hi, lo, nodes)
     h_sv = power_pair_sv(basis, np.concatenate(([1.5, r, mid], pts + 0.5)), total=2.0)
     # The quadratic bracket A^2 X + X B^2 + s AXB at s = t and s = 2, and AXB.
     la, mu = basis.a_eigs, basis.b_eigs
@@ -173,7 +173,7 @@ def _zhan_reports(
     reports = []
     for h, q in zip(norms_from_sv(h_sv, kinds), norms_from_sv(q_sv, kinds)):
         h32, h_r, h_mid = h[:3].tolist()
-        mean_h = _mean(h[3:], w, lo, hi)
+        mean_h = nodes_mean(h[3:], w, lo, hi)
         q_t, q_2, g = q.tolist()
         members = (
             2.0 * q_t,
@@ -224,7 +224,7 @@ def cor23_check(a, b, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[Cha
     abs_a = matcore.polar_abs(a)
     abs_b_star = matcore.polar_abs(b.conj().T)
     lhs = a.conj().T @ a @ x + x @ b @ b.conj().T + t * (abs_a @ x @ abs_b_star)
-    return _dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), lhs, a @ x @ b, t + 2.0, kinds, tol)
+    return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), lhs, a @ x @ b, t + 2.0, kinds, tol)
 
 
 def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -236,7 +236,7 @@ def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[Cha
     q_inv = matcore.frac_power(q, -1.0)
     p, q = matcore.as_matrix(p), matcore.as_matrix(q)
     lhs = p @ x @ q_inv + p_inv @ x @ q + t * x
-    return _dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), lhs, x, t + 2.0, kinds, tol)
+    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), lhs, x, t + 2.0, kinds, tol)
 
 
 def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -269,7 +269,7 @@ def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
 
 def _direct_sum_dominance(block_y, block_x, x, y, kinds, tol: float) -> tuple[ChainReport, ...]:
     lhs, rhs = matcore.direct_sum(block_y, block_x), matcore.direct_sum(x, y)
-    return _dominance(("|blockY(+)blockX|", "2|X(+)Y|"), lhs, rhs, 2.0, kinds, tol)
+    return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), lhs, rhs, 2.0, kinds, tol)
 
 
 def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:

@@ -38,10 +38,6 @@ class ZeroEigenvalue(NormlabError):
     """A spectral criterion received an eigenvalue equal to zero."""
 
 
-class ZeroLambda(NormlabError):
-    """The conjecture machinery received a zero lambda entry."""
-
-
 class InvalidK(NormlabError):
     """Shift parameter k outside the admissible range."""
 

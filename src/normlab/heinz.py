@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 from .norms import NormKind, norms_from_sv, stack_norms
 
 __all__ = [
@@ -72,12 +72,8 @@ class PairBasis:
 
 def pair_basis(a, b, x) -> PairBasis:
     """Diagonalize positive definite A and B once and rotate X."""
-    da = matcore.herm_eigen(a)
-    db = matcore.herm_eigen(b)
-    for dec in (da, db):
-        eigs = dec.eigenvalues
-        if eigs[0] <= matcore.POSDEF_RTOL * eigs[-1] or eigs[-1] <= 0.0:
-            raise NotPositiveDefinite("pair members must be positive definite")
+    da = matcore.posdef_eigen(a)
+    db = matcore.posdef_eigen(b)
     x = matcore.as_matrix(x)
     if x.shape != (da.eigenvalues.size, db.eigenvalues.size):
         raise DimensionMismatch(
@@ -135,7 +131,7 @@ def gauss_legendre_nodes(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, 
     return mid + half * base, half * w
 
 
-def _mean_nodes(lo: float, hi: float, endpoint: float, nodes: int):
+def mean_nodes(lo: float, hi: float, endpoint: float, nodes: int):
     """Nodes and weights for the mean over [lo, hi]; an interval shorter
     than DEGENERATE_INTERVAL is one node, the endpoint, with no weights."""
     if hi - lo < DEGENERATE_INTERVAL:
@@ -143,8 +139,8 @@ def _mean_nodes(lo: float, hi: float, endpoint: float, nodes: int):
     return gauss_legendre_nodes(lo, hi, nodes)
 
 
-def _mean(vals: np.ndarray, w, lo: float, hi: float) -> float:
-    """Mean of the integrand from its values at the nodes of _mean_nodes."""
+def nodes_mean(vals: np.ndarray, w, lo: float, hi: float) -> float:
+    """Mean of the integrand from its values at the nodes of mean_nodes."""
     if w is None:
         return float(vals[0])
     return float(np.dot(w, vals) / (hi - lo))
@@ -159,7 +155,7 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     return t1 + t2
 
 
-def _dominance(labels, larger, smaller, factor: float, kinds, tol: float) -> tuple[ChainReport, ...]:
+def dominance(labels, larger, smaller, factor: float, kinds, tol: float) -> tuple[ChainReport, ...]:
     """Two-value chains |larger| >= factor |smaller|, one per norm in kinds,
     from one batched SVD of the two matrices."""
     rows = stack_norms((larger, smaller), kinds).tolist()
@@ -170,14 +166,14 @@ def heinz_check(a, b, x, alpha: float, kinds, tol: float = DEFAULT_TOL) -> tuple
     """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|."""
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
     labels = ("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|")
-    return _dominance(labels, a @ x + x @ b, heinz_expr(a, b, x, alpha), 1.0, kinds, tol)
+    return dominance(labels, a @ x + x @ b, heinz_expr(a, b, x, alpha), 1.0, kinds, tol)
 
 
 def agm_check(a, b, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Two-value chain: |A*AX+XBB*| >= 2|AXB| for arbitrary A, B."""
     a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
     lhs = (a.conj().T @ a) @ x + x @ (b @ b.conj().T)
-    return _dominance(("|A*AX+XBB*|", "2|AXB|"), lhs, a @ x @ b, 2.0, kinds, tol)
+    return dominance(("|A*AX+XBB*|", "2|AXB|"), lhs, a @ x @ b, 2.0, kinds, tol)
 
 
 def integral_mean_norm(
@@ -198,7 +194,7 @@ def integral_mean_norm(
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
     basis = pair_basis(a, b, x)
     pts, w = gauss_legendre_nodes(lo, hi, nodes)
-    return _mean(norms_from_sv(power_pair_sv(basis, pts, total=1.0), (kind,))[0], w, lo, hi)
+    return nodes_mean(norms_from_sv(power_pair_sv(basis, pts, total=1.0), (kind,))[0], w, lo, hi)
 
 
 def kittaneh_chain(
@@ -253,12 +249,12 @@ def _kittaneh_reports(
         lo, hi = alpha, 1.0
         mid_map = 0.5 * (1.0 + alpha)
 
-    pts, w = _mean_nodes(lo, hi, alpha, nodes)
+    pts, w = mean_nodes(lo, hi, alpha, nodes)
     sv = power_pair_sv(basis, np.concatenate(([1.0, alpha, mid_map], pts)), total=1.0)
     reports = []
     for vals in norms_from_sv(sv, kinds):
         v_sum, v_alpha, v_mid = vals[:3].tolist()
-        v_int = _mean(vals[3:], w, lo, hi)
+        v_int = nodes_mean(vals[3:], w, lo, hi)
         v_half = 0.5 * v_sum + 0.5 * v_alpha
         reports.append(chain(_KITTANEH_LABELS, (v_sum, v_half, v_int, v_mid, v_alpha), tol=tol))
     return tuple(reports)

@@ -1,7 +1,8 @@
 """Dense complex linear algebra and seeded instance generation.
 
 Matrices are numpy ``complex128`` arrays throughout; ``as_matrix`` is the
-boundary validator (2-D, finite entries).  Decompositions wrap LAPACK via
+boundary validator (2-D, finite entries), and ``as_spectrum`` the one for
+real spectra (nonempty, nonzero entries).  Decompositions wrap LAPACK via
 numpy and normalize its conventions: eigenvalues ascending, singular values
 descending, errors mapped onto the :mod:`normlab.errors` taxonomy.
 
@@ -23,6 +24,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     Singular,
+    ZeroEigenvalue,
 )
 
 __all__ = [
@@ -30,8 +32,10 @@ __all__ = [
     "HermEigen",
     "SvdResult",
     "as_matrix",
+    "as_spectrum",
     "require_hermitian",
     "herm_eigen",
+    "posdef_eigen",
     "svd",
     "frac_power",
     "polar_abs",
@@ -43,7 +47,6 @@ __all__ = [
     "random_scaled_unitary",
     "random_scaled_reflection",
     "random_scaled_selfadjoint",
-    "random_hermitian",
     "ginibre",
     "random_probe_matrix",
     "inverse",
@@ -122,6 +125,20 @@ def as_matrix(a) -> np.ndarray:
     return out
 
 
+def as_spectrum(lambdas) -> np.ndarray:
+    """Coerce to a float array: one spectrum or an (..., n) stack of them.
+
+    Raises ValueError for an empty or 0-d input and ZeroEigenvalue for a
+    zero entry.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim == 0 or lam.size == 0:
+        raise ValueError("lambdas must be a nonempty real vector or stack of vectors")
+    if np.any(lam == 0.0):
+        raise ZeroEigenvalue("spectrum entries must be nonzero")
+    return lam
+
+
 def _require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -149,6 +166,17 @@ def herm_eigen(a) -> HermEigen:
     return HermEigen(eigenvalues=eigs, vectors=q)
 
 
+def posdef_eigen(a) -> HermEigen:
+    """herm_eigen of a positive definite matrix: raises NotPositiveDefinite
+    unless the smallest eigenvalue exceeds POSDEF_RTOL times the largest,
+    so negative powers stay well posed."""
+    dec = herm_eigen(a)
+    eigs = dec.eigenvalues
+    if eigs[0] <= POSDEF_RTOL * eigs[-1] or eigs[-1] <= 0.0:
+        raise NotPositiveDefinite("matrix is not positive definite within tolerance")
+    return dec
+
+
 def svd(a) -> SvdResult:
     """Singular value decomposition with descending singular values."""
     a = as_matrix(a)
@@ -162,15 +190,10 @@ def svd(a) -> SvdResult:
 def frac_power(p, s: float) -> np.ndarray:
     """Real power ``P**s`` of a positive definite matrix.
 
-    Defined spectrally: Q diag(eig**s) Q*.  Requires the smallest eigenvalue
-    to exceed POSDEF_RTOL times the largest, so negative exponents stay
-    well posed.
+    Defined spectrally: Q diag(eig**s) Q*, with P checked by posdef_eigen.
     """
-    dec = herm_eigen(p)
-    eigs = dec.eigenvalues
-    if eigs[0] <= POSDEF_RTOL * eigs[-1] or eigs[-1] <= 0.0:
-        raise NotPositiveDefinite("matrix is not positive definite within tolerance")
-    powered = (dec.vectors * eigs**s) @ dec.vectors.conj().T
+    dec = posdef_eigen(p)
+    powered = (dec.vectors * dec.eigenvalues**s) @ dec.vectors.conj().T
     # The spectral formula is Hermitian; rounding is folded back symmetrically.
     return 0.5 * (powered + powered.conj().T)
 
@@ -247,12 +270,6 @@ def random_scaled_selfadjoint(n: int, cond: float, rng: Rng) -> np.ndarray:
     c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
     eigs = _log_uniform(g, n, max(cond, 1.0)) * _random_signs(g, n)
     return c * _hermitian(_haar_from_generator(n, g), eigs)
-
-
-def random_hermitian(n: int, rng: Rng) -> np.ndarray:
-    """Gaussian Hermitian matrix (G + G*)/2."""
-    z = _ginibre_from_generator(n, n, rng.generator())
-    return 0.5 * (z + z.conj().T)
 
 
 def ginibre(n: int, m: int | None = None, rng: Rng | None = None) -> np.ndarray:

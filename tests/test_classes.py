@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normlab import classes, conjecture, matcore
 from normlab.classes import EQUALITY_FORMS, FORMS
-from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
+from normlab.errors import DimensionMismatch, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, norm
 
 
@@ -34,29 +34,56 @@ def test_phi_rejects_singular():
 
 
 def test_spectral_test_hand_cases():
-    ok, vals = classes.dk_spectral_test([1.0, 2.0], 0.0)
-    assert ok
-    assert vals[0, 1] == pytest.approx(2.5, abs=1e-14)
-    assert vals[0, 0] == pytest.approx(2.0, abs=1e-14)
+    res = classes.constraint_check([1.0, 2.0], 0.0)
+    assert res.ok
+    assert res.min_value == pytest.approx(2.5, abs=1e-14)
+    assert res.threshold == 2.0
 
-    ok, vals = classes.dk_spectral_test([1.0, -1.0], 1.0)
-    assert not ok
-    assert vals[0, 1] == pytest.approx(1.0, abs=1e-14)
+    res = classes.constraint_check([1.0, -1.0], 1.0)
+    assert not res.ok
+    assert res.min_value == pytest.approx(1.0, abs=1e-14)
 
     # k = 0 puts opposite-sign pairs exactly on the boundary.
-    ok, _ = classes.dk_spectral_test([1.0, -1.0], 0.0)
-    assert ok
+    res = classes.constraint_check([1.0, -1.0], 0.0)
+    assert res.ok
+    assert res.min_value == 2.0
 
 
 def test_spectral_test_validation():
     with pytest.raises(ZeroEigenvalue):
-        classes.dk_spectral_test([1.0, 0.0], 0.0)
-    with pytest.raises(InvalidK):
-        classes.dk_spectral_test([1.0, 2.0], -0.5)
-    ok, _ = classes.dk_spectral_test([1.0, 2.0], -0.5, allow_any_k=True)
-    assert ok is not None
+        classes.constraint_check([1.0, 0.0], 0.0)
     with pytest.raises(ValueError):
-        classes.dk_spectral_test(np.ones((2, 2)), 0.0)
+        classes.constraint_check([], 0.0)
+    with pytest.raises(ValueError):
+        classes.constraint_check(1.0, 0.0)
+    # The criterion is defined for every real k; only the conjecture
+    # restricts k to [0, 2].
+    assert classes.constraint_check([1.0, 2.0], -0.5).ok
+
+
+def _all_pairs_ok(eigs, k):
+    """The criterion over every pair, self-pairs included, as a 1-D
+    all-pairs test wrote it out."""
+    eigs = np.asarray(eigs, dtype=float)
+    ratio = np.divide.outer(eigs, eigs)
+    return bool(np.all(np.abs(ratio + 1.0 / ratio + k) >= k + 2.0 - classes.SPECTRAL_SLACK))
+
+
+@pytest.mark.parametrize("k", [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7, 10.0])
+def test_constraint_check_equals_all_pairs_test(k):
+    # Masking the self-pairs never changes the verdict: |2 + k| >= k + 2
+    # for every real k.  For k <= 0 every spectrum passes.
+    g = matcore.Rng(124).generator()
+    verdicts = set()
+    for n in range(1, 9):
+        lams = 10.0 ** g.uniform(-2.0, 2.0, size=(200, n)) * np.where(g.random((200, n)) < 0.5, -1.0, 1.0)
+        # Opposite-sign pairs of equal magnitude sit on the k = 0 boundary.
+        lams[:20, -1] = -lams[:20, 0]
+        want = [_all_pairs_ok(lam, k) for lam in lams]
+        assert [classes.constraint_check(lam, k).ok for lam in lams] == want
+        assert classes.constraint_check(lams, k).ok.tolist() == want
+        verdicts.update(want)
+    assert verdicts == ({True, False} if k > 0.0 else {True})
 
 
 def test_schur_rep_residual_diagonal():
@@ -112,17 +139,6 @@ def test_schur_theorem_equals_single_norm_calls():
         x = matcore.random_probe_matrix(n, rng.substream(n).substream(1))
         rep = classes.schur_theorem_bound_check(gram, x)
         assert rep.values == (float(np.max(np.real(np.diagonal(gram)))) * norm(x, OP), norm(gram * x, OP))
-
-
-def test_conditional_theorem_check_equals_single_norm_calls():
-    for lam, k in (([1.0, 3.0], 1.0), ([1.0, -1.0], 1.0), ([0.0680547, 0.08611596, -0.44417643], 1.0)):
-        rng = matcore.Rng(123)
-        m = classes._multiplier_matrix(np.asarray(lam), k)
-        worst = np.inf
-        for i in range(20):
-            x = matcore.random_probe_matrix(len(lam), rng.substream(i))
-            worst = min(worst, norm(m * x, OP) / norm(x, OP))
-        assert conjecture.conditional_theorem_check(lam, k, 20, rng)["worst_ratio"] == worst
 
 
 def test_schur_theorem_validation():
@@ -227,7 +243,7 @@ def _reference_probe(s, k, starts, iters, rng):
         ratio = ratio_and_grad(y)[0]
         if ratio < best_ratio:
             best_ratio, best_y = ratio, y.copy()
-    spectral_ok, _ = classes.dk_spectral_test(eigs, k, allow_any_k=True)
+    spectral_ok = _all_pairs_ok(eigs, k)
     witness = dec.vectors @ best_y @ dec.vectors.conj().T
     return classes.DkProbeResult(eigs, float(k), spectral_ok, float(best_ratio), witness, len(seeds))
 

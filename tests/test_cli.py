@@ -350,6 +350,32 @@ def test_conjecture_cli_fuzz(n, ks, count):
     assert "Traceback" not in err.getvalue()
 
 
+_FUZZ_EIGS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1e-310, -1e-310, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]),
+        st.floats(-10.0, 10.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eigs=_FUZZ_EIGS, k=st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 0.5, 2.0, 7.0, 1e308]))
+def test_dk_probe_cli_fuzz(eigs, k):
+    # Every spectrum and k ends in a documented exit code: 0 for a run, 2
+    # for a zero or non-finite eigenvalue or an invalid k, 3 for a matrix
+    # the kernels reject (singular in floating point).  None escapes as a
+    # traceback.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        argv = ["dk-probe", "--eigs=" + ",".join(map(repr, eigs)), "--k=" + repr(k)]
+        code = cli.main(argv + ["--count", "1", "--starts", "3", "--iters", "3", "--no-timing", "--out", tmp + "/dk.jsonl"])
+    valid = all(np.isfinite(v) and v != 0.0 for v in eigs) and np.isfinite(k) and k >= 0.0
+    assert code in ({0, 3} if valid else {2}), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_dk_probe_run(tmp_path):
     out = tmp_path / "dk.jsonl"
     argv = [

@@ -1,5 +1,5 @@
 """Counterexample-search harness: constraint, candidate matrix, sampler,
-persistence, and the conditional cross-check."""
+search and persistence."""
 
 import json
 
@@ -12,7 +12,7 @@ from normlab.errors import (
     InvalidK,
     NotHermitian,
     SamplerExhausted,
-    ZeroLambda,
+    ZeroEigenvalue,
 )
 
 
@@ -39,14 +39,30 @@ def test_constraint_singleton_is_trivial():
 
 
 def test_constraint_validation():
-    with pytest.raises(ZeroLambda):
+    with pytest.raises(ZeroEigenvalue):
         conjecture.constraint_check([1.0, 0.0], 1.0)
-    with pytest.raises(InvalidK):
-        conjecture.constraint_check([1.0, 2.0], 2.5)
-    with pytest.raises(InvalidK):
-        conjecture.constraint_check([1.0, 2.0], -0.1)
     with pytest.raises(ValueError):
         conjecture.constraint_check([], 1.0)
+    # The conjecture, not the pairwise criterion, restricts k to [0, 2].
+    for k in (2.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidK):
+            conjecture.build_conj_matrix([1.0, 2.0], k)
+    with pytest.raises(ZeroEigenvalue):
+        conjecture.build_conj_matrix([1.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        conjecture.build_conj_matrix([], 1.0)
+
+
+@pytest.mark.parametrize(
+    "k_list, count, error",
+    [([5.0, float("nan")], 0, InvalidK), ([0.5, 2.5], 3, InvalidK), ([1.0], -1, ValueError), ([1.0], 2.0, ValueError)],
+)
+def test_search_validates_before_opening_the_file(tmp_path, k_list, count, error):
+    # A bad k or count fails before any sampling and leaves no file behind.
+    path = tmp_path / "viol.jsonl"
+    with pytest.raises(error, match=None if error is InvalidK else "count"):
+        conjecture.conjecture_search(3, k_list, count, matcore.Rng(0), violations_path=path)
+    assert not path.exists()
 
 
 def test_build_matrix_hand_cases():
@@ -158,7 +174,7 @@ def test_stack_guards_apply_to_every_matrix():
     stack[1, 0, 0] = np.nan
     with pytest.raises(ValueError):
         conjecture.psd_check(stack)
-    with pytest.raises(ZeroLambda):
+    with pytest.raises(ZeroEigenvalue):
         conjecture.constraint_check(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
 
@@ -326,20 +342,6 @@ def test_violation_record_round_trip(tmp_path):
 
 def test_load_violations_missing_file(tmp_path):
     assert conjecture.load_violations(tmp_path / "absent.jsonl") == []
-
-
-def test_conditional_check_member():
-    out = conjecture.conditional_theorem_check([1.0, 3.0], 1.0, 20, matcore.Rng(0))
-    assert out["psd"]
-    assert out["verdict"] == "consistent"
-    assert out["worst_ratio"] >= out["bound"] * (1 - 1e-10)
-
-
-def test_conditional_check_nonmember():
-    out = conjecture.conditional_theorem_check([1.0, -1.0], 1.0, 20, matcore.Rng(0))
-    assert not out["psd"]
-    assert out["verdict"] == "nonmember-witnessed"
-    assert out["worst_ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_n3_positivity_fails_exact_arithmetic():

@@ -41,7 +41,8 @@ def test_herm_eigen_hand_values():
 
 
 def test_herm_eigen_reconstruction():
-    a = matcore.random_hermitian(6, matcore.Rng(11))
+    z = matcore.ginibre(6, rng=matcore.Rng(11))
+    a = 0.5 * (z + z.conj().T)
     dec = matcore.herm_eigen(a)
     q = dec.vectors
     recon = (q * dec.eigenvalues) @ q.conj().T
