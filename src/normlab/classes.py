@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
-from .errors import DimensionMismatch, NotPSD, Singular
+from .errors import DimensionMismatch, InvalidK, NotPSD, Singular
 from .norms import OP, stack_norms
 
 __all__ = [
@@ -48,6 +48,17 @@ __all__ = [
 SPECTRAL_SLACK = 1e-12
 # Equality characterizations are exact theorems on their classes.
 EQUALITY_TOL = 1e-9
+# The ratio probe reads "violated" only for a witness this far below k+2.
+VIOLATION_SLACK = 1e-9
+# A probe start whose subgradient norm falls below this keeps its iterate.
+FROZEN_GRAD_NORM = 1e-14
+# A self-adjoint S with an eigenvalue magnitude at or below this fraction of
+# the largest counts as numerically singular.
+SELFADJOINT_SINGULAR_RTOL = 1e-12
+# Largest k the ratio probe accepts: the verdicts compare against k+2 with
+# the absolute slacks above, so one ulp of k+2 (1.1e-13 at this bound) must
+# stay far below SPECTRAL_SLACK.
+DK_K_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ class DkProbeResult:
     def verdict(self) -> str:
         if not self.spectral_ok:
             return "spectrally-excluded"
-        if self.best_ratio < self.k + 2.0 - 1e-9:
+        if self.best_ratio < self.k + 2.0 - VIOLATION_SLACK:
             return "violated"
         return "consistent"
 
@@ -150,7 +161,7 @@ def _frobenius(y: np.ndarray) -> np.ndarray:
 def _selfadjoint_eigen(s) -> matcore.HermEigen:
     dec = matcore.herm_eigen(s)
     mags = np.abs(dec.eigenvalues)
-    if mags.min() <= 1e-12 * mags.max():
+    if mags.min() <= SELFADJOINT_SINGULAR_RTOL * mags.max():
         raise Singular("self-adjoint matrix is numerically singular")
     return dec
 
@@ -202,10 +213,13 @@ def dk_ratio_minimize(
     subgradient descent on the ratio with step 0.1/sqrt(iter); the starts
     descend together as one (S, n, n) stack, evaluated at their seeds and
     after each of `iters` steps.  A start whose subgradient norm falls
-    below 1e-14 keeps its iterate from then on.  The witness is the best
-    iterate over all starts and iterations; ties go to the earliest
-    iteration, then the lowest start.  Deterministic given the rng.
+    below FROZEN_GRAD_NORM keeps its iterate from then on.  The witness is
+    the best iterate over all starts and iterations; ties go to the earliest
+    iteration, then the lowest start.  Deterministic given the rng.  A k
+    above DK_K_MAX, or NaN, raises InvalidK.
     """
+    if not k <= DK_K_MAX:
+        raise InvalidK(f"the ratio probe takes k <= {DK_K_MAX:g}, got {k}")
     if rng is None:
         rng = matcore.Rng(0)
     dec = _selfadjoint_eigen(s)
@@ -227,7 +241,7 @@ def dk_ratio_minimize(
         if ratio[i] < best_ratio:
             best_ratio, best_y = ratio[i], y[i]
         gnorm = _frobenius(grad)
-        live = gnorm >= 1e-14
+        live = gnorm >= FROZEN_GRAD_NORM
         # Each start has |y| = 1 and moves by at most 0.1, so the projection
         # back onto the unit sphere never divides by zero.
         step = y - (0.1 / np.sqrt(it + 1.0)) * grad / np.where(live, gnorm, 1.0)

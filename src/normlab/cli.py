@@ -507,8 +507,8 @@ def _validate(config: CampaignConfig) -> None:
                 raise ConfigInvalid(f"Schatten exponent p must be >= 1, got {p}")
     if suite == "dk":
         for k in config.k_values:
-            if k < 0.0:
-                raise ConfigInvalid(f"k must be >= 0 for the ratio probe, got {k}")
+            if not 0.0 <= k <= classes.DK_K_MAX:
+                raise ConfigInvalid(f"k must be in [0, {classes.DK_K_MAX:g}] for the ratio probe, got {k}")
         if config.starts < 1 or config.iters < 1:
             raise ConfigInvalid("--starts and --iters must be >= 1")
         if config.eigs is not None and any(v == 0.0 for v in config.eigs):

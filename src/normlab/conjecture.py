@@ -18,8 +18,11 @@ failures to a JSONL file.  The pairwise constraint is the ratio probe's
 criterion, classes.constraint_check.  The search runs on stacks: the
 constraint test, the C build and the PSD test take a leading stack axis,
 and one call of each covers a chunk of SEARCH_CHUNK spectra (one eigvalsh
-per chunk).  On a single spectrum or matrix they return scalars.
-Violations are written in instance order at the end of each chunk.
+per chunk).  On a single spectrum or matrix they return scalars.  The
+sampler keys the chunk's Philox streams in one batch and draws every
+block from one generator by (key, counter), since Philox is counter-based
+(Salmon et al., SC'11); every spectrum still draws exactly its own
+stream.  Violations are written in instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ PSD_SLACK = 1e-10
 # Relative floor below which a denominator counts as degenerate.
 DEGENERATE_RTOL = 1e-12
 HIST_BINS = 20
-# Attempts each spectrum draws from its stream per sampling round.
+# Attempts each spectrum draws from its stream per sampling round.  Even,
+# so a block of 2n * SAMPLE_BLOCK doubles starts on a Philox counter
+# boundary (four doubles per counter).
 SAMPLE_BLOCK = 8
+assert SAMPLE_BLOCK % 2 == 0
 # Spectra per sampler call, C stack and eigvalsh in the search; bounds the
 # search's memory at any count.
 SEARCH_CHUNK = 256
@@ -135,23 +141,40 @@ def sample_constrained_spectrum(
     rng may also be a sequence of m Rngs; the result is then an (m, n)
     stack and an (m,) array of counts, the same as m single calls.  Every
     spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
-    test covers the blocks of all spectra still pending; draws past the
-    accepted attempt are discarded with the spectrum's generator.
+    test covers the blocks of all spectra still pending.  The blocks come
+    from one Philox generator: the Philox keys of all m streams are derived
+    in one batch (matcore.stream_keys), and before each block the generator
+    is set to the spectrum's key and to the counter where the block starts.
+    So a spectrum's draws are exactly those of its own rng.generator(), and
+    nothing is drawn past the block that holds the accepted attempt.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     single = isinstance(rng, matcore.Rng)
-    gens = [r.generator() for r in ([rng] if single else rng)]
-    lams = np.empty((len(gens), n))
-    rejected = np.empty(len(gens), dtype=int)
-    pending = np.arange(len(gens))
+    rngs = [rng] if single else list(rng)
+    keys = matcore.stream_keys(rngs).tolist()
+    lams = np.empty((len(rngs), n))
+    rejected = np.empty(len(rngs), dtype=int)
+    pending = np.arange(len(rngs))
+    draws = np.empty((len(rngs), SAMPLE_BLOCK, 2, n))
+    bits = rngs[0].generator() if rngs else None
     max_draws = int(max_draws)
     for first in range(0, max_draws, SAMPLE_BLOCK):
         if not pending.size:
             break
-        draws = np.stack([gens[p].random((SAMPLE_BLOCK, 2, n)) for p in pending])
-        lam = 10.0 ** (-2.0 + 4.0 * draws[:, :, 0])
-        lam = np.where(draws[:, :, 1] < 0.5, -lam, lam)
+        # Attempt `first` of a stream starts at double 2n * first, the first
+        # double of the Philox block after counter 2n * first / 4; an empty
+        # buffer makes the next draw compute that block.
+        state = bits.bit_generator.state
+        state.update(buffer_pos=4, has_uint32=0)
+        state["state"]["counter"] = [2 * n * first // 4, 0, 0, 0]
+        block = draws[: pending.size]
+        for p, out in zip(pending.tolist(), block):
+            state["state"]["key"] = keys[p]
+            bits.bit_generator.state = state
+            bits.random((SAMPLE_BLOCK, 2, n), out=out)
+        lam = 10.0 ** (-2.0 + 4.0 * block[:, :, 0])
+        lam = np.where(block[:, :, 1] < 0.5, -lam, lam)
         ok = constraint_check(lam, k).ok
         ok[:, max_draws - first :] = False
         hit = ok.any(axis=1)

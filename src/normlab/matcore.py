@@ -10,10 +10,13 @@ Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws from a generator reconstructed
 from that pair, so a given Rng always produces the same matrix.  Distinct
 instances must use distinct substreams (``rng.substream(i)``).
+``stream_keys`` derives the Philox keys of many streams in one pass, for
+samplers that draw blocks of many streams from one reused generator.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "Rng",
+    "stream_keys",
     "HermEigen",
     "SvdResult",
     "as_matrix",
@@ -71,6 +75,16 @@ class Rng:
     always restarts from the stream origin, and ``substream(i)`` derives an
     independent child stream.  Philox keyed through SeedSequence gives
     counter-based, order-independent streams.
+
+    The stream is fixed by its Philox key,
+    ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
+    which ``stream_keys`` computes for many streams at once.  A Philox
+    generator set to that key, to counter c and to an empty buffer draws
+    next the doubles 4c, 4c+1, ... of the stream, so a sampler may draw any
+    block of any stream from one reused generator and get the values
+    ``generator()`` gives.  The conjecture search does so, and
+    ``Rng(seed).substream(p).substream(i).generator()`` still regenerates
+    any of its spectra.
     """
 
     seed: int
@@ -83,6 +97,95 @@ class Rng:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq): uint32 entropy words are hashed into a pool of four words, the
+# pool is mixed, and the output words are hashed back out of the pool.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(v, least: int) -> tuple[int, ...]:
+    """Little-endian uint32 words of a nonnegative int, zero-padded to at
+    least `least` words."""
+    v = int(v)
+    if v < 0:
+        raise ValueError(f"seed and path entries must be nonnegative, got {v}")
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return tuple(words + [0] * (least - len(words)))
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's uint32 hash.  Its j-th application xors with
+    init * mult**j and multiplies by init * mult**(j+1); hash_(words, calls)
+    makes the next `calls` applications at once, one per last-axis entry of
+    the result, with words broadcast against them."""
+    const = init
+
+    def hash_(words: np.ndarray, calls: int) -> np.ndarray:
+        nonlocal const
+        xor, mul = [], []
+        for _ in range(calls):
+            xor.append(const)
+            const = (const * mult) & _MASK32
+            mul.append(const)
+        v = (words ^ np.array(xor, dtype=np.uint32)) * np.array(mul, dtype=np.uint32)
+        return v ^ (v >> 16)
+
+    return hash_
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return v ^ (v >> 16)
+
+
+def stream_keys(rngs) -> np.ndarray:
+    """Philox keys of a sequence of m Rngs as an (m, 2) uint64 array.
+
+    Row r equals ``np.random.SeedSequence(rngs[r].seed,
+    spawn_key=rngs[r].path).generate_state(2, np.uint64)`` bit for bit,
+    whatever the seeds and path lengths of the rows: the hashing runs on
+    all rows at once, each pool word an (m,)-column.
+    """
+    rngs = list(rngs)
+    # A row's entropy is its seed's words zero-padded to the pool size, then
+    # the words of each path entry.
+    seed_words = {seed: _uint32_words(seed, _POOL_SIZE) for seed in {r.seed for r in rngs}}
+    # Path entries below 2**32, the usual case, are one word each.
+    entries = [p for r in rngs for p in r.path]
+    if entries and not 0 <= min(entries) <= max(entries) <= _MASK32:
+        rows = [seed_words[r.seed] + tuple(w for p in r.path for w in _uint32_words(p, 1)) for r in rngs]
+    else:
+        rows = [seed_words[r.seed] + tuple(r.path) for r in rngs]
+    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    width = int(lengths.max(initial=_POOL_SIZE))
+    entropy = np.zeros((len(rows), width), dtype=np.uint32)
+    entropy[np.arange(width) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.uint32, count=int(lengths.sum())
+    )
+
+    # Entropy in: hash the first words into the pool, mix every pool word
+    # into every other, then mix each later word into every pool word.
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src, None], _POOL_SIZE - 1))
+    for col in range(_POOL_SIZE, width):
+        mixed = _mix(pool, hashmix(entropy[:, col, None], _POOL_SIZE))
+        pool = np.where((col < lengths)[:, None], mixed, pool)
+
+    # State out: two uint64 words from four uint32 words, little-endian.
+    state = _hasher(_INIT_B, _MULT_B)(pool, _POOL_SIZE)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)

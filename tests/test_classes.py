@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normlab import classes, conjecture, matcore
 from normlab.classes import EQUALITY_FORMS, FORMS
-from normlab.errors import DimensionMismatch, NotHermitian, NotPSD, Singular, ZeroEigenvalue
+from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, norm
 
 
@@ -198,6 +198,18 @@ def test_probe_deterministic():
 def test_probe_rejects_singular():
     with pytest.raises(Singular):
         classes.dk_ratio_minimize(np.diag([1.0, 0.0]), 0.0, starts=1, iters=5)
+
+
+def test_probe_bounds_k():
+    # Past DK_K_MAX one ulp of k+2 nears the verdict slacks, so rounding
+    # alone would decide the verdict; a scalar S meets the bound with
+    # equality and reads "consistent" at the bound.
+    for k in (1e12, 1e308, float("nan"), float("inf")):
+        with pytest.raises(InvalidK):
+            classes.dk_ratio_minimize(np.diag([1.0]), k, starts=3, iters=3, rng=matcore.Rng(0))
+    res = classes.dk_ratio_minimize(np.diag([1.0]), classes.DK_K_MAX, starts=3, iters=3, rng=matcore.Rng(0))
+    assert res.verdict == "consistent"
+    assert np.spacing(classes.DK_K_MAX + 2.0) < 0.2 * classes.SPECTRAL_SLACK
 
 
 def _reference_probe(s, k, starts, iters, rng):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab import cli, matcore
+from normlab import classes, cli, matcore
 from normlab.errors import ConfigInvalid, IoFailure, UsageError
 from normlab.norms import NormKind
 
@@ -121,6 +121,23 @@ def test_cond_beyond_kernel_tolerance_exits_2(tmp_path, capsys, suite):
     assert "invalid configuration: --cond" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify --suite dk --dim 3", "dk-probe --eigs 1,2,-3"])
+def test_k_beyond_probe_bound_exits_2(tmp_path, capsys, command):
+    # Past classes.DK_K_MAX rounding alone would decide the probe's verdict,
+    # and k = 1e308 overflows the descent; both are config errors.
+    argv = [*command.split(), "--count", "1", "--starts", "2", "--iters", "3", "--no-timing"]
+    for k in ("1e12", "1e308"):
+        out = tmp_path / f"{k}.jsonl"
+        assert cli.main([*argv, "--k", k, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: k must be in [0, 1000]") and err.count("\n") == 1, err
+        assert not out.exists()
+    out = tmp_path / "bound.jsonl"
+    assert cli.main([*argv, "--k", repr(classes.DK_K_MAX), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text().splitlines()[0])["params"]["k"] == classes.DK_K_MAX
 
 
 def test_subcommands_pin_suite():
@@ -364,16 +381,57 @@ _FUZZ_EIGS = st.lists(
 @given(eigs=_FUZZ_EIGS, k=st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 0.5, 2.0, 7.0, 1e308]))
 def test_dk_probe_cli_fuzz(eigs, k):
     # Every spectrum and k ends in a documented exit code: 0 for a run, 2
-    # for a zero or non-finite eigenvalue or an invalid k, 3 for a matrix
-    # the kernels reject (singular in floating point).  None escapes as a
-    # traceback.
+    # for a zero or non-finite eigenvalue or a k outside [0, DK_K_MAX], 3
+    # for a matrix the kernels reject (singular in floating point).  None
+    # escapes as a traceback.
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         argv = ["dk-probe", "--eigs=" + ",".join(map(repr, eigs)), "--k=" + repr(k)]
         code = cli.main(argv + ["--count", "1", "--starts", "3", "--iters", "3", "--no-timing", "--out", tmp + "/dk.jsonl"])
-    valid = all(np.isfinite(v) and v != 0.0 for v in eigs) and np.isfinite(k) and k >= 0.0
+    valid = all(np.isfinite(v) and v != 0.0 for v in eigs) and 0.0 <= k <= classes.DK_K_MAX
     assert code in ({0, 3} if valid else {2}), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+_NAN, _INF = float("nan"), float("inf")
+# flag -> (values valid for every suite, values out of range for some or all
+# suites, non-finite or malformed).
+_VERIFY_FUZZ = {
+    "--suite": (list(cli.SUITES), ["nope"]),
+    "--dim": ([2, 3], [-1, 1, 13]),
+    "--count": ([1, 2], [-1, 0]),
+    "--cond": ([1.0, 10.0, 1e12], [_NAN, _INF, -_INF, -1.0, 0.5, 1e13, 1e300]),
+    "--t": ([-1.0, 0.0, 0.5, 2.0], [_NAN, _INF, -_INF, 2.5, 1e300]),
+    "--r": ([0.5, 1.0], [_NAN, -_INF, -1.0, 0.0, 2.0, 1e300]),
+    "--k": ([0.0, 1.0, 2.0], [_NAN, _INF, -1.0, 2.5, 1e3, 1e12, 1e308]),
+    "--p": ([1.0, 3.0], [_NAN, _INF, -1.0, 0.5, 1e300]),
+    "--norms": (
+        ["op", "tr,fro", "schatten:3,kyfan:2"],
+        ["kyfan:99", "kyfan:0", "schatten:0.5", "schatten:nan", "bogus"],
+    ),
+}
+_LIST_FLAGS = ("--t", "--r", "--k", "--p")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), bad=st.sets(st.sampled_from(sorted(_VERIFY_FUZZ)), max_size=2))
+def test_verify_cli_fuzz(data, bad):
+    # Every configuration ends in a documented exit code: 0 or 1 for a run
+    # (1 when a theorem record fails), 2 for an invalid configuration, 3 for
+    # a numerical failure, 4 for an I/O failure.  None escapes as a
+    # traceback, and a configuration of valid values always runs.  At most
+    # two flags take a bad value; the ratio probe runs on a tiny budget.
+    argv = ["verify"]
+    for flag, (valid, invalid) in _VERIFY_FUZZ.items():
+        value = data.draw(st.sampled_from(invalid if flag in bad else valid), label=flag)
+        if flag in _LIST_FLAGS:
+            value = ",".join(map(repr, [value, *data.draw(st.lists(st.sampled_from(valid), max_size=1))]))
+        argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--starts", "2", "--iters", "2", "--no-timing", "--out", tmp + "/v.jsonl"])
+    assert code in ({0, 1, 2, 3, 4} if bad else {0, 1, 3}), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_dk_probe_run(tmp_path):

@@ -288,6 +288,40 @@ def test_stacked_sampler_matches_single_calls_and_max_draws():
         assert conjecture.sample_constrained_spectrum(6, 1.0, [rng], max_draws=rej + 1)[1][0] == rej
 
 
+@pytest.mark.parametrize("n, k, max_draws", [(8, 2.0, 10**4), (8, 2.0, 20), (3, 1.0, 10**4)])
+def test_sampler_blocks_are_each_streams_own_draws(monkeypatch, n, k, max_draws):
+    # Every block the sampler tests is the next SAMPLE_BLOCK attempts of
+    # each pending spectrum's own Rng.generator(), round after round.
+    seen = []
+
+    def spy(lam, k):
+        seen.append(lam.copy())
+        return classes.constraint_check(lam, k)
+
+    monkeypatch.setattr(conjecture, "constraint_check", spy)
+    rngs = [matcore.Rng(139).substream(i) for i in range(12)]
+    try:
+        conjecture.sample_constrained_spectrum(n, k, rngs, max_draws=max_draws)
+        exhausted = False
+    except SamplerExhausted:
+        exhausted = True
+    gens = [rng.generator() for rng in rngs]
+    pending = list(range(len(rngs)))
+    for b, lam in enumerate(seen):
+        ref = []
+        for i in pending:
+            d = gens[i].random((conjecture.SAMPLE_BLOCK, 2, n))
+            mag = 10.0 ** (-2.0 + 4.0 * d[:, 0])
+            ref.append(np.where(d[:, 1] < 0.5, -mag, mag))
+        assert np.array_equal(lam, np.array(ref)), b
+        ok = classes.constraint_check(lam, k).ok
+        ok[:, max_draws - b * conjecture.SAMPLE_BLOCK :] = False
+        pending = [i for i, hit in zip(pending, ok.any(axis=1)) if not hit]
+    assert exhausted == bool(pending)
+    if n == 8:
+        assert len(seen) >= 3
+
+
 def test_search_small_run(tmp_path):
     path = tmp_path / "viol.jsonl"
     summaries = conjecture.conjecture_search(

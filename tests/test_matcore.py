@@ -195,6 +195,57 @@ def test_rng_substream_scheme():
     assert np.array_equal(a, matcore.ginibre(3, rng=matcore.Rng(17).substream(0)))
 
 
+# Philox keys written down from numpy 2.4.6's SeedSequence(seed,
+# spawn_key=path).generate_state(2, np.uint64): the streams of every
+# recorded run depend on them, so a numpy that derives other keys fails here
+# even though the in-test SeedSequence comparisons would drift with it.
+_GOLDEN_KEYS = [
+    (0, (), (0xDB2CD7E7B0F478BE, 0xABF4641A2C71BA49)),
+    (1, (0,), (0x7503EF9461D5F260, 0x4AC95C404FEA20F8)),
+    (2**32 - 1, (3, 5), (0x9F1CEBC274AABE4B, 0xF5E69EDC9AB1B5D2)),
+    (2**32, (2**32,), (0x49AC6994124A57AB, 0x7A195D48AE843E11)),
+    (2**64 + 3, (), (0x86BBA298D55232DE, 0xA38C2F466A49AEF2)),
+    (2**64 + 3, (1, 2, 3, 4), (0x8B0240DBAED6D8EE, 0x8B007EDA48E90CE9)),
+    (1, (0, 1), (0x9433EB60B114766A, 0xE7B462034A0D1F63)),
+    (7, (2**32 + 5, 0, 2**64 - 1), (0x9C2F90A43293AF9B, 0xF26CAC7FE2B408C5)),
+]
+
+
+def test_stream_keys_golden():
+    rngs = [matcore.Rng(seed, path) for seed, path, _ in _GOLDEN_KEYS]
+    golden = np.array([key for *_, key in _GOLDEN_KEYS], dtype=np.uint64)
+    keys = matcore.stream_keys(rngs)
+    assert keys.dtype == np.uint64 and keys.shape == (len(rngs), 2)
+    assert np.array_equal(keys, golden)
+    for rng, key in zip(rngs, golden):
+        assert np.array_equal(rng.generator().bit_generator.state["state"]["key"], key)
+        assert np.array_equal(matcore.stream_keys([rng])[0], key)
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**200), st.sampled_from([0, 2**32 - 1, 2**64 + 3]))
+_PATHS = st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**64)), max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_SEEDS, _PATHS), min_size=1, max_size=6))
+def test_stream_keys_match_seed_sequence(rows):
+    # Mixed seeds and path lengths share one batch; every row is keyed as
+    # SeedSequence keys it alone.
+    keys = matcore.stream_keys([matcore.Rng(seed, path) for seed, path in rows])
+    for (seed, path), key in zip(rows, keys):
+        ref = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+        assert np.array_equal(key, ref), (seed, path)
+
+
+def test_stream_keys_edges():
+    assert matcore.stream_keys([]).shape == (0, 2)
+    for bad in (matcore.Rng(-1), matcore.Rng(1, (2, -3))):
+        with pytest.raises(ValueError):
+            matcore.stream_keys([matcore.Rng(0), bad])
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(bad.seed, spawn_key=bad.path)
+
+
 def test_random_probe_matrix_branches():
     # With enough substreams every branch of the mixture shows up:
     # rank-one (a single unit entry), Hermitian, unitary, dense Gaussian.
