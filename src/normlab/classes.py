@@ -46,6 +46,9 @@ __all__ = [
 
 # Pass threshold slack for the pairwise spectral criterion.
 SPECTRAL_SLACK = 1e-12
+# A multiplier matrix whose least eigenvalue is below -PSD_RTOL times its
+# largest is not positive semidefinite.
+PSD_RTOL = 1e-10
 # Equality characterizations are exact theorems on their classes.
 EQUALITY_TOL = 1e-9
 # The ratio probe reads "violated" only for a witness this far below k+2.
@@ -188,7 +191,7 @@ def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainReport
     n_mat = matcore.as_matrix(n_mat)
     matcore.require_hermitian(n_mat)
     eigs = np.linalg.eigvalsh(n_mat)
-    if eigs[0] < -1e-10 * max(eigs[-1], 0.0):
+    if eigs[0] < -PSD_RTOL * max(eigs[-1], 0.0):
         raise NotPSD("multiplier matrix must be positive semidefinite")
     x = matcore.as_matrix(x)
     if x.shape != n_mat.shape:
@@ -261,31 +264,33 @@ def dk_ratio_minimize(
 @dataclass(frozen=True)
 class CharacterizationForm:
     """One displayed norm relation: lhs/rhs are expression selectors from
-    {E1, E2, N1, N2, TWO_X}; relation is 'ge', 'le', or 'eq'."""
+    {E1, E2, N1, N2, TWO_X}; relation is 'ge', 'le', or 'eq'; family is the
+    operator class that makes the relation an identity or a theorem."""
 
     form_id: str
     lhs: str
     rhs: str
     relation: str
+    family: str
 
 
 FORMS: dict[str, CharacterizationForm] = {
     f.form_id: f
     for f in (
-        CharacterizationForm("ineq6", "E1", "TWO_X", "ge"),
-        CharacterizationForm("eq7", "E1", "E2", "eq"),
-        CharacterizationForm("ineq8", "E1", "E2", "ge"),
-        CharacterizationForm("ineq9", "N1", "TWO_X", "ge"),
-        CharacterizationForm("eq10", "N1", "N2", "eq"),
-        CharacterizationForm("ineq11", "N1", "N2", "ge"),
-        CharacterizationForm("ineq12", "N1", "N2", "le"),
-        CharacterizationForm("ineq13", "E1", "TWO_X", "le"),
-        CharacterizationForm("eq14", "E1", "TWO_X", "eq"),
-        CharacterizationForm("ineq15", "E1", "E2", "le"),
-        CharacterizationForm("eq16", "N1", "TWO_X", "eq"),
-        CharacterizationForm("ineq17", "N1", "TWO_X", "le"),
-        CharacterizationForm("eq18", "E2", "TWO_X", "eq"),
-        CharacterizationForm("eq19", "N2", "TWO_X", "eq"),
+        CharacterizationForm("ineq6", "E1", "TWO_X", "ge", "scaled_selfadjoint"),
+        CharacterizationForm("eq7", "E1", "E2", "eq", "scaled_selfadjoint"),
+        CharacterizationForm("ineq8", "E1", "E2", "ge", "scaled_selfadjoint"),
+        CharacterizationForm("ineq9", "N1", "TWO_X", "ge", "normal"),
+        CharacterizationForm("eq10", "N1", "N2", "eq", "normal"),
+        CharacterizationForm("ineq11", "N1", "N2", "ge", "normal"),
+        CharacterizationForm("ineq12", "N1", "N2", "le", "normal"),
+        CharacterizationForm("ineq13", "E1", "TWO_X", "le", "scaled_unitary"),
+        CharacterizationForm("eq14", "E1", "TWO_X", "eq", "scaled_reflection"),
+        CharacterizationForm("ineq15", "E1", "E2", "le", "scaled_unitary"),
+        CharacterizationForm("eq16", "N1", "TWO_X", "eq", "scaled_unitary"),
+        CharacterizationForm("ineq17", "N1", "TWO_X", "le", "scaled_unitary"),
+        CharacterizationForm("eq18", "E2", "TWO_X", "eq", "scaled_unitary"),
+        CharacterizationForm("eq19", "N2", "TWO_X", "eq", "scaled_unitary"),
     )
 }
 
@@ -348,29 +353,10 @@ def characterization_check(
     )
 
 
-# Operator class that makes each relation an identity or a theorem.
-_FORM_CLASS = {
-    "ineq6": "scaled_selfadjoint",
-    "eq7": "scaled_selfadjoint",
-    "ineq8": "scaled_selfadjoint",
-    "ineq9": "normal",
-    "eq10": "normal",
-    "ineq11": "normal",
-    "ineq12": "normal",
-    "ineq13": "scaled_unitary",
-    "eq14": "scaled_reflection",
-    "ineq15": "scaled_unitary",
-    "eq16": "scaled_unitary",
-    "ineq17": "scaled_unitary",
-    "eq18": "scaled_unitary",
-    "eq19": "scaled_unitary",
-}
-
-
 def sample_for_form(form_id: str, n: int, rng: matcore.Rng, cond: float = 100.0) -> np.ndarray:
     """Draw S from the operator class characterized by the given form."""
     try:
-        family = _FORM_CLASS[form_id]
+        family = FORMS[form_id].family
     except KeyError:
         raise ValueError(f"unknown form id {form_id!r}") from None
     if family == "scaled_selfadjoint":

@@ -11,13 +11,17 @@ Subcommands:
   (``--eigs 1,2,-3``).
 * ``report``: re-summarize an existing JSONL file.
 
+``--config file.json`` is read as the flags it stands for, placed before
+argv's own flags so that one parse converts both and argv wins.
+
 Everything emitted is a deterministic function of (config, seed) except
 wall-time fields, which ``--no-timing`` zeroes; reruns with the same
 config and seed are then byte-identical.  Exit status: 0 on success (for
 probe suites, findings do not fail the run), 1 when a theorem suite has a
-failing record, 2 for usage or configuration errors, 3 for a numerical
-failure (an input the kernels reject, such as a matrix that is singular or
-not positive definite in floating point), 4 for I/O failures.
+failing record, 2 for usage or configuration errors (a config-file value
+of the wrong type too), 3 for a numerical failure (an input the kernels
+reject, such as a matrix that is singular or not positive definite in
+floating point), 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classes, conjecture, cpr, heinz, matcore
+from .chains import DEFAULT_TOL
 from .errors import ConfigInvalid, IoFailure, NormlabError, UsageError
 from .norms import NormKind
 
@@ -41,12 +46,9 @@ __all__ = ["CampaignConfig", "parse_args", "run", "main"]
 # Probe suites report findings; only theorem suites can fail the run.
 PROBE_SUITES = frozenset({"dk", "conjecture"})
 
-DEFAULT_NORMS = ("op", "tr", "fro")
+# The suite-dependent defaults of --r and --count; the others are in _FLAGS.
 DEFAULT_ALPHAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-DEFAULT_T = (-1.0, 0.0, 0.5, 1.0, 2.0)
 DEFAULT_R = (0.5, 0.75, 1.0, 1.25, 1.5)
-DEFAULT_K = (0.0, 0.5, 1.0, 2.0)
-DEFAULT_P = (1.0, 2.0, 3.0)
 DEFAULT_COUNT = 100
 # The ratio probe runs hundreds of SVD iterations per start, so its
 # default instance count is kept small.
@@ -296,32 +298,29 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 _ALL = ("verify", "conjecture", "dk-probe")
-# Flag -> (subcommands that take it, argparse options).  Every flag except
-# --config is also a config-file key.
+# Flag -> (subcommands that take it, type, default, help); type bool is a
+# switch, and list a comma list, split after the parse.  Every flag except
+# --config is also a config-file key, read as the flag it stands for.
 _FLAGS = {
-    "suite": (("verify",), {"help": "suite name: " + ", ".join(SUITES)}),
-    "dim": (("verify",), {"type": int, "help": "matrix dimension (2..12, default 3)"}),
-    "count": (_ALL, {"type": int, "help": "instances per parameter point"}),
-    "seed": (_ALL, {"type": int, "help": "campaign seed (default 0)"}),
-    "norms": (("verify",), {"help": "comma list of norm selectors (default op,tr,fro)"}),
-    "tol": (("verify",), {"type": float, "help": "relative link tolerance (default 1e-8)"}),
-    "cond": (("verify",), {"type": float, "help": "condition bound for sampled matrices (1..1e12, default 100)"}),
-    "t": (("verify",), {"help": "comma list of t values; use --t=-1,0 for negatives"}),
-    "r": (("verify",), {"help": "comma list: Heinz alphas (heinz) or exponents r (zhan)"}),
-    "k": (_ALL, {"help": "comma list of shift values k"}),
-    "p": (("verify",), {"help": "comma list of Schatten exponents p"}),
-    "n": (("verify", "conjecture"), {"type": int, "help": "spectrum size for the conjecture suite (default 3)"}),
-    "eigs": (("verify", "dk-probe"), {"help": "explicit spectrum, e.g. 1,2,-3"}),
-    "starts": (("verify", "dk-probe"), {"type": int, "help": "random starts for the ratio probe (default 64)"}),
-    "iters": (("verify", "dk-probe"), {"type": int, "help": "iterations per start (default 500)"}),
-    "out": (_ALL + ("report",), {"help": "output JSONL path (default results.jsonl)"}),
-    "config": (_ALL, {"help": "JSON config file; flags override its values"}),
-    "no_timing": (
-        _ALL,
-        {"action": "store_true", "default": None, "help": "zero wall-time fields for byte-stable output"},
-    ),
+    "suite": (("verify",), str, None, "suite name: " + ", ".join(SUITES)),
+    "dim": (("verify",), int, 3, "matrix dimension, 2..12"),
+    "count": (_ALL, int, None, f"instances per parameter point (default {DEFAULT_COUNT}, {DEFAULT_DK_COUNT} for dk)"),
+    "seed": (_ALL, int, 0, "campaign seed"),
+    "norms": (("verify",), list, "op,tr,fro", "comma list of norm selectors"),
+    "tol": (("verify",), float, DEFAULT_TOL, "relative link tolerance"),
+    "cond": (("verify",), float, 100.0, "condition bound for sampled matrices, 1..1e12"),
+    "t": (("verify",), list, "-1,0,0.5,1,2", "comma list of t values; use --t=-1,0 for negatives"),
+    "r": (("verify",), list, None, "comma list: Heinz alphas (heinz) or exponents r (zhan)"),
+    "k": (_ALL, list, "0,0.5,1,2", "comma list of shift values k"),
+    "p": (("verify",), list, "1,2,3", "comma list of Schatten exponents p"),
+    "n": (("verify", "conjecture"), int, 3, "spectrum size for the conjecture suite"),
+    "eigs": (("verify", "dk-probe"), list, None, "explicit spectrum, e.g. 1,2,-3"),
+    "starts": (("verify", "dk-probe"), int, 64, "random starts for the ratio probe"),
+    "iters": (("verify", "dk-probe"), int, 500, "iterations per start"),
+    "out": (_ALL + ("report",), str, "results.jsonl", "output JSONL path"),
+    "config": (_ALL, str, None, "JSON config file, read as the flags it stands for; command-line flags win"),
+    "no_timing": (_ALL, bool, False, "zero wall-time fields for byte-stable output"),
 }
-_CONFIG_KEYS = frozenset(_FLAGS) - {"config"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,13 +339,22 @@ def _build_parser() -> _Parser:
         ("report", "re-summarize an existing JSONL file"),
     ):
         p = sub.add_parser(command, help=help_text)
-        for name, (commands, options) in _FLAGS.items():
+        for name, (commands, type_, default, text) in _FLAGS.items():
             if command in commands:
-                p.add_argument("--" + name.replace("_", "-"), **options)
+                kind = {"action": "store_true"} if type_ is bool else {"type": str if type_ is list else type_}
+                if default is not None and type_ is not bool:
+                    text += " (default %(default)s)"
+                p.add_argument("--" + name.replace("_", "-"), default=default, help=text, **kind)
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _config_flags(path: str, command: str) -> list[str]:
+    """The command-line flags a config file stands for, in file order.
+
+    Each key becomes --name=value, a list joined with commas (comma-list
+    flags only).  A switch's true is the bare flag; its false, and null for
+    any key, leave the flag out.  Keys the command does not take are
+    skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -356,95 +364,66 @@ def _load_config_file(path: str) -> dict:
         raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigInvalid("config file must hold a single JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(key for key in data if key not in _FLAGS or key == "config")
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
-    return data
+    flags = []
+    for key, value in data.items():
+        commands, type_ = _FLAGS[key][:2]
+        if command not in commands or value is None or (type_ is bool and value is False):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if type_ is bool and value is True:
+            flags.append(flag)
+            continue
+        items = value if type_ is list and isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+            kind = "a string, a number or a list of them" if type_ is list else "a string or a number"
+            raise ConfigInvalid(f"config file {path}: {key} takes {kind}, got {json.dumps(value)}")
+        flags.append(flag + "=" + ",".join(v if isinstance(v, str) else repr(v) for v in items))
+    return flags
 
 
-def _floats(value, flag: str) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        tokens = value
-    else:
-        tokens = [tok for tok in str(value).split(",") if tok.strip()]
+def _split(value: str, flag: str, convert) -> tuple:
+    tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
     if not tokens:
         raise ConfigInvalid(f"{flag} must not be empty")
     try:
-        return tuple(float(tok) for tok in tokens)
-    except (TypeError, ValueError):
+        return tuple(map(convert, tokens))
+    except ValueError:
         raise ConfigInvalid(f"{flag} expects comma-separated reals, got {value!r}") from None
 
 
-def _norm_list(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        tokens = [str(tok) for tok in value]
-    else:
-        tokens = [tok.strip() for tok in str(value).split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigInvalid("--norms must not be empty")
-    return tuple(tokens)
-
-
-def _int(value, flag: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{flag} expects an integer, got {value!r}") from None
-    return out
-
-
 def parse_args(argv=None) -> CampaignConfig:
-    """Parse argv (and any --config file) into a validated CampaignConfig."""
-    ns = _build_parser().parse_args(argv)
-    file_cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
-
-    def pick(name, default=None):
-        cli = getattr(ns, name, None)
-        if cli is not None:
-            return cli
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return default
-
-    command = ns.command
-    suite = pick("suite")
-    if command == "conjecture":
-        suite = "conjecture"
-    elif command == "dk-probe":
-        suite = "dk"
-    if suite is not None:
-        suite = str(suite)
-
-    count = pick("count")
-    if count is None:
-        count = DEFAULT_DK_COUNT if suite == "dk" else DEFAULT_COUNT
-
-    raw_r = pick("r")
-    if raw_r is None:
-        r_values = DEFAULT_ALPHAS if suite == "heinz" else DEFAULT_R
-    else:
-        r_values = _floats(raw_r, "--r")
-
-    raw_eigs = pick("eigs")
+    """Parse argv into a validated CampaignConfig.  A --config file's flags
+    go after the subcommand and before argv's own, so argv wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if getattr(ns, "config", None):
+        path, at = ns.config, argv.index(ns.command) + 1
+        try:
+            ns = parser.parse_args([*argv[:at], *_config_flags(path, ns.command), *argv[at:]])
+        except UsageError as exc:
+            # argv alone parsed, so the file's flags raised it.
+            raise ConfigInvalid(f"config file {path}: {exc}") from None
+    # A subcommand takes a subset of the flags; the rest keep their defaults.
+    v = {name: row[2] for name, row in _FLAGS.items()} | vars(ns)
+    suite = {"conjecture": "conjecture", "dk-probe": "dk"}.get(ns.command, v["suite"])
     config = CampaignConfig(
-        command=command,
+        command=ns.command,
         suite=suite,
-        dim=_int(pick("dim", 3), "--dim"),
-        count=_int(count, "--count"),
-        seed=_int(pick("seed", 0), "--seed"),
-        norms=_norm_list(pick("norms", DEFAULT_NORMS)),
-        tol=float(pick("tol", 1e-8)),
-        cond=float(pick("cond", 100.0)),
-        t_values=_floats(pick("t", DEFAULT_T), "--t"),
-        r_values=r_values,
-        k_values=_floats(pick("k", DEFAULT_K), "--k"),
-        p_values=_floats(pick("p", DEFAULT_P), "--p"),
-        n=_int(pick("n", 3), "--n"),
-        eigs=None if raw_eigs is None else _floats(raw_eigs, "--eigs"),
-        starts=_int(pick("starts", 64), "--starts"),
-        iters=_int(pick("iters", 500), "--iters"),
-        out=str(pick("out", "results.jsonl")),
-        no_timing=bool(pick("no_timing", False)),
+        count=v["count"] if v["count"] is not None else DEFAULT_DK_COUNT if suite == "dk" else DEFAULT_COUNT,
+        norms=_split(v["norms"], "--norms", str),
+        t_values=_split(v["t"], "--t", float),
+        r_values=(
+            _split(v["r"], "--r", float) if v["r"] is not None else DEFAULT_ALPHAS if suite == "heinz" else DEFAULT_R
+        ),
+        k_values=_split(v["k"], "--k", float),
+        p_values=_split(v["p"], "--p", float),
+        eigs=None if v["eigs"] is None else _split(v["eigs"], "--eigs", float),
+        # The other flags are fields as parsed.
+        **{name: v[name] for name in ("dim", "seed", "tol", "cond", "n", "starts", "iters", "out", "no_timing")},
     )
     _validate(config)
     return config

@@ -49,11 +49,9 @@ DEFAULT_NODES = 32
 
 @dataclass(frozen=True)
 class HeinzParams:
-    """Exponent pair for Heinz-type brackets: alpha in [0,1], quadrature
-    variable nu in [0,1]."""
+    """Heinz bracket exponent alpha in [0,1]."""
 
     alpha: float
-    nu: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:

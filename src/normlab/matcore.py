@@ -250,10 +250,13 @@ def _require_square(a: np.ndarray) -> None:
 def require_hermitian(a: np.ndarray) -> None:
     """Raise NotHermitian unless A, or every matrix of an (..., n, n) stack,
     equals its adjoint within HERMITICITY_RTOL (Frobenius norm, relative to
-    max(1, |A|))."""
+    max(1, |A|)).  A matrix whose largest entry magnitude exceeds 1 is first
+    divided by it, so the norms cannot overflow."""
     axes = None if a.ndim == 2 else (-2, -1)
-    scale_ = np.maximum(1.0, np.linalg.norm(a, axis=axes))
-    if np.any(np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=axes) > HERMITICITY_RTOL * scale_):
+    peak = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    a = a / peak[..., None, None]
+    gap = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=axes)
+    if np.any(gap > HERMITICITY_RTOL * np.maximum(1.0 / peak, np.linalg.norm(a, axis=axes))):
         raise NotHermitian("matrix is not self-adjoint within tolerance")
 
 

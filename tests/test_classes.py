@@ -153,6 +153,15 @@ def test_schur_theorem_validation():
 # ---------------------------------------------------------------- probe
 
 
+def test_schur_theorem_psd_rtol():
+    # A least eigenvalue down to -PSD_RTOL times the largest counts as
+    # rounding; below it the multiplier is not positive semidefinite.
+    x = matcore.ginibre(2, rng=matcore.Rng(123))
+    assert classes.schur_theorem_bound_check(np.diag([1.0, -0.5 * classes.PSD_RTOL]), x).ok
+    with pytest.raises(NotPSD):
+        classes.schur_theorem_bound_check(np.diag([1.0, -2.0 * classes.PSD_RTOL]), x)
+
+
 def test_probe_identity_conjugation():
     res = classes.dk_ratio_minimize(np.eye(3), 0.7, starts=2, iters=20, rng=matcore.Rng(0))
     # Every multiplier entry is 2.7, so every ratio is exactly 2.7.
@@ -337,6 +346,19 @@ def test_forms_registry_shape():
     assert EQUALITY_FORMS == ("eq7", "eq10", "eq14", "eq16", "eq18", "eq19")
     assert FORMS["ineq13"].relation == "le"
     assert FORMS["ineq6"].relation == "ge"
+
+
+def test_forms_name_their_class():
+    # Each form carries the operator class its samples are drawn from.
+    families = {}
+    for form_id, form in FORMS.items():
+        families.setdefault(form.family, []).append(form_id)
+    assert families == {
+        "scaled_selfadjoint": ["ineq6", "eq7", "ineq8"],
+        "normal": ["ineq9", "eq10", "ineq11", "ineq12"],
+        "scaled_unitary": ["ineq13", "ineq15", "eq16", "ineq17", "eq18", "eq19"],
+        "scaled_reflection": ["eq14"],
+    }
 
 
 def test_unknown_form_rejected():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,134 @@ def test_config_file_errors(tmp_path):
 
     with pytest.raises(IoFailure):
         cli.parse_args(["verify", "--config", str(tmp_path / "absent.json")])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"tol": "abc"},
+        {"cond": [1]},
+        {"dim": 3.5},
+        {"starts": 2.9},
+        {"count": True},
+        {"seed": 1e30},
+        {"no_timing": "false"},
+        {"norms": [["op"]]},
+        {"t": {"a": 1}},
+        {"suite": ["cpr"]},
+        {"suite": False},
+        {"out": True},
+    ],
+    ids=json.dumps,
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, entry):
+    # A file value takes the path of the same value on the command line, so
+    # a value argv would refuse is refused, never read as something else.
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"suite": "cpr", **entry}))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid configuration: config file {path}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# (command, config file, the same flags on the command line).  Together the
+# cases name every config key.
+_FILE_AS_FLAGS = [
+    (
+        "verify",
+        {"suite": "zhan", "dim": 4, "count": 5, "seed": 9, "norms": ["op", "schatten:3"], "tol": 1e-6, "cond": 50},
+        "--suite zhan --dim 4 --count 5 --seed 9 --norms op,schatten:3 --tol 1e-6 --cond 50",
+    ),
+    (
+        "verify",
+        {"suite": "zhan", "t": [-1, 0.5], "r": [0.5, 1.5], "out": "x.jsonl", "no_timing": True},
+        "--suite zhan --t=-1,0.5 --r 0.5,1.5 --out x.jsonl --no-timing",
+    ),
+    (
+        "verify",
+        {"suite": "finalcor", "p": [1, 2.5], "k": "0,1", "no_timing": False},
+        "--suite finalcor --p 1,2.5 --k 0,1",
+    ),
+    (
+        "verify",
+        {"suite": "dk", "eigs": [1, -2], "starts": 3, "iters": 7, "k": 0.5, "tol": None},
+        "--suite dk --eigs=1,-2 --starts 3 --iters 7 --k 0.5",
+    ),
+    ("verify", {"suite": "cpr", "t": "-1,0", "no_timing": None, "count": None}, "--suite cpr --t=-1,0"),
+    # Keys the command does not take are skipped.
+    ("conjecture", {"n": 4, "k": [0, 1], "count": 2, "dim": 5, "suite": "heinz", "p": [9]}, "--n 4 --k 0,1 --count 2"),
+    ("dk-probe", {"eigs": "1,2", "k": [1], "seed": 3, "norms": None, "t": "nope"}, "--eigs 1,2 --k 1 --seed 3"),
+]
+
+
+@pytest.mark.parametrize("command, entries, flags", _FILE_AS_FLAGS)
+@pytest.mark.parametrize("extra", ["", "--count 3 --k=2 --no-timing --seed 4"], ids=["file", "argv-wins"])
+def test_config_file_reads_as_its_flags(tmp_path, command, entries, flags, extra):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(entries))
+    from_file = cli.parse_args([command, "--config", str(path), *extra.split()])
+    assert from_file == cli.parse_args([command, *flags.split(), *extra.split()])
+
+
+def test_config_file_cases_name_every_key():
+    assert {key for _, entries, _ in _FILE_AS_FLAGS for key in entries} == set(cli._FLAGS) - {"config"}
+
+
+_FILE_VALID = {
+    "suite": ["heinz", "cpr", "finalcor", "dk", "conjecture"],
+    "dim": [2, "3"],
+    "count": [1],
+    "seed": [0, 7, "3"],
+    "norms": ["op", ["op", "tr"]],
+    "tol": [1e-8, "1e-6"],
+    "cond": [10, 100.0],
+    "t": [[-1, 0.5], "0"],
+    "r": [[0.5, 1], 0.75],
+    "k": [[0, 1], 0.5],
+    "p": [[1, 3], 2],
+    "n": [2, 3],
+    "eigs": [[1, -2], "1,2"],
+    "starts": [2],
+    "iters": [2],
+    "out": ["ignored.jsonl"],
+    "no_timing": [True, False],
+}
+_FILE_WRONG = ["abc", 2.5, True, [1], [[1]], {"a": 1}, None, float("nan")]
+
+
+def _refused_unparsed(key, value):
+    # A value no flag can stand for: an object, a nested list, a list for a
+    # flag that takes no comma list, or a bool for a flag that is no switch.
+    if isinstance(value, list):
+        return cli._FLAGS[key][1] is not list or any(isinstance(v, list) for v in value)
+    return isinstance(value, dict) or (isinstance(value, bool) and key != "no_timing")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), keys=st.sets(st.sampled_from(sorted(_FILE_VALID)), max_size=6))
+def test_config_file_cli_fuzz(data, keys):
+    # Every config file ends in a documented exit code with no traceback:
+    # 0 or 1 for a run, 2 for a refused value, 3 for a numerical failure, 4
+    # for an I/O failure.  A file of valid values always runs, and a value
+    # no flag can stand for is always refused.
+    entries = {"suite": data.draw(st.sampled_from(_FILE_VALID["suite"]), label="suite")}
+    wrong = data.draw(st.sets(st.sampled_from(sorted(keys | {"suite"})), max_size=2), label="wrong")
+    for key in sorted(keys | {"suite"}):
+        pool = _FILE_WRONG if key in wrong else _FILE_VALID[key]
+        entries[key] = data.draw(st.sampled_from(pool), label=key)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        with open(tmp + "/c.json", "w", encoding="utf-8") as fh:
+            json.dump(entries, fh)
+        argv = ["verify", "--config", tmp + "/c.json", "--count", "1", "--starts", "2", "--iters", "2"]
+        code = cli.main(argv + ["--out", tmp + "/v.jsonl"])
+    assert "Traceback" not in err.getvalue(), entries
+    if any(_refused_unparsed(key, entries[key]) for key in wrong):
+        assert code == 2, (entries, err.getvalue())
+    else:
+        assert code in ({0, 1, 2, 3, 4} if wrong else {0, 1, 3}), (entries, err.getvalue())
 
 
 def _verify_argv(out, extra=()):
@@ -432,6 +561,20 @@ def test_verify_cli_fuzz(data, bad):
         code = cli.main(argv + ["--starts", "2", "--iters", "2", "--no-timing", "--out", tmp + "/v.jsonl"])
     assert code in ({0, 1, 2, 3, 4} if bad else {0, 1, 3}), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("eigs, code", [("1e300", 0), ("1e300,2", 3)])
+def test_dk_probe_huge_eigenvalue_does_not_overflow(tmp_path, capsys, eigs, code):
+    # The Hermitian check scales S by its largest entry, so a spectrum near
+    # the float range raises no overflow warning: it runs, or its matrix is
+    # singular in floating point.
+    out = tmp_path / "dk.jsonl"
+    argv = ["dk-probe", "--eigs", eigs, "--k", "0", "--count", "1", "--starts", "2", "--iters", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("numerical failure: Singular") and err.count("\n") == 1
 
 
 def test_dk_probe_run(tmp_path):

@@ -1,5 +1,7 @@
 """Kernel tests: decompositions, fractional powers, samplers, algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,35 @@ def test_herm_eigen_reconstruction():
 def test_herm_eigen_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         matcore.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e160, 1.0])
+def test_require_hermitian_near_the_float_range(scale):
+    # A matrix is divided by its largest entry before the Frobenius norms, so
+    # near the float range they neither overflow nor hide the gap from the
+    # adjoint, and no overflow warning is raised.
+    upper = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+    hermitian = scale * np.array([[1.0, 1j], [-1j, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotHermitian):
+            matcore.require_hermitian(upper)
+        with pytest.raises(NotHermitian):
+            matcore.require_hermitian(np.stack([hermitian, upper]))
+        with pytest.raises(NotHermitian):
+            matcore.herm_eigen(upper)
+        matcore.require_hermitian(hermitian)
+        matcore.require_hermitian(np.stack([hermitian, np.zeros((2, 2))]))
+
+
+def test_require_hermitian_gap_is_absolute_below_norm_one():
+    # The tolerance is relative to max(1, |A|): below norm 1 the gap itself
+    # is held to HERMITICITY_RTOL, down to subnormal entries.
+    gap = np.array([[0.0, 1.0], [0.0, 0.0]])
+    matcore.require_hermitian(0.5 * matcore.HERMITICITY_RTOL * gap)
+    matcore.require_hermitian(1e-310 * gap)
+    with pytest.raises(NotHermitian):
+        matcore.require_hermitian(2.0 * matcore.HERMITICITY_RTOL * gap)
 
 
 def test_svd_hand_values():
