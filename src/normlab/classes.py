@@ -4,9 +4,10 @@ class of invertible S whose phi stays bounded below by (k+2)|X|.
 For self-adjoint S the map is an entrywise (Schur) multiplier in the
 eigenbasis: with S = Q diag(l) Q* and X~ = Q*XQ,
 
-    phi(S,k,X) = Q (M o X~) Q*,   M_ij = l_i/l_j + l_j/l_i + k.
+    phi(S,k,X) = Q (M o X~) Q*,   M_ij = l_i/l_j + l_j/l_i + k,
 
-That representation powers the pairwise criterion min |M_ij| >= k+2
+the sandwich weights ``heinz.sandwich_weights(l, l, k)`` of the multiplier
+engine.  That representation powers the pairwise criterion min |M_ij| >= k+2
 (constraint_check, which takes one spectrum or a stack of them and serves
 both the ratio probe and the conjecture search), the residual check, the
 bound check against the classical PSD multiplier theorem, and a
@@ -27,6 +28,7 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch, InvalidK, NotPSD, Singular
+from .heinz import sandwich_weights
 from .norms import OP, stack_norms
 
 __all__ = [
@@ -99,13 +101,6 @@ def phi(s, k: float, x) -> np.ndarray:
     return s @ x @ si + si @ x @ s + k * x
 
 
-def _multiplier_matrix(eigs: np.ndarray, k: float) -> np.ndarray:
-    # M_ij = l_i/l_j + l_j/l_i + k, the eigenbasis multiplier of phi(S, k);
-    # an (..., n) stack of spectra gives an (..., n, n) stack.
-    ratio = eigs[..., :, None] / eigs[..., None, :]
-    return ratio + 1.0 / ratio + k
-
-
 @dataclass(frozen=True)
 class ConstraintResult:
     """Pairwise criterion verdict; for an (..., n) stack of spectra every
@@ -127,7 +122,7 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     lam = matcore.as_spectrum(lambdas)
     k = float(k)
     n = lam.shape[-1]
-    vals = np.abs(_multiplier_matrix(lam, k)).reshape(lam.shape[:-1] + (n * n,))
+    vals = np.abs(sandwich_weights(lam, lam, k)).reshape(lam.shape[:-1] + (n * n,))
     # Self-pairs are masked with inf; a singleton's only pair is then (0, 0).
     search = vals + np.diag(np.full(n, np.inf)).ravel()
     flat = np.argmin(search, axis=-1)
@@ -180,7 +175,7 @@ def schur_rep_residual(s, k: float, x) -> float:
     x = matcore.as_matrix(x)
     direct = phi(s, k, x)
     dec = _selfadjoint_eigen(s)
-    m = _multiplier_matrix(dec.eigenvalues, k)
+    m = sandwich_weights(dec.eigenvalues, dec.eigenvalues, k)
     q = dec.vectors
     rep = q @ (m * (q.conj().T @ x @ q)) @ q.conj().T
     return float(np.linalg.norm(direct - rep) / max(1.0, np.linalg.norm(direct)))
@@ -228,7 +223,7 @@ def dk_ratio_minimize(
     dec = _selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
-    m = _multiplier_matrix(eigs, k)
+    m = sandwich_weights(eigs, eigs, k)
     spectral_ok = constraint_check(eigs, k).ok
 
     # One draw, consumed start by start: the real part, then the imaginary.

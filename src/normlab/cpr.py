@@ -2,19 +2,23 @@
 power-pair chain, including direct-sum variants and a Schatten power form.
 
 Every check takes a tuple of norm kinds and returns one report per kind
-(:func:`final_cor_check` takes Schatten exponents instead).  Each forms its
-inverses and products once and runs one batched SVD over its equal-shape
-matrices, which serves every norm.
+(:func:`final_cor_check` takes Schatten exponents instead), and one
+batched SVD serves every norm.  The checks on an arbitrary invertible S
+form their inverses and products once and run that SVD over them.
 
-Chains here reuse the :mod:`normlab.heinz` pair-basis evaluator with total
-power 2: H(s) denotes |A^s X B^{2-s} + A^{2-s} X B^s| and the quadratic
-bracket A^2 X + X B^2 + t AXB carries the entrywise weight
-a_i^2 + b_j^2 + t a_i b_j in the rotated basis.
+The positive-pair checks (the Zhan chain, cor23 and cor24) run on the
+:mod:`normlab.heinz` multiplier engine: a pair basis, weights, one SVD
+stack.  The Zhan chain is built from the Heinz chain, as the paper
+proves it.  With X' = A^(1/2) X B^(1/2), the bracket
+H(s) = |A^s X B^{2-s} + A^{2-s} X B^s| is the Heinz bracket of X' at
+s - 1/2, so the five H members of the Zhan chain are
+4 x (the Heinz chain of X' at alpha = r - 1/2) - c|AXB|, regime for regime
+(r <= 1 exactly when alpha <= 1/2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,11 +28,12 @@ from .errors import InvalidParams
 from .heinz import (
     DEFAULT_NODES,
     PairBasis,
+    abs_pair_basis,
     dominance,
-    mean_nodes,
-    nodes_mean,
+    kittaneh_members,
     pair_basis,
-    power_pair_sv,
+    quadratic_sv,
+    sandwich_weights,
     weighted_sv,
 )
 from .norms import OP, NormKind, norms_from_sv, stack_norms
@@ -72,7 +77,7 @@ def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     matcore.require_hermitian(s)
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
-    return dominance(("|SXS^-1+S^-1XS|", "2|X|"), s @ x @ si + si @ x @ s, x, 2.0, kinds, tol)
+    return dominance(("|SXS^-1+S^-1XS|", "2|X|"), stack_norms((s @ x @ si + si @ x @ s, x), kinds), 2.0, tol)
 
 
 def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -82,7 +87,7 @@ def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[Chain
     matcore.require_hermitian(t)
     si, ti = matcore.inverse(s), matcore.inverse(t)
     x = matcore.as_matrix(x)
-    return dominance(("|SXT^-1+S^-1XT|", "2|X|"), s @ x @ ti + si @ x @ t, x, 2.0, kinds, tol)
+    return dominance(("|SXT^-1+S^-1XT|", "2|X|"), stack_norms((s @ x @ ti + si @ x @ t, x), kinds), 2.0, tol)
 
 
 def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -91,7 +96,7 @@ def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, 
     si = matcore.inverse(s)
     x = matcore.as_matrix(x)
     lhs = s.conj().T @ x @ si + si @ x @ s.conj().T
-    return dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), lhs, x, 2.0, kinds, tol)
+    return dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), stack_norms((lhs, x), kinds), 2.0, tol)
 
 
 def zhan_chain(
@@ -121,9 +126,10 @@ def zhan_chain(
     Regime 2 (r >= 1): nu runs over [r-1/2, 1], mid = (2r+3)/4.
     A zero-length nu interval evaluates the integrand at its endpoint.
 
-    The pair is diagonalized once; one batched SVD over the H exponents and
-    the quadrature nodes and one over the quadratic and AXB weights serve
-    every norm.
+    The pair is diagonalized once.  The H members are the Kittaneh members
+    of A^(1/2) X B^(1/2) at alpha = r - 1/2, whose regime interval and
+    midpoint map are nu's shifted by 1/2; one SVD stack of them and one of
+    the quadratic and AXB weights serve every norm.
     """
     if not isinstance(params, ZhanParams):
         params = ZhanParams(*params)
@@ -155,36 +161,12 @@ def _zhan_reports(
     """The chains of :func:`zhan_chain` with the regime given; r = 1 lies in
     both."""
     c = 4.0 - 2.0 * t
-    if regime == 1:
-        lo, hi = 0.0, r - 0.5
-        mid = (2.0 * r + 1.0) / 4.0
-    else:
-        lo, hi = r - 0.5, 1.0
-        mid = (2.0 * r + 3.0) / 4.0
-
-    pts, w = mean_nodes(lo, hi, lo, nodes)
-    h_sv = power_pair_sv(basis, np.concatenate(([1.5, r, mid], pts + 0.5)), total=2.0)
-    # The quadratic bracket A^2 X + X B^2 + s AXB at s = t and s = 2, and AXB.
-    la, mu = basis.a_eigs, basis.b_eigs
-    cross = np.outer(la, mu)
-    squares = (la**2)[:, None] + (mu**2)[None, :]
-    q_sv = weighted_sv(basis, np.stack((squares + t * cross, squares + 2.0 * cross, cross)))
-
+    # X' = A^(1/2) X B^(1/2) in the pair basis, whose Heinz bracket at s - 1/2 is H(s).
+    root = replace(basis, x_rot=np.sqrt(np.outer(basis.a_eigs, basis.b_eigs)) * basis.x_rot)
+    heinz_members = kittaneh_members(root, r - 0.5, regime, kinds, nodes)
     reports = []
-    for h, q in zip(norms_from_sv(h_sv, kinds), norms_from_sv(q_sv, kinds)):
-        h32, h_r, h_mid = h[:3].tolist()
-        mean_h = nodes_mean(h[3:], w, lo, hi)
-        q_t, q_2, g = q.tolist()
-        members = (
-            2.0 * q_t,
-            2.0 * q_2 - c * g,
-            4.0 * h32 - c * g,
-            2.0 * h32 + 2.0 * h_r - c * g,
-            4.0 * mean_h - c * g,
-            4.0 * h_mid - c * g,
-            4.0 * h_r - c * g,
-            (t + 2.0) * h_r,
-        )
+    for h, (q_t, q_2, g) in zip(heinz_members, norms_from_sv(quadratic_sv(basis, (t, 2.0)), kinds).tolist()):
+        members = (2.0 * q_t, 2.0 * q_2 - c * g, *(4.0 * v - c * g for v in h), (t + 2.0) * h[-1])
         reports.append(chain(_ZHAN_LABELS, members, tol=tol))
     return tuple(reports)
 
@@ -220,23 +202,18 @@ def cor23_check(a, b, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[Cha
     """
     if not t <= 2.0:
         raise InvalidParams(f"t must be <= 2, got {t}")
-    a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    abs_a = matcore.polar_abs(a)
-    abs_b_star = matcore.polar_abs(b.conj().T)
-    lhs = a.conj().T @ a @ x + x @ b @ b.conj().T + t * (abs_a @ x @ abs_b_star)
-    return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), lhs, a @ x @ b, t + 2.0, kinds, tol)
+    rows = norms_from_sv(quadratic_sv(abs_pair_basis(a, b, x), (t,)), kinds)
+    return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), rows, t + 2.0, tol)
 
 
 def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
     if not t <= 2.0:
         raise InvalidParams(f"t must be <= 2, got {t}")
-    x = matcore.as_matrix(x)
-    p_inv = matcore.frac_power(p, -1.0)
-    q_inv = matcore.frac_power(q, -1.0)
-    p, q = matcore.as_matrix(p), matcore.as_matrix(q)
-    lhs = p @ x @ q_inv + p_inv @ x @ q + t * x
-    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), lhs, x, t + 2.0, kinds, tol)
+    basis = pair_basis(p, q, x)
+    weights = np.stack((sandwich_weights(basis.a_eigs, basis.b_eigs, t), np.ones(basis.x_rot.shape)))
+    rows = norms_from_sv(weighted_sv(basis, weights), kinds)
+    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, t + 2.0, tol)
 
 
 def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -269,7 +246,7 @@ def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
 
 def _direct_sum_dominance(block_y, block_x, x, y, kinds, tol: float) -> tuple[ChainReport, ...]:
     lhs, rhs = matcore.direct_sum(block_y, block_x), matcore.direct_sum(x, y)
-    return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), lhs, rhs, 2.0, kinds, tol)
+    return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), stack_norms((lhs, rhs), kinds), 2.0, tol)
 
 
 def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:

@@ -1,11 +1,25 @@
 """Heinz-mean brackets, the arithmetic-geometric mean bound, and the
 chained refinements of the sum bound with a quadrature integral term.
 
-The workhorse is :class:`PairBasis`: for positive definite A, B every
-bracket A^s X B^{w-s} + A^{w-s} X B^s equals Q_A (W(s) o X~) Q_B* with
-X~ = Q_A* X Q_B and scalar weights W(s)_ij = a_i^s b_j^{w-s} + a_i^{w-s} b_j^s.
-Unitarily invariant norms drop the outer unitaries, so chain members and
-quadrature nodes reduce to one batched SVD of small weighted matrices.
+This module is the multiplier engine of every positive-pair check.  A
+:class:`PairBasis` holds the eigenvalues a_i, b_j of a positive pair and
+the free matrix X~ rotated into its eigenbases.  Every matrix a check
+needs is then U (W o X~) V* for a weight matrix W and unitaries U, V,
+which unitarily invariant norms drop: rotate, weight, one batched SVD
+(:func:`weighted_sv`), reduce with ``norms_from_sv``.  The weights:
+
+* power pairs (:func:`power_pair_sv`): A^s X B^{w-s} + A^{w-s} X B^s has
+  W_ij = a_i^s b_j^{w-s} + a_i^{w-s} b_j^s;
+* quadratics (:func:`quadratic_sv`): A^2 X + X B^2 + t AXB has
+  W_ij = a_i^2 + b_j^2 + t a_i b_j, and AXB has a_i b_j;
+* sandwiches (:func:`sandwich_weights`): A X B^-1 + A^-1 X B + k X has
+  W_ij = a_i/b_j + b_j/a_i + k.
+
+:func:`pair_basis` diagonalizes positive definite A, B (Q_A* X Q_B).
+:func:`abs_pair_basis` serves arbitrary A, B: with A = U_A S_A V_A* and
+B = U_B S_B V_B*, the singular values are the eigenvalues of |A| and |B*|,
+and X~ = V_A* X U_B makes A*A X + X BB* + t|A|X|B*| a quadratic, with
+AXB = U_A (S_A X~ S_B) V_B* its cross term.
 
 Every check takes a tuple of norm kinds and returns one report per kind.
 Singular values do not depend on the norm, so each check evaluates its
@@ -23,20 +37,24 @@ import numpy as np
 from . import matcore
 from .chains import DEFAULT_TOL, ChainReport, chain
 from .errors import DimensionMismatch
-from .norms import NormKind, norms_from_sv, stack_norms
+from .norms import NormKind, norms_from_sv
 
 __all__ = [
     "HeinzParams",
     "ChainReport",
     "PairBasis",
     "pair_basis",
+    "abs_pair_basis",
     "power_pair_sv",
+    "quadratic_sv",
+    "sandwich_weights",
     "weighted_sv",
     "heinz_expr",
     "heinz_check",
     "agm_check",
     "integral_mean_norm",
     "kittaneh_chain",
+    "kittaneh_members",
     "gauss_legendre_nodes",
 ]
 
@@ -60,8 +78,8 @@ class HeinzParams:
 
 @dataclass(frozen=True)
 class PairBasis:
-    """Eigendata of a positive definite pair with the free matrix rotated
-    into the eigenbases (x_rot = Q_A* X Q_B)."""
+    """Eigenvalues of a positive pair (A, B, or |A|, |B*|) with the free
+    matrix rotated into its eigenbases (x_rot = Q_A* X Q_B)."""
 
     a_eigs: np.ndarray
     b_eigs: np.ndarray
@@ -70,19 +88,24 @@ class PairBasis:
 
 def pair_basis(a, b, x) -> PairBasis:
     """Diagonalize positive definite A and B once and rotate X."""
-    da = matcore.posdef_eigen(a)
-    db = matcore.posdef_eigen(b)
+    da, db = matcore.posdef_eigen(a), matcore.posdef_eigen(b)
+    return _rotate(da.eigenvalues, da.vectors, db.eigenvalues, db.vectors, x)
+
+
+def abs_pair_basis(a, b, x) -> PairBasis:
+    """Eigendata of |A| and |B*| for arbitrary A, B, from one SVD of each,
+    with X rotated to V_A* X U_B."""
+    da, db = matcore.svd(a), matcore.svd(b)
+    return _rotate(da.singular_values, da.right, db.singular_values, db.left, x)
+
+
+def _rotate(a_eigs, qa, b_eigs, qb, x) -> PairBasis:
     x = matcore.as_matrix(x)
-    if x.shape != (da.eigenvalues.size, db.eigenvalues.size):
+    if x.shape != (a_eigs.size, b_eigs.size):
         raise DimensionMismatch(
-            f"free matrix shape {x.shape} does not match pair dimensions "
-            f"({da.eigenvalues.size}, {db.eigenvalues.size})"
+            f"free matrix shape {x.shape} does not match pair dimensions ({a_eigs.size}, {b_eigs.size})"
         )
-    return PairBasis(
-        a_eigs=da.eigenvalues,
-        b_eigs=db.eigenvalues,
-        x_rot=da.vectors.conj().T @ x @ db.vectors,
-    )
+    return PairBasis(a_eigs=a_eigs, b_eigs=b_eigs, x_rot=qa.conj().T @ x @ qb)
 
 
 def power_pair_sv(basis: PairBasis, exponents, total: float = 1.0) -> np.ndarray:
@@ -91,15 +114,26 @@ def power_pair_sv(basis: PairBasis, exponents, total: float = 1.0) -> np.ndarray
     exponents is scalar or 1-D; the result has one descending row of
     singular values per exponent.
     """
-    s = np.atleast_1d(np.asarray(exponents, dtype=float))
-    la = basis.a_eigs[None, :]
-    mu = basis.b_eigs[None, :]
-    la_s = la ** s[:, None]
-    la_c = la ** (total - s)[:, None]
-    mu_s = mu ** s[:, None]
-    mu_c = mu ** (total - s)[:, None]
-    w = la_s[:, :, None] * mu_c[:, None, :] + la_c[:, :, None] * mu_s[:, None, :]
-    return np.linalg.svd(w * basis.x_rot[None, :, :], compute_uv=False)
+    s = np.atleast_1d(np.asarray(exponents, dtype=float))[:, None, None]
+    la, mu = basis.a_eigs[:, None], basis.b_eigs[None, :]
+    return weighted_sv(basis, la**s * mu ** (total - s) + la ** (total - s) * mu**s)
+
+
+def quadratic_sv(basis: PairBasis, ts) -> np.ndarray:
+    """Singular values of A^2 X + X B^2 + t AXB for each t in ts, then of
+    AXB, one descending row each."""
+    la, mu = basis.a_eigs, basis.b_eigs
+    cross = np.outer(la, mu)
+    squares = (la**2)[:, None] + (mu**2)[None, :]
+    return weighted_sv(basis, np.stack([squares + t * cross for t in ts] + [cross]))
+
+
+def sandwich_weights(l, m, k: float) -> np.ndarray:
+    """Weights l_i/m_j + m_j/l_i + k of A X B^-1 + A^-1 X B + k X, for
+    spectra l of A and m of B; (..., n) stacks of spectra give an
+    (..., n, n) stack."""
+    ratio = l[..., :, None] / m[..., None, :]
+    return ratio + 1.0 / ratio + k
 
 
 def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
@@ -129,21 +163,6 @@ def gauss_legendre_nodes(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, 
     return mid + half * base, half * w
 
 
-def mean_nodes(lo: float, hi: float, endpoint: float, nodes: int):
-    """Nodes and weights for the mean over [lo, hi]; an interval shorter
-    than DEGENERATE_INTERVAL is one node, the endpoint, with no weights."""
-    if hi - lo < DEGENERATE_INTERVAL:
-        return np.array([endpoint]), None
-    return gauss_legendre_nodes(lo, hi, nodes)
-
-
-def nodes_mean(vals: np.ndarray, w, lo: float, hi: float) -> float:
-    """Mean of the integrand from its values at the nodes of mean_nodes."""
-    if w is None:
-        return float(vals[0])
-    return float(np.dot(w, vals) / (hi - lo))
-
-
 def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     """The bracket A^alpha X B^(1-alpha) + A^(1-alpha) X B^alpha."""
     HeinzParams(alpha)
@@ -153,25 +172,25 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     return t1 + t2
 
 
-def dominance(labels, larger, smaller, factor: float, kinds, tol: float) -> tuple[ChainReport, ...]:
-    """Two-value chains |larger| >= factor |smaller|, one per norm in kinds,
-    from one batched SVD of the two matrices."""
-    rows = stack_norms((larger, smaller), kinds).tolist()
-    return tuple(chain(labels, (big, factor * small), tol=tol) for big, small in rows)
+def dominance(labels, rows, factor: float, tol: float) -> tuple[ChainReport, ...]:
+    """Two-value chains |larger| >= factor |smaller|, one per row (larger,
+    smaller) of norms: from stack_norms of two explicit matrices or from
+    norms_from_sv of a two-row singular value stack."""
+    return tuple(chain(labels, (big, factor * small), tol=tol) for big, small in rows.tolist())
 
 
 def heinz_check(a, b, x, alpha: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
-    """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|."""
-    a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    labels = ("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|")
-    return dominance(labels, a @ x + x @ b, heinz_expr(a, b, x, alpha), 1.0, kinds, tol)
+    """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|, the
+    first and last members of kittaneh_chain, bit for bit."""
+    HeinzParams(alpha)
+    rows = norms_from_sv(power_pair_sv(pair_basis(a, b, x), [1.0, alpha]), kinds)
+    return dominance(("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|"), rows, 1.0, tol)
 
 
 def agm_check(a, b, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """Two-value chain: |A*AX+XBB*| >= 2|AXB| for arbitrary A, B."""
-    a, b, x = matcore.as_matrix(a), matcore.as_matrix(b), matcore.as_matrix(x)
-    lhs = (a.conj().T @ a) @ x + x @ (b @ b.conj().T)
-    return dominance(("|A*AX+XBB*|", "2|AXB|"), lhs, a @ x @ b, 2.0, kinds, tol)
+    rows = norms_from_sv(quadratic_sv(abs_pair_basis(a, b, x), (0.0,)), kinds)
+    return dominance(("|A*AX+XBB*|", "2|AXB|"), rows, 2.0, tol)
 
 
 def integral_mean_norm(
@@ -192,7 +211,7 @@ def integral_mean_norm(
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
     basis = pair_basis(a, b, x)
     pts, w = gauss_legendre_nodes(lo, hi, nodes)
-    return nodes_mean(norms_from_sv(power_pair_sv(basis, pts, total=1.0), (kind,))[0], w, lo, hi)
+    return float(np.dot(w, norms_from_sv(power_pair_sv(basis, pts), (kind,))[0]) / (hi - lo))
 
 
 def kittaneh_chain(
@@ -238,21 +257,25 @@ def _kittaneh_reports(
     tol: float,
     nodes: int,
 ) -> tuple[ChainReport, ...]:
-    """The chains of :func:`kittaneh_chain` with the regime given; alpha =
-    1/2 lies in both."""
-    if regime == 1:
-        lo, hi = 0.0, alpha
-        mid_map = 0.5 * alpha
-    else:
-        lo, hi = alpha, 1.0
-        mid_map = 0.5 * (1.0 + alpha)
+    """The chains of :func:`kittaneh_chain` with the regime given."""
+    return tuple(
+        chain(_KITTANEH_LABELS, members, tol=tol) for members in kittaneh_members(basis, alpha, regime, kinds, nodes)
+    )
 
-    pts, w = mean_nodes(lo, hi, alpha, nodes)
-    sv = power_pair_sv(basis, np.concatenate(([1.0, alpha, mid_map], pts)), total=1.0)
-    reports = []
+
+def kittaneh_members(basis: PairBasis, alpha: float, regime: int, kinds, nodes: int) -> list[tuple]:
+    """The five members of :func:`kittaneh_chain`, largest first, one tuple
+    per norm in kinds.  Regime 1 integrates over [0, alpha] with midpoint
+    map alpha/2, regime 2 over [alpha, 1] with (1+alpha)/2; alpha = 1/2
+    lies in both.  An interval shorter than DEGENERATE_INTERVAL is its
+    endpoint alpha."""
+    lo, hi = (0.0, alpha) if regime == 1 else (alpha, 1.0)
+    mid_map = 0.5 * alpha if regime == 1 else 0.5 * (1.0 + alpha)
+    pts, w = (np.array([alpha]), None) if hi - lo < DEGENERATE_INTERVAL else gauss_legendre_nodes(lo, hi, nodes)
+    sv = power_pair_sv(basis, np.concatenate(([1.0, alpha, mid_map], pts)))
+    members = []
     for vals in norms_from_sv(sv, kinds):
         v_sum, v_alpha, v_mid = vals[:3].tolist()
-        v_int = nodes_mean(vals[3:], w, lo, hi)
-        v_half = 0.5 * v_sum + 0.5 * v_alpha
-        reports.append(chain(_KITTANEH_LABELS, (v_sum, v_half, v_int, v_mid, v_alpha), tol=tol))
-    return tuple(reports)
+        v_int = float(vals[3]) if w is None else float(np.dot(w, vals[3:]) / (hi - lo))
+        members.append((v_sum, 0.5 * v_sum + 0.5 * v_alpha, v_int, v_mid, v_alpha))
+    return members

@@ -42,7 +42,6 @@ __all__ = [
     "posdef_eigen",
     "svd",
     "frac_power",
-    "polar_abs",
     "haar_unitary",
     "random_posdef",
     "random_selfadjoint_invertible",
@@ -302,13 +301,6 @@ def frac_power(p, s: float) -> np.ndarray:
     powered = (dec.vectors * dec.eigenvalues**s) @ dec.vectors.conj().T
     # The spectral formula is Hermitian; rounding is folded back symmetrically.
     return 0.5 * (powered + powered.conj().T)
-
-
-def polar_abs(a) -> np.ndarray:
-    """Positive factor |A| = (A*A)^(1/2) of the polar decomposition."""
-    dec = svd(a)
-    absval = (dec.right * dec.singular_values) @ dec.right.conj().T
-    return 0.5 * (absval + absval.conj().T)
 
 
 def haar_unitary(n: int, rng: Rng) -> np.ndarray:

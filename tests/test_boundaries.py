@@ -1,5 +1,6 @@
 """Module boundaries inside the package: no normlab module imports or reads
-an underscore-prefixed name of another normlab module."""
+an underscore-prefixed name of another normlab module, and the SVD kernel
+and matrix powers have a fixed set of callers."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,61 @@ def test_no_module_reads_another_modules_private_names():
     assert len(files) >= 9
     found = {f.name: _private_reads(f.read_text()) for f in files}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _callers(source: str, module: str, names: set[str]) -> set[str]:
+    """'module.function' for every top-level function whose body, nested
+    functions included, calls one of the dotted names (np.linalg.svd,
+    matcore.frac_power, ...); 'module' for a call outside any function."""
+    found = set()
+
+    def dotted(node) -> str:
+        if isinstance(node, ast.Attribute):
+            return dotted(node.value) + "." + node.attr
+        return node.id if isinstance(node, ast.Name) else ""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if isinstance(child, ast.Call) and dotted(child.func) in names:
+                found.add(f"{module}.{owner}" if owner else module)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _package_callers(names: set[str]) -> set[str]:
+    return set().union(*(_callers(f.read_text(), f.stem, names) for f in sorted(PACKAGE.glob("*.py"))))
+
+
+def test_guard_finds_callers():
+    source = (
+        "import numpy as np\n"
+        "def engine(w):\n"
+        "    def inner():\n"
+        "        return np.linalg.svd(w)\n"
+        "    return inner()\n"
+        "def power(p):\n"
+        "    return matcore.frac_power(p, 0.5) + frac_power(p, 1.0)\n"
+        "top = np.linalg.svd(1)\n"
+    )
+    assert _callers(source, "m", {"np.linalg.svd"}) == {"m.engine", "m"}
+    assert _callers(source, "m", {"frac_power", "matcore.frac_power"}) == {"m.power"}
+
+
+def test_one_multiplier_engine():
+    # Every positive-pair check goes rotate -> weights -> weighted_sv; the
+    # other SVDs are the explicit-product norms, the ratio probe's
+    # subgradients and the matcore kernels.  Matrix powers are formed only
+    # by the explicit Heinz bracket, a test oracle.
+    assert _package_callers({"np.linalg.svd"}) == {
+        "norms.stack_norms",
+        "heinz.weighted_sv",
+        "classes._ratio_subgradients",
+        "matcore.svd",
+        "matcore.inverse",
+    }
+    assert _package_callers({"frac_power", "matcore.frac_power"}) == {"heinz.heinz_expr"}

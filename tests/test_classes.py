@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab import classes, conjecture, matcore
+from normlab import classes, conjecture, heinz, matcore
 from normlab.classes import EQUALITY_FORMS, FORMS
 from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, norm
@@ -227,7 +227,7 @@ def _reference_probe(s, k, starts, iters, rng):
     dec = classes._selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
-    m = classes._multiplier_matrix(eigs, k)
+    m = heinz.sandwich_weights(eigs, eigs, k)
     seeds = []
     for i in range(n):
         for j in range(n):

@@ -61,6 +61,17 @@ def test_dk_probe_requires_eigs():
         cli.parse_args(["dk-probe", "--k", "1"])
 
 
+def test_failed_parse_leaves_the_parser_as_it_was():
+    # The parser is built once per process and shared by every parse.
+    good = ["verify", "--suite", "zhan", "--dim", "4", "--t=-1,2", "--norms", "op,tr", "--no-timing"]
+    alone = cli.parse_args(good)
+    for bad in (["verify", "--suite", "zhan", "--dim", "four", "--t=0"], ["verify", "--bogus", "1"], ["nope"]):
+        with pytest.raises(UsageError):
+            cli.parse_args(bad)
+        assert cli.parse_args(good) == alone
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_invalid_configs_rejected():
     cases = [
         ["verify", "--suite", "nope"],

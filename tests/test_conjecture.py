@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from normlab import classes, conjecture, matcore
+from normlab import classes, conjecture, heinz, matcore
 from normlab.errors import (
     DegenerateDenominator,
     InvalidK,
@@ -102,13 +102,11 @@ def test_build_matrix_scale_invariance():
 
 def test_build_matrix_duality():
     # C is the entrywise inverse of the sandwich multiplier matrix.
-    from normlab.classes import _multiplier_matrix
-
     g = matcore.Rng(132).generator()
     lam = 10.0 ** g.uniform(-2, 2, size=5) * np.where(g.random(5) < 0.5, -1, 1)
     k = 0.5
     c = conjecture.build_conj_matrix(lam, k)
-    m = _multiplier_matrix(lam, k)
+    m = heinz.sandwich_weights(lam, lam, k)
     assert np.max(np.abs(c * m - 1.0)) <= 1e-12
 
 

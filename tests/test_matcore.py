@@ -141,14 +141,6 @@ def test_frac_power_inverse_consistency():
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
-def test_polar_abs():
-    assert np.allclose(matcore.polar_abs(np.diag([-2.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-13)
-    a = matcore.ginibre(4, rng=matcore.Rng(21))
-    absa = matcore.polar_abs(a)
-    assert np.allclose(absa, absa.conj().T)
-    assert np.linalg.norm(absa @ absa - a.conj().T @ a) <= 1e-10 * np.linalg.norm(a) ** 2
-
-
 def test_haar_unitary():
     u1 = matcore.haar_unitary(1, matcore.Rng(0))
     assert abs(abs(u1[0, 0]) - 1.0) <= 1e-12

@@ -39,6 +39,14 @@ def test_kittaneh_chains_equal_single_norm_calls(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
+def test_heinz_check_is_the_kittaneh_chain_ends(n):
+    a, b, x = _triple(250 + n, n)
+    for alpha in ALPHAS:
+        for ends, rep in zip(heinz.heinz_check(a, b, x, alpha, KINDS), heinz.kittaneh_chain(a, b, x, alpha, KINDS)):
+            assert ends.values == (rep.values[0], rep.values[-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_zhan_chains_equal_single_norm_calls(n):
     a, b, x = _triple(300 + n, n)
     for t, r in ZHAN_POINTS:
