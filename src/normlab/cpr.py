@@ -2,18 +2,19 @@
 power-pair chain, including direct-sum variants and a Schatten power form.
 
 Every check takes a tuple of norm kinds and returns one report per kind
-(:func:`final_cor_check` takes Schatten exponents instead), and one
-batched SVD serves every norm.  The checks on an arbitrary invertible S
-form their inverses and products once and run that SVD over them.
+(:func:`final_cor_check` takes Schatten exponents instead), and runs on
+the :mod:`normlab.heinz` multiplier engine: a pair basis, weights, one
+SVD stack for every norm.  Each check on an invertible S is a sum
+A* X B^-1 + A^-1 X B* with A, B among S, S* and T: sandwich weights on
+rotate(sig_A, U_A, sig_B, V_B, X).  S = U diag(sig) V* makes S* =
+V diag(sig) U*, so one SVD of S serves both; a direct sum's singular
+values are the sorted union of its blocks'.
 
-The positive-pair checks (the Zhan chain, cor23 and cor24) run on the
-:mod:`normlab.heinz` multiplier engine: a pair basis, weights, one SVD
-stack.  The Zhan chain is built from the Heinz chain, as the paper
-proves it.  With X' = A^(1/2) X B^(1/2), the bracket
-H(s) = |A^s X B^{2-s} + A^{2-s} X B^s| is the Heinz bracket of X' at
-s - 1/2, so the five H members of the Zhan chain are
-4 x (the Heinz chain of X' at alpha = r - 1/2) - c|AXB|, regime for regime
-(r <= 1 exactly when alpha <= 1/2).
+The Zhan chain is built from the Heinz chain, as the paper proves it.
+With X' = A^(1/2) X B^(1/2), the bracket H(s) = |A^s X B^{2-s} + A^{2-s}
+X B^s| is the Heinz bracket of X' at s - 1/2, so the five H members of the
+Zhan chain are 4 x (the Heinz chain of X' at alpha = r - 1/2) - c|AXB|,
+regime for regime (r <= 1 exactly when alpha <= 1/2).
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .heinz import (
     kittaneh_members,
     pair_basis,
     quadratic_sv,
-    sandwich_weights,
-    weighted_sv,
+    rotate,
+    sandwich_sv,
 )
-from .norms import OP, NormKind, norms_from_sv, stack_norms
+from .norms import OP, NormKind, norms_from_sv
 
 __all__ = [
     "ZhanParams",
@@ -75,9 +76,8 @@ def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|SXS^-1 + S^-1XS| >= 2|X| for self-adjoint invertible S."""
     s = matcore.as_matrix(s)
     matcore.require_hermitian(s)
-    si = matcore.inverse(s)
-    x = matcore.as_matrix(x)
-    return dominance(("|SXS^-1+S^-1XS|", "2|X|"), stack_norms((s @ x @ si + si @ x @ s, x), kinds), 2.0, tol)
+    d = matcore.invertible_svd(s)
+    return _sandwich_dominance("|SXS^-1+S^-1XS|", d, d, x, kinds, tol)
 
 
 def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -85,18 +85,19 @@ def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[Chain
     s, t = matcore.as_matrix(s), matcore.as_matrix(t)
     matcore.require_hermitian(s)
     matcore.require_hermitian(t)
-    si, ti = matcore.inverse(s), matcore.inverse(t)
-    x = matcore.as_matrix(x)
-    return dominance(("|SXT^-1+S^-1XT|", "2|X|"), stack_norms((s @ x @ ti + si @ x @ t, x), kinds), 2.0, tol)
+    return _sandwich_dominance("|SXT^-1+S^-1XT|", matcore.invertible_svd(s), matcore.invertible_svd(t), x, kinds, tol)
 
 
 def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
     """|S*XS^-1 + S^-1XS*| >= 2|X| for arbitrary invertible S."""
-    s = matcore.as_matrix(s)
-    si = matcore.inverse(s)
-    x = matcore.as_matrix(x)
-    lhs = s.conj().T @ x @ si + si @ x @ s.conj().T
-    return dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), stack_norms((lhs, x), kinds), 2.0, tol)
+    d = matcore.invertible_svd(s)
+    return _sandwich_dominance("|S*XS^-1+S^-1XS*|", d, d, x, kinds, tol)
+
+
+def _sandwich_dominance(label, da, db, x, kinds, tol: float) -> tuple[ChainReport, ...]:
+    # |A* X B^-1 + A^-1 X B*| >= 2|X| from the SVDs of A and B.
+    basis = rotate(da.singular_values, da.left, db.singular_values, db.right, x)
+    return dominance((label, "2|X|"), norms_from_sv(sandwich_sv([basis], 0.0), kinds), 2.0, tol)
 
 
 def zhan_chain(
@@ -210,9 +211,7 @@ def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[Cha
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
     if not t <= 2.0:
         raise InvalidParams(f"t must be <= 2, got {t}")
-    basis = pair_basis(p, q, x)
-    weights = np.stack((sandwich_weights(basis.a_eigs, basis.b_eigs, t), np.ones(basis.x_rot.shape)))
-    rows = norms_from_sv(weighted_sv(basis, weights), kinds)
+    rows = norms_from_sv(sandwich_sv([pair_basis(p, q, x)], t), kinds)
     return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, t + 2.0, tol)
 
 
@@ -221,13 +220,9 @@ def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
 
     |(SYS^-1 + S^{*-1}YS*) (+) (S*XS^{*-1} + S^-1XS)| >= 2|X (+) Y|.
     """
-    s = matcore.as_matrix(s)
-    si = matcore.inverse(s)
-    s_star, si_star = s.conj().T, si.conj().T
-    x, y = matcore.as_matrix(x), matcore.as_matrix(y)
-    block_y = s @ y @ si + si_star @ y @ s_star
-    block_x = s_star @ x @ si_star + si @ x @ s
-    return _direct_sum_dominance(block_y, block_x, x, y, kinds, tol)
+    d = matcore.invertible_svd(s)
+    sig, u, v = d.singular_values, d.left, d.right
+    return _direct_sum_dominance(rotate(sig, v, sig, v, y), rotate(sig, u, sig, u, x), kinds, tol)
 
 
 def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -235,18 +230,15 @@ def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
 
     |(SYS^{*-1} + S^{*-1}YS) (+) (S*XS^-1 + S^-1XS*)| >= 2|X (+) Y|.
     """
-    s = matcore.as_matrix(s)
-    si = matcore.inverse(s)
-    s_star, si_star = s.conj().T, si.conj().T
-    x, y = matcore.as_matrix(x), matcore.as_matrix(y)
-    block_y = s @ y @ si_star + si_star @ y @ s
-    block_x = s_star @ x @ si + si @ x @ s_star
-    return _direct_sum_dominance(block_y, block_x, x, y, kinds, tol)
+    d = matcore.invertible_svd(s)
+    sig, u, v = d.singular_values, d.left, d.right
+    return _direct_sum_dominance(rotate(sig, v, sig, u, y), rotate(sig, u, sig, v, x), kinds, tol)
 
 
-def _direct_sum_dominance(block_y, block_x, x, y, kinds, tol: float) -> tuple[ChainReport, ...]:
-    lhs, rhs = matcore.direct_sum(block_y, block_x), matcore.direct_sum(x, y)
-    return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), stack_norms((lhs, rhs), kinds), 2.0, tol)
+def _direct_sum_dominance(basis_y, basis_x, kinds, tol: float) -> tuple[ChainReport, ...]:
+    # Rows (Y block, X block, Y, X) pair up into the sorted unions of the two sums.
+    union = np.sort(sandwich_sv([basis_y, basis_x], 0.0).reshape(2, -1), axis=1)[:, ::-1]
+    return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), norms_from_sv(union, kinds), 2.0, tol)
 
 
 def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
@@ -261,17 +253,15 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ..
     batched SVD of E1, E2 and X serves all of them.
     """
     for p in ps:
-        if p < 1.0:
-            raise InvalidParams(f"Schatten exponent must be >= 1, got {p}")
-    s = matcore.as_matrix(s)
-    si = matcore.inverse(s)
-    s_star, si_star = s.conj().T, si.conj().T
-    x = matcore.as_matrix(x)
-    e1 = s @ x @ si + si_star @ x @ s_star
-    e2 = s_star @ x @ si_star + si @ x @ s
+        if not 1.0 <= p < np.inf:
+            raise InvalidParams(f"Schatten exponent must be finite and >= 1, got {p}")
+    d = matcore.invertible_svd(s)
+    sig, u, v = d.singular_values, d.left, d.right
+    # Rows E1, E2, X (and X again, unused).
+    sv = sandwich_sv([rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)], 0.0)[:3]
 
     kinds = (OP,) + tuple(NormKind.schatten(p) for p in ps)
-    (op1, op2, op_x), *powers = stack_norms((e1, e2, x), kinds).tolist()
+    (op1, op2, op_x), *powers = norms_from_sv(sv, kinds).tolist()
     op_report = chain(("max(|E1|,|E2|)", "2|X|"), (max(op1, op2), 2.0 * op_x), tol=tol)
     power_reports = tuple(
         chain(("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"), (n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p), tol=tol)

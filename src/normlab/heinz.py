@@ -1,25 +1,28 @@
 """Heinz-mean brackets, the arithmetic-geometric mean bound, and the
 chained refinements of the sum bound with a quadrature integral term.
 
-This module is the multiplier engine of every positive-pair check.  A
-:class:`PairBasis` holds the eigenvalues a_i, b_j of a positive pair and
-the free matrix X~ rotated into its eigenbases.  Every matrix a check
-needs is then U (W o X~) V* for a weight matrix W and unitaries U, V,
-which unitarily invariant norms drop: rotate, weight, one batched SVD
-(:func:`weighted_sv`), reduce with ``norms_from_sv``.  The weights:
+This module is the multiplier engine of every positive-pair check and of
+every sandwich check on an invertible S.  A :class:`PairBasis` holds the
+eigenvalues a_i, b_j of a positive pair and the free matrix X~ rotated
+into its eigenbases.  Every matrix a check needs is then U (W o X~) V*
+for a weight matrix W and unitaries U, V, which unitarily invariant norms
+drop: rotate, weight, one batched SVD (:func:`weighted_sv`), reduce with
+``norms_from_sv``.  The weights:
 
 * power pairs (:func:`power_pair_sv`): A^s X B^{w-s} + A^{w-s} X B^s has
   W_ij = a_i^s b_j^{w-s} + a_i^{w-s} b_j^s;
 * quadratics (:func:`quadratic_sv`): A^2 X + X B^2 + t AXB has
   W_ij = a_i^2 + b_j^2 + t a_i b_j, and AXB has a_i b_j;
-* sandwiches (:func:`sandwich_weights`): A X B^-1 + A^-1 X B + k X has
-  W_ij = a_i/b_j + b_j/a_i + k.
+* sandwiches (:func:`sandwich_sv`): A X B^-1 + A^-1 X B + k X has
+  W_ij = a_i/b_j + b_j/a_i + k, and at k = 0 so has A* X B^-1 + A^-1 X B*
+  for invertible A, B, on their singular values with X~ = U_A* X V_B.
 
 :func:`pair_basis` diagonalizes positive definite A, B (Q_A* X Q_B).
 :func:`abs_pair_basis` serves arbitrary A, B: with A = U_A S_A V_A* and
 B = U_B S_B V_B*, the singular values are the eigenvalues of |A| and |B*|,
 and X~ = V_A* X U_B makes A*A X + X BB* + t|A|X|B*| a quadratic, with
-AXB = U_A (S_A X~ S_B) V_B* its cross term.
+AXB = U_A (S_A X~ S_B) V_B* its cross term.  Both rotate X with
+:func:`rotate`, which the sandwich checks on an invertible S call too.
 
 Every check takes a tuple of norm kinds and returns one report per kind.
 Singular values do not depend on the norm, so each check evaluates its
@@ -45,9 +48,11 @@ __all__ = [
     "PairBasis",
     "pair_basis",
     "abs_pair_basis",
+    "rotate",
     "power_pair_sv",
     "quadratic_sv",
     "sandwich_weights",
+    "sandwich_sv",
     "weighted_sv",
     "heinz_expr",
     "heinz_check",
@@ -89,17 +94,18 @@ class PairBasis:
 def pair_basis(a, b, x) -> PairBasis:
     """Diagonalize positive definite A and B once and rotate X."""
     da, db = matcore.posdef_eigen(a), matcore.posdef_eigen(b)
-    return _rotate(da.eigenvalues, da.vectors, db.eigenvalues, db.vectors, x)
+    return rotate(da.eigenvalues, da.vectors, db.eigenvalues, db.vectors, x)
 
 
 def abs_pair_basis(a, b, x) -> PairBasis:
     """Eigendata of |A| and |B*| for arbitrary A, B, from one SVD of each,
     with X rotated to V_A* X U_B."""
     da, db = matcore.svd(a), matcore.svd(b)
-    return _rotate(da.singular_values, da.right, db.singular_values, db.left, x)
+    return rotate(da.singular_values, da.right, db.singular_values, db.left, x)
 
 
-def _rotate(a_eigs, qa, b_eigs, qb, x) -> PairBasis:
+def rotate(a_eigs, qa, b_eigs, qb, x) -> PairBasis:
+    """The basis of spectra a_eigs, b_eigs with X rotated to Qa* X Qb."""
     x = matcore.as_matrix(x)
     if x.shape != (a_eigs.size, b_eigs.size):
         raise DimensionMismatch(
@@ -136,11 +142,21 @@ def sandwich_weights(l, m, k: float) -> np.ndarray:
     return ratio + 1.0 / ratio + k
 
 
+def sandwich_sv(bases, k: float) -> np.ndarray:
+    """Singular values of A X B^-1 + A^-1 X B + k X on each basis of a
+    list, then of each basis's X, one descending row each, from one SVD
+    of the bases stacked."""
+    a_eigs, b_eigs, x_rot = (np.stack(field) for field in zip(*((p.a_eigs, p.b_eigs, p.x_rot) for p in bases)))
+    weights = np.stack((sandwich_weights(a_eigs, b_eigs, k), np.ones(x_rot.shape)))
+    return weighted_sv(PairBasis(a_eigs, b_eigs, x_rot), weights).reshape(2 * len(bases), -1)
+
+
 def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
     """Singular values of the rotated free matrix weighted entrywise by one
-    weight matrix or, batched, by each matrix of a (..., m, n) stack."""
+    weight matrix or, batched, by each matrix of a (..., m, n) stack; a
+    basis of k stacked pairs takes (..., k, m, n) weights."""
     w = np.asarray(weights, dtype=float)
-    if w.shape[-2:] != basis.x_rot.shape:
+    if w.shape[-basis.x_rot.ndim :] != basis.x_rot.shape:
         raise DimensionMismatch("weight shape must match the rotated free matrix")
     return np.linalg.svd(w * basis.x_rot, compute_uv=False)
 
@@ -174,8 +190,7 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
 
 def dominance(labels, rows, factor: float, tol: float) -> tuple[ChainReport, ...]:
     """Two-value chains |larger| >= factor |smaller|, one per row (larger,
-    smaller) of norms: from stack_norms of two explicit matrices or from
-    norms_from_sv of a two-row singular value stack."""
+    smaller) of norms_from_sv of a two-row singular value stack."""
     return tuple(chain(labels, (big, factor * small), tol=tol) for big, small in rows.tolist())
 
 

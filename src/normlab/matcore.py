@@ -41,6 +41,7 @@ __all__ = [
     "herm_eigen",
     "posdef_eigen",
     "svd",
+    "invertible_svd",
     "frac_power",
     "haar_unitary",
     "random_posdef",
@@ -242,15 +243,23 @@ def as_spectrum(lambdas) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+
+
+def _require_nonsingular(singular_values: np.ndarray) -> None:
+    # The Frobenius norm of a matrix is the 2-norm of its singular values.
+    if singular_values[-1] <= SINGULAR_RTOL * max(np.linalg.norm(singular_values), 1e-300):
+        raise Singular("matrix is numerically singular")
 
 
 def require_hermitian(a: np.ndarray) -> None:
     """Raise NotHermitian unless A, or every matrix of an (..., n, n) stack,
     equals its adjoint within HERMITICITY_RTOL (Frobenius norm, relative to
-    max(1, |A|)).  A matrix whose largest entry magnitude exceeds 1 is first
-    divided by it, so the norms cannot overflow."""
+    max(1, |A|)), and DimensionMismatch unless it is square.  A matrix whose
+    largest entry magnitude exceeds 1 is first divided by it, so the norms
+    cannot overflow."""
+    _require_square(a)
     axes = None if a.ndim == 2 else (-2, -1)
     peak = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     a = a / peak[..., None, None]
@@ -262,7 +271,6 @@ def require_hermitian(a: np.ndarray) -> None:
 def herm_eigen(a) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     a = as_matrix(a)
-    _require_square(a)
     require_hermitian(a)
     try:
         eigs, q = np.linalg.eigh(a)
@@ -290,6 +298,15 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return SvdResult(singular_values=s, left=u, right=vh.conj().T)
+
+
+def invertible_svd(a) -> SvdResult:
+    """svd of a square matrix, raising Singular on the test of inverse."""
+    a = as_matrix(a)
+    _require_square(a)
+    dec = svd(a)
+    _require_nonsingular(dec.singular_values)
+    return dec
 
 
 def frac_power(p, s: float) -> np.ndarray:
@@ -439,9 +456,7 @@ def inverse(a) -> np.ndarray:
     below SINGULAR_RTOL times the Frobenius norm."""
     a = as_matrix(a)
     _require_square(a)
-    smallest = np.linalg.svd(a, compute_uv=False)[-1]
-    if smallest <= SINGULAR_RTOL * max(np.linalg.norm(a), 1e-300):
-        raise Singular("matrix is numerically singular")
+    _require_nonsingular(np.linalg.svd(a, compute_uv=False))
     return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
 
 

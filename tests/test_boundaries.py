@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no normlab module imports or reads
-an underscore-prefixed name of another normlab module, and the SVD kernel
-and matrix powers have a fixed set of callers."""
+an underscore-prefixed name of another normlab module, and the SVD kernel,
+matrix powers, inverses and explicit block sums have a fixed set of
+callers."""
 
 import ast
 from pathlib import Path
@@ -126,3 +127,19 @@ def test_one_multiplier_engine():
         "matcore.inverse",
     }
     assert _package_callers({"frac_power", "matcore.frac_power"}) == {"heinz.heinz_expr"}
+
+
+def test_explicit_products_only_in_oracles():
+    # Inverses, explicit-matrix norms and block sums serve only the explicit
+    # characterization forms, the phi oracle and the norm helpers: every
+    # sandwich check runs on the engine, and cpr.py forms no matrix product.
+    assert _package_callers({"inverse", "matcore.inverse"}) == {"classes.phi", "classes._expressions"}
+    assert _package_callers({"direct_sum", "matcore.direct_sum"}) == {"norms.direct_sum_norm"}
+    assert _package_callers({"stack_norms", "norms.stack_norms"}) == {
+        "norms.norm",
+        "classes.schur_theorem_bound_check",
+        "classes._expressions",
+    }
+    cpr_tree = ast.parse((PACKAGE / "cpr.py").read_text())
+    products = [node.lineno for node in ast.walk(cpr_tree) if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert products == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normlab import cpr, heinz, matcore
 from normlab.cpr import ZhanParams
-from normlab.errors import InvalidParams, NotHermitian
+from normlab.errors import DimensionMismatch, InvalidParams, NotHermitian, Singular
 from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
@@ -115,6 +115,44 @@ def test_star_random_invertible(seed):
     x = matcore.random_probe_matrix(4, rng.substream(1))
     for rep in cpr.cpr_star_check(s, x, KINDS):
         assert rep.ok
+
+
+# Each sandwich check as f(S, T, X, Y); T and Y are read only by the checks
+# that take them.
+SANDWICH_CHECKS = {
+    "cpr": lambda s, t, x, y: cpr.cpr_check(s, x, (OP,)),
+    "cpr_two_sided": lambda s, t, x, y: cpr.cpr_two_sided_check(s, t, x, (OP,)),
+    "cpr_star": lambda s, t, x, y: cpr.cpr_star_check(s, x, (OP,)),
+    "mos1": lambda s, t, x, y: cpr.mos1_check(s, x, y, (OP,)),
+    "mos2": lambda s, t, x, y: cpr.mos2_check(s, x, y, (OP,)),
+    "final_cor": lambda s, t, x, y: cpr.final_cor_check(s, x, (2.0,)),
+}
+SINGULAR = np.diag([1.0, 1.0, 0.0])
+# Not self-adjoint, and singular too: the self-adjointness test comes first.
+NOT_HERMITIAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _bad_inputs():
+    for name in SANDWICH_CHECKS:
+        cases = [("singular-s", {"s": SINGULAR}, Singular), ("nonsquare-s", {"s": np.ones((3, 2))}, DimensionMismatch)]
+        cases.append(("x-shape", {"x": np.ones((2, 2))}, DimensionMismatch))
+        if name.startswith("mos"):
+            cases.append(("y-shape", {"y": np.ones((3, 2))}, DimensionMismatch))
+        if name == "cpr_two_sided":
+            cases.append(("singular-t", {"t": SINGULAR}, Singular))
+            cases.append(("nonsquare-t", {"t": np.ones((2, 3))}, DimensionMismatch))
+            cases.append(("nonhermitian-t", {"s": SINGULAR, "t": NOT_HERMITIAN}, NotHermitian))
+        if name in ("cpr", "cpr_two_sided"):
+            cases.append(("nonhermitian-s", {"s": NOT_HERMITIAN}, NotHermitian))
+        for label, bad, error in cases:
+            yield pytest.param(name, bad, error, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("name, bad, error", list(_bad_inputs()))
+def test_sandwich_checks_reject_bad_inputs(name, bad, error):
+    mats = {"s": np.diag([2.0, 1.0, 3.0]), "t": np.diag([-1.0, 4.0, 2.0]), "x": np.ones((3, 3)), "y": np.eye(3)}
+    with pytest.raises(error):
+        SANDWICH_CHECKS[name](**{**mats, **bad})
 
 
 # ---------------------------------------------------------------- zhan
@@ -365,8 +403,9 @@ def test_final_cor_matches_block_form():
 
 
 def test_final_cor_rejects_bad_exponent():
-    with pytest.raises(InvalidParams):
-        cpr.final_cor_check(np.eye(2), np.eye(2), (0.5,))
+    for p in (0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParams):
+            cpr.final_cor_check(np.eye(2), np.eye(2), (2.0, p))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,14 +1,16 @@
-"""The multiplier engine against explicit products: every positive-pair
-check that rotates, weights and reduces one SVD stack agrees with the
-matrix expression it stands for, built here from frac_power and an SVD
-polar factor, on every kind of free matrix random_probe_matrix draws."""
+"""The multiplier engine against explicit products: every check that
+rotates, weights and reduces one SVD stack agrees with the matrix
+expression it stands for, built here from frac_power and an SVD polar
+factor for the positive-pair checks, and from matcore.inverse and
+matcore.direct_sum for the sandwich checks on an invertible S, on every
+kind of free matrix random_probe_matrix draws."""
 
 import numpy as np
 import pytest
 
 from normlab import cpr, heinz, matcore
 from normlab.cpr import ZhanParams
-from normlab.norms import NormKind, norms_from_sv, stack_norms
+from normlab.norms import OP, NormKind, norms_from_sv, stack_norms
 
 KINDS = tuple(NormKind.parse(s) for s in ("op", "tr", "fro", "kyfan:2", "schatten:3"))
 T_GRID = (-1.0, 0.0, 0.5, 2.0)
@@ -102,3 +104,39 @@ def test_zhan_h_members_match_total_power_two(n, probe_kind):
                 want = [4.0 * h32, 2.0 * h32 + 2.0 * h_r, 4.0 * mean_h, 4.0 * h_mid, 4.0 * h_r]
                 assert list(rep.values[2:7]) == pytest.approx([v - c * g_k for v in want], rel=RTOL)
                 assert rep.values[7] == pytest.approx((t + 2.0) * h_r, rel=RTOL)
+
+
+@pytest.mark.parametrize("probe_kind", PROBE_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sandwich_checks_match_explicit_products(n, probe_kind):
+    rng = matcore.Rng(900 + n)
+    s = matcore.random_invertible(n, 100.0, rng.substream(0))
+    h = matcore.random_selfadjoint_invertible(n, 100.0, rng.substream(1))
+    k = matcore.random_selfadjoint_invertible(n, 100.0, rng.substream(2))
+    x = _probe(n, probe_kind, rng.substream(3))
+    y = _probe(n, probe_kind, rng.substream(4))
+    si, hi, ki = matcore.inverse(s), matcore.inverse(h), matcore.inverse(k)
+    s_star, si_star = s.conj().T, si.conj().T
+
+    _assert_close(cpr.cpr_check(h, x, KINDS), stack_norms((h @ x @ hi + hi @ x @ h, x), KINDS), 2.0)
+    _assert_close(cpr.cpr_two_sided_check(h, k, x, KINDS), stack_norms((h @ x @ ki + hi @ x @ k, x), KINDS), 2.0)
+    _assert_close(cpr.cpr_star_check(s, x, KINDS), stack_norms((s_star @ x @ si + si @ x @ s_star, x), KINDS), 2.0)
+
+    def e1(z):
+        return s @ z @ si + si_star @ z @ s_star
+
+    def e2(z):
+        return s_star @ z @ si_star + si @ z @ s
+
+    direct_sum = matcore.direct_sum
+    rows = stack_norms((direct_sum(e1(y), e2(x)), direct_sum(x, y)), KINDS)
+    _assert_close(cpr.mos1_check(s, x, y, KINDS), rows, 2.0)
+    blocks = direct_sum(s @ y @ si_star + si_star @ y @ s, s_star @ x @ si + si @ x @ s_star)
+    _assert_close(cpr.mos2_check(s, x, y, KINDS), stack_norms((blocks, direct_sum(x, y)), KINDS), 2.0)
+
+    ps = (1.0, 1.5, 2.0, 3.0)
+    op_rep, *power_reps = cpr.final_cor_check(s, x, ps)
+    (op1, op2, op_x), *powers = stack_norms((e1(x), e2(x), x), (OP,) + tuple(NormKind.schatten(p) for p in ps))
+    _assert_close((op_rep,), [(max(op1, op2), op_x)], 2.0)
+    for p, rep, (n1, n2, n_x) in zip(ps, power_reps, powers):
+        _assert_close((rep,), [(n1**p + n2**p, n_x**p)], 2.0 ** (p + 1.0))
