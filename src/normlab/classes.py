@@ -342,10 +342,8 @@ def characterization_check(
     relations = ("eq",) if form.relation == "eq" else None
     sides = (form.rhs, form.lhs) if form.relation == "le" else (form.lhs, form.rhs)
     labels = tuple(_EXPR_LABELS[side] for side in sides)
-    return tuple(
-        chain(labels, [vals[side] for side in sides], tol=tol, relations=relations)
-        for vals in _expressions(s, x, kinds)
-    )
+    values = [[vals[side] for side in sides] for vals in _expressions(s, x, kinds)]
+    return chain(labels, values, tol=tol, relations=relations).unstack()
 
 
 def sample_for_form(form_id: str, n: int, rng: matcore.Rng, cond: float = 100.0) -> np.ndarray:

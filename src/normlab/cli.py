@@ -14,6 +14,11 @@ Subcommands:
 ``--config file.json`` is read as the flags it stands for, placed before
 argv's own flags so that one parse converts both and argv wins.
 
+The theorem suites sample, decompose and check their instances in chunks
+of THEOREM_CHUNK, each chunk as one stack, and write the records one
+instance at a time would; a record's ``wall_time`` is its chunk's check
+time split evenly over the chunk's records.
+
 Everything emitted is a deterministic function of (config, seed) except
 wall-time fields, which ``--no-timing`` zeroes; reruns with the same
 config and seed are then byte-identical.  Exit status: 0 on success (for
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -78,57 +84,95 @@ class CampaignConfig:
     no_timing: bool
 
 
-# A sampler draws one matrix slot of an instance: sampler(config, point, rng).
-def _posdef(config, point, rng):
-    return matcore.random_posdef(config.dim, config.cond, rng)
+# A theorem suite runs THEOREM_CHUNK (point, instance) pairs at a time, in
+# record order: one sampler call per matrix slot and one check per chunk.
+# Bounds the campaign's working memory at any --count.
+THEOREM_CHUNK = 128
 
 
-def _selfadjoint(config, point, rng):
-    return matcore.random_selfadjoint_invertible(config.dim, config.cond, rng)
+# A sampler draws one matrix slot of a chunk's instances as an (m, n, n)
+# stack: sampler(config, points, rngs), one point and one Rng per instance.
+def _posdef(config, points, rngs):
+    return matcore.random_posdef(config.dim, config.cond, rngs)
 
 
-def _invertible(config, point, rng):
-    return matcore.random_invertible(config.dim, config.cond, rng)
+def _selfadjoint(config, points, rngs):
+    return matcore.random_selfadjoint_invertible(config.dim, config.cond, rngs)
 
 
-def _general(config, point, rng):
-    return matcore.ginibre(config.dim, rng=rng)
+def _invertible(config, points, rngs):
+    return matcore.random_invertible(config.dim, config.cond, rngs)
 
 
-def _probe(config, point, rng):
-    return matcore.random_probe_matrix(config.dim, rng)
+def _general(config, points, rngs):
+    return matcore.ginibre(config.dim, rng=rngs)
 
 
-def _form_class(config, point, rng):
-    return classes.sample_for_form(point["form"], config.dim, rng, config.cond)
+def _probe(config, points, rngs):
+    return matcore.random_probe_matrix(config.dim, rngs)
+
+
+def _form_class(config, points, rngs):
+    # A chunk's instances come point by point, so each run of one form is
+    # one sampler call.
+    runs = itertools.groupby(zip(points, rngs), key=lambda pair: pair[0]["form"])
+    return np.concatenate(
+        [classes.sample_for_form(form, config.dim, [rng for _, rng in run], config.cond) for form, run in runs]
+    )
 
 
 def _single_point(config):
     return [{}]
 
 
+def _column(points, key):
+    return np.array([point[key] for point in points])
+
+
+def _instance_rows(points, columns):
+    """The rows (params, norm label, record fields) of each instance of a
+    chunk: columns lists (params, norm label, ChainStack over the chunk) in
+    an instance's record order, and each row's params extend its point."""
+    columns = [(params, label, stack.as_dicts()) for params, label, stack in columns]
+    return [
+        [({**point, **params}, label, fields[i]) for params, label, fields in columns] for i, point in enumerate(points)
+    ]
+
+
 def _norm_major(*checks, **forms):
-    """Instance check over forms that each take every norm at once:
-    fn(config, params, kinds, *matrices) returns one report per norm.
-    Unnamed checks take the point as params; named forms add {"form":
-    name}.  Each runs once, and its rows come norms outermost, then forms."""
+    """Chunk check over forms that each take every norm at once:
+    fn(config, points, kinds, *stacks) returns one ChainStack per norm.
+    Unnamed checks add nothing to a point's params; named forms add
+    {"form": name}.  Each runs once, and an instance's rows come norms
+    outermost, then forms."""
     entries = [({}, fn) for fn in checks] + [({"form": name}, fn) for name, fn in forms.items()]
 
-    def check(config, point, kinds, *mats):
-        evaluated = []
-        for form, fn in entries:
-            params = {**point, **form}
-            evaluated.append((params, fn(config, params, kinds, *mats)))
-        return [(params, kind.label, reports[j]) for j, kind in enumerate(kinds) for params, reports in evaluated]
+    def check(config, points, kinds, *mats):
+        evaluated = [(form, fn(config, points, kinds, *mats)) for form, fn in entries]
+        return _instance_rows(
+            points, [(form, kind.label, stacks[j]) for j, kind in enumerate(kinds) for form, stacks in evaluated]
+        )
 
     return check
 
 
-def _finalcor(config, point, kinds, s, x):
+def _finalcor(config, points, kinds, s, x):
     # The max form is an operator-norm bound; each p gives a Schatten row.
-    op_report, *power_reports = cpr.final_cor_check(s, x, config.p_values, tol=config.tol)
-    rows = [({"form": "max"}, "op", op_report)]
-    return rows + [({"p": p}, NormKind.schatten(p).label, rep) for p, rep in zip(config.p_values, power_reports)]
+    op_stack, *power_stacks = cpr.final_cor_check(s, x, config.p_values, tol=config.tol)
+    columns = [({"form": "max"}, "op", op_stack)]
+    columns += [({"p": p}, NormKind.schatten(p).label, stack) for p, stack in zip(config.p_values, power_stacks)]
+    return _instance_rows(points, columns)
+
+
+def _characterizations(config, points, kinds, s, x):
+    # The explicit forms run one instance at a time.
+    rows = []
+    for point, s_i, x_i in zip(points, s, x):
+        form = classes.FORMS[point["form"]]
+        tol = None if form.relation == "eq" else config.tol
+        reports = classes.characterization_check(s_i, x_i, form, kinds, tol=tol)
+        rows.append([(dict(point), kind.label, rep.as_dict()) for kind, rep in zip(kinds, reports)])
+    return rows
 
 
 def _theorem(points, samplers, check):
@@ -136,25 +180,31 @@ def _theorem(points, samplers, check):
 
     points(config) lists the parameter points; matrix slot j of instance i
     at point pi is drawn by samplers[j] from
-    rng.substream(pi).substream(i).substream(j); check(config, point,
-    kinds, *matrices) evaluates the instance once and returns its rows
-    (params, norm label, report) in record order.  The check's wall time
-    is split evenly over the instance's records.
+    rng.substream(pi).substream(i).substream(j).  The (point, instance)
+    pairs run THEOREM_CHUNK at a time in record order: each sampler draws
+    its slot for the whole chunk, and check(config, points, kinds,
+    *stacks) evaluates the chunk once, returning each instance's rows
+    (params, norm label, record fields) in record order.  The check's wall
+    time is split evenly over the chunk's records.
     """
 
     def records(config):
         kinds = [NormKind.parse(s) for s in config.norms]
         rng = matcore.Rng(config.seed)
-        for pi, point in enumerate(points(config)):
-            for i in range(config.count):
-                sub = rng.substream(pi).substream(i)
-                mats = [sample(config, point, sub.substream(j)) for j, sample in enumerate(samplers)]
-                t0 = time.perf_counter()
-                rows = check(config, point, kinds, *mats)
-                wall = (time.perf_counter() - t0) / len(rows)
-                for params, label, report in rows:
-                    rec = {"norm": label, "params": params, "wall_time": wall, **report.as_dict()}
-                    rec["min_margin"] = report.min_margin
+        pairs = ((pi, point, i) for pi, point in enumerate(points(config)) for i in range(config.count))
+        while chunk := list(itertools.islice(pairs, THEOREM_CHUNK)):
+            subs = [rng.substream(pi).substream(i) for pi, _, i in chunk]
+            chunk_points = [point for _, point, _ in chunk]
+            mats = [
+                sample(config, chunk_points, [sub.substream(j) for sub in subs]) for j, sample in enumerate(samplers)
+            ]
+            t0 = time.perf_counter()
+            rows = check(config, chunk_points, kinds, *mats)
+            wall = (time.perf_counter() - t0) / sum(map(len, rows))
+            for instance_rows in rows:
+                for params, label, fields in instance_rows:
+                    rec = {"norm": label, "params": params, "wall_time": wall, **fields}
+                    rec["min_margin"] = min(fields["margins"])
                     yield rec
 
     return records
@@ -242,56 +292,54 @@ _SUITES = {
     "heinz": _theorem(
         lambda c: [{"alpha": a} for a in c.r_values],
         (_posdef, _posdef, _probe),
-        _norm_major(lambda c, p, kinds, a, b, x: heinz.kittaneh_chain(a, b, x, p["alpha"], kinds, tol=c.tol)),
+        _norm_major(
+            lambda c, pts, kinds, a, b, x: heinz.kittaneh_chain(a, b, x, _column(pts, "alpha"), kinds, tol=c.tol)
+        ),
     ),
     "agm": _theorem(
         _single_point,
         (_general, _general, _probe),
-        _norm_major(lambda c, p, kinds, a, b, x: heinz.agm_check(a, b, x, kinds, tol=c.tol)),
+        _norm_major(lambda c, pts, kinds, a, b, x: heinz.agm_check(a, b, x, kinds, tol=c.tol)),
     ),
     "cpr": _theorem(
         _single_point,
         (_selfadjoint, _selfadjoint, _probe, _invertible),
         _norm_major(
-            cpr=lambda c, p, kinds, s, t, x, g: cpr.cpr_check(s, x, kinds, tol=c.tol),
-            two_sided=lambda c, p, kinds, s, t, x, g: cpr.cpr_two_sided_check(s, t, x, kinds, tol=c.tol),
-            star=lambda c, p, kinds, s, t, x, g: cpr.cpr_star_check(g, x, kinds, tol=c.tol),
+            cpr=lambda c, pts, kinds, s, t, x, g: cpr.cpr_check(s, x, kinds, tol=c.tol),
+            two_sided=lambda c, pts, kinds, s, t, x, g: cpr.cpr_two_sided_check(s, t, x, kinds, tol=c.tol),
+            star=lambda c, pts, kinds, s, t, x, g: cpr.cpr_star_check(g, x, kinds, tol=c.tol),
         ),
     ),
     "zhan": _theorem(
         lambda c: [{"t": t, "r": r} for t in c.t_values for r in c.r_values],
         (_posdef, _posdef, _probe),
         _norm_major(
-            lambda c, p, kinds, a, b, x: cpr.zhan_chain(a, b, x, cpr.ZhanParams(p["t"], p["r"]), kinds, tol=c.tol)
+            lambda c, pts, kinds, a, b, x: cpr.zhan_chain(
+                a, b, x, cpr.ZhanParams(_column(pts, "t"), _column(pts, "r")), kinds, tol=c.tol
+            )
         ),
     ),
     "cor23": _theorem(
         lambda c: [{"t": t} for t in c.t_values],
         (_general, _general, _probe),
-        _norm_major(lambda c, p, kinds, a, b, x: cpr.cor23_check(a, b, x, p["t"], kinds, tol=c.tol)),
+        _norm_major(lambda c, pts, kinds, a, b, x: cpr.cor23_check(a, b, x, _column(pts, "t"), kinds, tol=c.tol)),
     ),
     "cor24": _theorem(
         lambda c: [{"t": t} for t in c.t_values],
         (_posdef, _posdef, _probe),
-        _norm_major(lambda c, p, kinds, a, b, x: cpr.cor24_check(a, b, x, p["t"], kinds, tol=c.tol)),
+        _norm_major(lambda c, pts, kinds, a, b, x: cpr.cor24_check(a, b, x, _column(pts, "t"), kinds, tol=c.tol)),
     ),
     "t2": _theorem(
         _single_point,
         (_invertible, _probe, _probe),
         _norm_major(
-            mos1=lambda c, p, kinds, s, x, y: cpr.mos1_check(s, x, y, kinds, tol=c.tol),
-            mos2=lambda c, p, kinds, s, x, y: cpr.mos2_check(s, x, y, kinds, tol=c.tol),
+            mos1=lambda c, pts, kinds, s, x, y: cpr.mos1_check(s, x, y, kinds, tol=c.tol),
+            mos2=lambda c, pts, kinds, s, x, y: cpr.mos2_check(s, x, y, kinds, tol=c.tol),
         ),
     ),
     "finalcor": _theorem(_single_point, (_invertible, _probe), _finalcor),
     "characterizations": _theorem(
-        lambda c: [{"form": form_id} for form_id in classes.FORMS],
-        (_form_class, _probe),
-        _norm_major(
-            lambda c, p, kinds, s, x: classes.characterization_check(
-                s, x, p["form"], kinds, tol=None if classes.FORMS[p["form"]].relation == "eq" else c.tol
-            )
-        ),
+        lambda c: [{"form": form_id} for form_id in classes.FORMS], (_form_class, _probe), _characterizations
     ),
     "dk": _dk_records,
     "conjecture": _conjecture_records,

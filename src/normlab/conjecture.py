@@ -143,8 +143,9 @@ def sample_constrained_spectrum(
     spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
     test covers the blocks of all spectra still pending.  The blocks come
     from one Philox generator: the Philox keys of all m streams are derived
-    in one batch (matcore.stream_keys), and before each block the generator
-    is set to the spectrum's key and to the counter where the block starts.
+    in one batch (matcore.stream_keys), and before each block
+    matcore.seek sets the generator to the spectrum's key and to the
+    counter where the block starts.
     So a spectrum's draws are exactly those of its own rng.generator(), and
     nothing is drawn past the block that holds the accepted attempt.
     """
@@ -163,15 +164,11 @@ def sample_constrained_spectrum(
         if not pending.size:
             break
         # Attempt `first` of a stream starts at double 2n * first, the first
-        # double of the Philox block after counter 2n * first / 4; an empty
-        # buffer makes the next draw compute that block.
-        state = bits.bit_generator.state
-        state.update(buffer_pos=4, has_uint32=0)
-        state["state"]["counter"] = [2 * n * first // 4, 0, 0, 0]
+        # double of Philox counter 2n * first / 4.
+        counter = 2 * n * first // 4
         block = draws[: pending.size]
         for p, out in zip(pending.tolist(), block):
-            state["state"]["key"] = keys[p]
-            bits.bit_generator.state = state
+            matcore.seek(bits, keys[p], counter)
             bits.random((SAMPLE_BLOCK, 2, n), out=out)
         lam = 10.0 ** (-2.0 + 4.0 * block[:, :, 0])
         lam = np.where(block[:, :, 1] < 0.5, -lam, lam)

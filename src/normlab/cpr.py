@@ -10,6 +10,10 @@ rotate(sig_A, U_A, sig_B, V_B, X).  S = U diag(sig) V* makes S* =
 V diag(sig) U*, so one SVD of S serves both; a direct sum's singular
 values are the sorted union of its blocks'.
 
+Like the engine, every check also takes (m, n, n) stacks of its matrices,
+with t and r scalars or one per instance, and then returns one ChainStack
+over the instances for each report.
+
 The Zhan chain is built from the Heinz chain, as the paper proves it.
 With X' = A^(1/2) X B^(1/2), the bracket H(s) = |A^s X B^{2-s} + A^{2-s}
 X B^s| is the Heinz bracket of X' at s - 1/2, so the five H members of the
@@ -19,12 +23,13 @@ regime for regime (r <= 1 exactly when alpha <= 1/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matcore
-from .chains import DEFAULT_TOL, ChainReport, chain
+from .chains import DEFAULT_TOL, chain
 from .errors import InvalidParams
 from .heinz import (
     DEFAULT_NODES,
@@ -56,48 +61,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZhanParams:
-    """Parameter box t <= 2, 1/2 <= r <= 3/2; regime 1 covers r <= 1."""
+    """Parameter box t <= 2, 1/2 <= r <= 3/2; regime 1 covers r <= 1.  t
+    and r may be arrays, one entry per instance of a stack."""
 
     t: float
     r: float
 
     def __post_init__(self):
-        if not self.t <= 2.0:
+        if not np.all(np.asarray(self.t) <= 2.0):
             raise InvalidParams(f"t must be <= 2, got {self.t}")
-        if not 0.5 <= self.r <= 1.5:
+        r = np.asarray(self.r)
+        if not np.all((0.5 <= r) & (r <= 1.5)):
             raise InvalidParams(f"r must lie in [1/2, 3/2], got {self.r}")
 
     @property
-    def regime(self) -> int:
-        return 1 if self.r <= 1.0 else 2
+    def regime(self):
+        return np.where(np.asarray(self.r) <= 1.0, 1, 2)
 
 
-def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def _require_t(t) -> None:
+    if not np.all(np.asarray(t) <= 2.0):
+        raise InvalidParams(f"t must be <= 2, got {t}")
+
+
+def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|SXS^-1 + S^-1XS| >= 2|X| for self-adjoint invertible S."""
-    s = matcore.as_matrix(s)
+    s = matcore.as_matrices(s)
     matcore.require_hermitian(s)
     d = matcore.invertible_svd(s)
     return _sandwich_dominance("|SXS^-1+S^-1XS|", d, d, x, kinds, tol)
 
 
-def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|SXT^-1 + S^-1XT| >= 2|X| for self-adjoint invertible S, T."""
-    s, t = matcore.as_matrix(s), matcore.as_matrix(t)
+    s, t = matcore.as_matrices(s), matcore.as_matrices(t)
     matcore.require_hermitian(s)
     matcore.require_hermitian(t)
     return _sandwich_dominance("|SXT^-1+S^-1XT|", matcore.invertible_svd(s), matcore.invertible_svd(t), x, kinds, tol)
 
 
-def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|S*XS^-1 + S^-1XS*| >= 2|X| for arbitrary invertible S."""
     d = matcore.invertible_svd(s)
     return _sandwich_dominance("|S*XS^-1+S^-1XS*|", d, d, x, kinds, tol)
 
 
-def _sandwich_dominance(label, da, db, x, kinds, tol: float) -> tuple[ChainReport, ...]:
+def _sandwich_dominance(label, da, db, x, kinds, tol: float) -> tuple:
     # |A* X B^-1 + A^-1 X B*| >= 2|X| from the SVDs of A and B.
     basis = rotate(da.singular_values, da.left, db.singular_values, db.right, x)
-    return dominance((label, "2|X|"), norms_from_sv(sandwich_sv([basis], 0.0), kinds), 2.0, tol)
+    return dominance((label, "2|X|"), norms_from_sv(sandwich_sv([basis], 0.0)[:, 0], kinds), 2.0, tol)
 
 
 def zhan_chain(
@@ -108,7 +120,7 @@ def zhan_chain(
     kinds,
     tol: float = DEFAULT_TOL,
     nodes: int = DEFAULT_NODES,
-) -> tuple[ChainReport, ...]:
+) -> tuple:
     """Eight-member refinement chain between 2|A^2X+XB^2+tAXB| and
     (t+2)H(r), one report per norm in kinds, largest first.
 
@@ -150,26 +162,17 @@ _ZHAN_LABELS = (
 )
 
 
-def _zhan_reports(
-    basis: PairBasis,
-    t: float,
-    r: float,
-    regime: int,
-    kinds,
-    tol: float,
-    nodes: int,
-) -> tuple[ChainReport, ...]:
+def _zhan_reports(basis: PairBasis, t, r, regime, kinds, tol: float, nodes: int) -> tuple:
     """The chains of :func:`zhan_chain` with the regime given; r = 1 lies in
     both."""
+    t = np.asarray(t, dtype=float)[..., None]
     c = 4.0 - 2.0 * t
     # X' = A^(1/2) X B^(1/2) in the pair basis, whose Heinz bracket at s - 1/2 is H(s).
-    root = replace(basis, x_rot=np.sqrt(np.outer(basis.a_eigs, basis.b_eigs)) * basis.x_rot)
-    heinz_members = kittaneh_members(root, r - 0.5, regime, kinds, nodes)
-    reports = []
-    for h, (q_t, q_2, g) in zip(heinz_members, norms_from_sv(quadratic_sv(basis, (t, 2.0)), kinds).tolist()):
-        members = (2.0 * q_t, 2.0 * q_2 - c * g, *(4.0 * v - c * g for v in h), (t + 2.0) * h[-1])
-        reports.append(chain(_ZHAN_LABELS, members, tol=tol))
-    return tuple(reports)
+    root = replace(basis, x_rot=np.sqrt(basis.a_eigs[..., :, None] * basis.b_eigs[..., None, :]) * basis.x_rot)
+    h = kittaneh_members(root, np.asarray(r) - 0.5, regime, kinds, nodes)
+    q_t, q_2, g = np.moveaxis(norms_from_sv(quadratic_sv(basis, (t[..., 0], 2.0)), kinds), 0, -1)
+    members = (2.0 * q_t, 2.0 * q_2 - c * g, *np.moveaxis(4.0 * h - (c * g)[..., None], -1, 0), (t + 2.0) * h[..., -1])
+    return chain(_ZHAN_LABELS, np.stack(members, axis=-1), tol=tol).unstack()
 
 
 def zhan_check(
@@ -179,19 +182,19 @@ def zhan_check(
     params: ZhanParams,
     kinds,
     tol: float = DEFAULT_TOL,
-) -> tuple[ChainReport, ...]:
+) -> tuple:
     """Two-value chain 2|A^2X+tAXB+XB^2| >= (2+t)H(r), one per norm in kinds.
 
     These are the first and last members of :func:`zhan_chain`, taken from
     the same evaluation, so they coincide with that chain's bitwise.
     """
     return tuple(
-        chain((full.labels[0], full.labels[-1]), (full.values[0], full.values[-1]), tol=tol)
+        chain((full.labels[0], full.labels[-1]), np.asarray(full.values)[..., [0, -1]], tol=tol)
         for full in zhan_chain(a, b, x, params, kinds, tol=tol)
     )
 
 
-def cor23_check(a, b, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def cor23_check(a, b, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|A*AX + XBB* + t|A|X|B*|| >= (t+2)|AXB| for arbitrary A, B, t <= 2.
 
     The quadratic bound for positive pairs applied to |A| and |B*|; at
@@ -201,21 +204,19 @@ def cor23_check(a, b, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[Cha
     is forced: swapping either star makes the statement false, with random
     3x3 counterexamples at margin ~1e0.)
     """
-    if not t <= 2.0:
-        raise InvalidParams(f"t must be <= 2, got {t}")
+    _require_t(t)
     rows = norms_from_sv(quadratic_sv(abs_pair_basis(a, b, x), (t,)), kinds)
-    return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), rows, t + 2.0, tol)
+    return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), rows, np.asarray(t) + 2.0, tol)
 
 
-def cor24_check(p, q, x, t: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def cor24_check(p, q, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
-    if not t <= 2.0:
-        raise InvalidParams(f"t must be <= 2, got {t}")
-    rows = norms_from_sv(sandwich_sv([pair_basis(p, q, x)], t), kinds)
-    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, t + 2.0, tol)
+    _require_t(t)
+    rows = norms_from_sv(sandwich_sv([pair_basis(p, q, x)], t)[:, 0], kinds)
+    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, np.asarray(t) + 2.0, tol)
 
 
-def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """Direct-sum variant, first form:
 
     |(SYS^-1 + S^{*-1}YS*) (+) (S*XS^{*-1} + S^-1XS)| >= 2|X (+) Y|.
@@ -225,7 +226,7 @@ def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
     return _direct_sum_dominance(rotate(sig, v, sig, v, y), rotate(sig, u, sig, u, x), kinds, tol)
 
 
-def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """Direct-sum variant, second form:
 
     |(SYS^{*-1} + S^{*-1}YS) (+) (S*XS^-1 + S^-1XS*)| >= 2|X (+) Y|.
@@ -235,13 +236,14 @@ def mos2_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, .
     return _direct_sum_dominance(rotate(sig, v, sig, u, y), rotate(sig, u, sig, v, x), kinds, tol)
 
 
-def _direct_sum_dominance(basis_y, basis_x, kinds, tol: float) -> tuple[ChainReport, ...]:
-    # Rows (Y block, X block, Y, X) pair up into the sorted unions of the two sums.
-    union = np.sort(sandwich_sv([basis_y, basis_x], 0.0).reshape(2, -1), axis=1)[:, ::-1]
+def _direct_sum_dominance(basis_y, basis_x, kinds, tol: float) -> tuple:
+    # Rows (Y block, X block) and (Y, X) pair up into the sorted unions of the two sums.
+    sv = np.moveaxis(sandwich_sv([basis_y, basis_x], 0.0), 1, -2)
+    union = np.sort(sv.reshape(sv.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
     return dominance(("|blockY(+)blockX|", "2|X(+)Y|"), norms_from_sv(union, kinds), 2.0, tol)
 
 
-def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
     """Sub-checks on the pair E1 = SXS^-1 + S^{*-1}XS*,
     E2 = S*XS^{*-1} + S^-1XS:
 
@@ -257,14 +259,17 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ..
             raise InvalidParams(f"Schatten exponent must be finite and >= 1, got {p}")
     d = matcore.invertible_svd(s)
     sig, u, v = d.singular_values, d.left, d.right
-    # Rows E1, E2, X (and X again, unused).
-    sv = sandwich_sv([rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)], 0.0)[:3]
-
-    kinds = (OP,) + tuple(NormKind.schatten(p) for p in ps)
-    (op1, op2, op_x), *powers = norms_from_sv(sv, kinds).tolist()
-    op_report = chain(("max(|E1|,|E2|)", "2|X|"), (max(op1, op2), 2.0 * op_x), tol=tol)
-    power_reports = tuple(
-        chain(("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"), (n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p), tol=tol)
-        for p, (n1, n2, n_x) in zip(ps, powers)
-    )
-    return (op_report,) + power_reports
+    # Rows E1, E2 and X (the second basis's X is not used).
+    sv = sandwich_sv([rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)], 0.0)
+    norms = norms_from_sv(np.stack((sv[0, 0], sv[0, 1], sv[1, 0])), (OP,) + tuple(NormKind.schatten(p) for p in ps))
+    shape = norms.shape[2:]
+    op1, op2, op_x = norms[0]
+    op_report = chain(("max(|E1|,|E2|)", "2|X|"), np.stack((np.maximum(op1, op2), 2.0 * op_x), axis=-1), tol=tol)
+    # The p-th powers are taken on Python floats, whose power rounds apart
+    # from numpy's vectorized one.
+    rows = norms[1:].reshape(len(ps), 3, math.prod(shape)).tolist()
+    powers = np.array(
+        [[(n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p) for n1, n2, n_x in zip(*row)] for p, row in zip(ps, rows)]
+    ).reshape(len(ps), math.prod(shape), 2)
+    power_members = np.moveaxis(powers, 0, -2).reshape(shape + (len(ps), 2))
+    return (op_report, *chain(("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"), power_members, tol=tol).unstack())

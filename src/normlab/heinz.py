@@ -28,6 +28,15 @@ Every check takes a tuple of norm kinds and returns one report per kind.
 Singular values do not depend on the norm, so each check evaluates its
 instance once: one SVD stack serves every norm.  The Gauss-Legendre base
 rule is computed once per node count.
+
+Every step also takes a stack of instances: (m, n, n) stacks of A, B and
+X with one parameter each (a scalar or an (m,) array) give a basis with a
+leading instance axis, one eigh or SVD per stack, one SVD of all the
+instances' weighted matrices, and per-norm reports that are ChainStacks
+over the instances.  A single instance is the same path with no leading
+axis, and numpy's stacked LAPACK and BLAS calls round each matrix as the
+single calls do, so a stacked check equals its instances' single checks
+bit for bit.
 """
 
 from __future__ import annotations
@@ -72,23 +81,31 @@ DEFAULT_NODES = 32
 
 @dataclass(frozen=True)
 class HeinzParams:
-    """Heinz bracket exponent alpha in [0,1]."""
+    """Heinz bracket exponent alpha in [0,1], or an array of them."""
 
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        alpha = np.asarray(self.alpha)
+        if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
 class PairBasis:
     """Eigenvalues of a positive pair (A, B, or |A|, |B*|) with the free
-    matrix rotated into its eigenbases (x_rot = Q_A* X Q_B)."""
+    matrix rotated into its eigenbases (x_rot = Q_A* X Q_B).  A stack of
+    pairs carries leading axes: a_eigs (..., n), x_rot (..., n, k)."""
 
     a_eigs: np.ndarray
     b_eigs: np.ndarray
     x_rot: np.ndarray
+
+    def take(self, index) -> "PairBasis":
+        """The pairs at the given indices of the flattened stack."""
+        n, k = self.x_rot.shape[-2:]
+        return PairBasis(self.a_eigs.reshape(-1, n)[index], self.b_eigs.reshape(-1, k)[index],
+                         self.x_rot.reshape(-1, n, k)[index])
 
 
 def pair_basis(a, b, x) -> PairBasis:
@@ -105,50 +122,54 @@ def abs_pair_basis(a, b, x) -> PairBasis:
 
 
 def rotate(a_eigs, qa, b_eigs, qb, x) -> PairBasis:
-    """The basis of spectra a_eigs, b_eigs with X rotated to Qa* X Qb."""
-    x = matcore.as_matrix(x)
-    if x.shape != (a_eigs.size, b_eigs.size):
+    """The basis of spectra a_eigs, b_eigs with X rotated to Qa* X Qb; a
+    stack of spectra takes a stack of X of the same length."""
+    x = matcore.as_matrices(x)
+    lead = a_eigs.shape[:-1]
+    if x.shape != lead + (a_eigs.shape[-1], b_eigs.shape[-1]) or b_eigs.shape[:-1] != lead:
         raise DimensionMismatch(
-            f"free matrix shape {x.shape} does not match pair dimensions ({a_eigs.size}, {b_eigs.size})"
+            f"free matrix shape {x.shape} does not match pair dimensions {a_eigs.shape} and {b_eigs.shape}"
         )
-    return PairBasis(a_eigs=a_eigs, b_eigs=b_eigs, x_rot=qa.conj().T @ x @ qb)
+    return PairBasis(a_eigs=a_eigs, b_eigs=b_eigs, x_rot=qa.conj().swapaxes(-1, -2) @ x @ qb)
 
 
 def power_pair_sv(basis: PairBasis, exponents, total: float = 1.0) -> np.ndarray:
     """Singular values of A^s X B^{total-s} + A^{total-s} X B^s, batched.
 
-    exponents is scalar or 1-D; the result has one descending row of
-    singular values per exponent.
+    exponents is scalar or an array whose last axes are the basis's stack
+    axes; the result has one descending row of singular values per
+    exponent.
     """
-    s = np.atleast_1d(np.asarray(exponents, dtype=float))[:, None, None]
-    la, mu = basis.a_eigs[:, None], basis.b_eigs[None, :]
+    s = np.atleast_1d(np.asarray(exponents, dtype=float))[..., None, None]
+    la, mu = basis.a_eigs[..., :, None], basis.b_eigs[..., None, :]
     return weighted_sv(basis, la**s * mu ** (total - s) + la ** (total - s) * mu**s)
 
 
 def quadratic_sv(basis: PairBasis, ts) -> np.ndarray:
-    """Singular values of A^2 X + X B^2 + t AXB for each t in ts, then of
-    AXB, one descending row each."""
-    la, mu = basis.a_eigs, basis.b_eigs
-    cross = np.outer(la, mu)
-    squares = (la**2)[:, None] + (mu**2)[None, :]
-    return weighted_sv(basis, np.stack([squares + t * cross for t in ts] + [cross]))
+    """Singular values of A^2 X + X B^2 + t AXB for each t in ts (a scalar
+    or one per pair of the basis), then of AXB, one descending row each."""
+    la, mu = basis.a_eigs[..., :, None], basis.b_eigs[..., None, :]
+    cross = la * mu
+    squares = la**2 + mu**2
+    return weighted_sv(basis, np.stack([squares + np.asarray(t)[..., None, None] * cross for t in ts] + [cross]))
 
 
-def sandwich_weights(l, m, k: float) -> np.ndarray:
+def sandwich_weights(l, m, k) -> np.ndarray:
     """Weights l_i/m_j + m_j/l_i + k of A X B^-1 + A^-1 X B + k X, for
     spectra l of A and m of B; (..., n) stacks of spectra give an
-    (..., n, n) stack."""
+    (..., n, n) stack, with k a scalar or one per spectrum."""
     ratio = l[..., :, None] / m[..., None, :]
-    return ratio + 1.0 / ratio + k
+    return ratio + 1.0 / ratio + np.asarray(k)[..., None, None]
 
 
-def sandwich_sv(bases, k: float) -> np.ndarray:
+def sandwich_sv(bases, k) -> np.ndarray:
     """Singular values of A X B^-1 + A^-1 X B + k X on each basis of a
-    list, then of each basis's X, one descending row each, from one SVD
-    of the bases stacked."""
+    list (row 0), then of each basis's X (row 1), from one SVD of the bases
+    stacked: shape (2, len(bases), ..., n), descending along the last
+    axis."""
     a_eigs, b_eigs, x_rot = (np.stack(field) for field in zip(*((p.a_eigs, p.b_eigs, p.x_rot) for p in bases)))
     weights = np.stack((sandwich_weights(a_eigs, b_eigs, k), np.ones(x_rot.shape)))
-    return weighted_sv(PairBasis(a_eigs, b_eigs, x_rot), weights).reshape(2 * len(bases), -1)
+    return weighted_sv(PairBasis(a_eigs, b_eigs, x_rot), weights)
 
 
 def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
@@ -188,21 +209,26 @@ def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     return t1 + t2
 
 
-def dominance(labels, rows, factor: float, tol: float) -> tuple[ChainReport, ...]:
-    """Two-value chains |larger| >= factor |smaller|, one per row (larger,
-    smaller) of norms_from_sv of a two-row singular value stack."""
-    return tuple(chain(labels, (big, factor * small), tol=tol) for big, small in rows.tolist())
+def dominance(labels, rows, factor, tol: float) -> tuple:
+    """Two-value chains |larger| >= factor |smaller|, one per norm: rows is
+    norms_from_sv of a (2, ..., n) stack of singular values (larger,
+    smaller), factor a scalar or one per instance."""
+    members = np.stack((rows[:, 0], factor * rows[:, 1]), axis=-1)
+    return chain(labels, np.moveaxis(members, 0, -2), tol=tol).unstack()
 
 
-def heinz_check(a, b, x, alpha: float, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def heinz_check(a, b, x, alpha, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|, the
     first and last members of kittaneh_chain, bit for bit."""
     HeinzParams(alpha)
-    rows = norms_from_sv(power_pair_sv(pair_basis(a, b, x), [1.0, alpha]), kinds)
+    basis = pair_basis(a, b, x)
+    shape = basis.a_eigs.shape[:-1]
+    exponents = np.stack((np.ones(shape), np.broadcast_to(alpha, shape)))
+    rows = norms_from_sv(power_pair_sv(basis, exponents), kinds)
     return dominance(("|AX+XB|", "|A^aXB^(1-a)+A^(1-a)XB^a|"), rows, 1.0, tol)
 
 
-def agm_check(a, b, x, kinds, tol: float = DEFAULT_TOL) -> tuple[ChainReport, ...]:
+def agm_check(a, b, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """Two-value chain: |A*AX+XBB*| >= 2|AXB| for arbitrary A, B."""
     rows = norms_from_sv(quadratic_sv(abs_pair_basis(a, b, x), (0.0,)), kinds)
     return dominance(("|A*AX+XBB*|", "2|AXB|"), rows, 2.0, tol)
@@ -233,11 +259,11 @@ def kittaneh_chain(
     a,
     b,
     x,
-    alpha: float,
+    alpha,
     kinds,
     tol: float = DEFAULT_TOL,
     nodes: int = DEFAULT_NODES,
-) -> tuple[ChainReport, ...]:
+) -> tuple:
     """Five-value refinement chain for the Heinz bracket, one report per
     norm in kinds, largest first:
 
@@ -253,44 +279,51 @@ def kittaneh_chain(
     (alpha at 0 or 1) evaluates the integrand at the endpoint.
 
     The pair is diagonalized once, and one batched SVD over the bracket
-    exponents and the quadrature nodes serves every norm.
+    exponents and the quadrature nodes serves every norm.  Stacks of A, B
+    and X with one alpha each give one ChainStack per norm.
     """
     HeinzParams(alpha)
     basis = pair_basis(a, b, x)
-    regime = 1 if alpha <= 0.5 else 2
+    regime = np.where(np.asarray(alpha) <= 0.5, 1, 2)
     return _kittaneh_reports(basis, alpha, regime, kinds, tol, nodes)
 
 
 _KITTANEH_LABELS = ("|AX+XB|", "(|AX+XB|+H(a))/2", "mean H", "H(midmap)", "H(a)")
 
 
-def _kittaneh_reports(
-    basis: PairBasis,
-    alpha: float,
-    regime: int,
-    kinds,
-    tol: float,
-    nodes: int,
-) -> tuple[ChainReport, ...]:
+def _kittaneh_reports(basis: PairBasis, alpha, regime, kinds, tol: float, nodes: int) -> tuple:
     """The chains of :func:`kittaneh_chain` with the regime given."""
-    return tuple(
-        chain(_KITTANEH_LABELS, members, tol=tol) for members in kittaneh_members(basis, alpha, regime, kinds, nodes)
+    return chain(_KITTANEH_LABELS, kittaneh_members(basis, alpha, regime, kinds, nodes), tol=tol).unstack()
+
+
+def kittaneh_members(basis: PairBasis, alpha, regime, kinds, nodes: int) -> np.ndarray:
+    """The five members of :func:`kittaneh_chain`, largest first, as an
+    (..., K, 5) array over the basis's stack axes and the K norms in kinds;
+    alpha and regime are scalars or one per pair.  Regime 1 integrates over
+    [0, alpha] with midpoint map alpha/2, regime 2 over [alpha, 1] with
+    (1+alpha)/2; alpha = 1/2 lies in both.  An interval shorter than
+    DEGENERATE_INTERVAL is its endpoint alpha.
+
+    Every pair's exponents (1, alpha, the midpoint map, then the nodes or
+    the endpoint) go through one SVD; the quadrature sums stay one
+    inner product per pair and norm."""
+    shape = basis.a_eigs.shape[:-1]
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
+    first = np.broadcast_to(regime, shape).ravel() == 1
+    lo, hi = np.where(first, 0.0, alpha), np.where(first, alpha, 1.0)
+    mid_map = np.where(first, 0.5 * alpha, 0.5 * (1.0 + alpha))
+    quad = hi - lo >= DEGENERATE_INTERVAL
+    pts, w = gauss_legendre_nodes(lo[:, None], hi[:, None], nodes)
+    exponents = np.concatenate(
+        (np.stack((np.ones_like(alpha), alpha, mid_map), axis=1), np.where(quad[:, None], pts, alpha[:, None])), axis=1
     )
-
-
-def kittaneh_members(basis: PairBasis, alpha: float, regime: int, kinds, nodes: int) -> list[tuple]:
-    """The five members of :func:`kittaneh_chain`, largest first, one tuple
-    per norm in kinds.  Regime 1 integrates over [0, alpha] with midpoint
-    map alpha/2, regime 2 over [alpha, 1] with (1+alpha)/2; alpha = 1/2
-    lies in both.  An interval shorter than DEGENERATE_INTERVAL is its
-    endpoint alpha."""
-    lo, hi = (0.0, alpha) if regime == 1 else (alpha, 1.0)
-    mid_map = 0.5 * alpha if regime == 1 else 0.5 * (1.0 + alpha)
-    pts, w = (np.array([alpha]), None) if hi - lo < DEGENERATE_INTERVAL else gauss_legendre_nodes(lo, hi, nodes)
-    sv = power_pair_sv(basis, np.concatenate(([1.0, alpha, mid_map], pts)))
-    members = []
-    for vals in norms_from_sv(sv, kinds):
-        v_sum, v_alpha, v_mid = vals[:3].tolist()
-        v_int = float(vals[3]) if w is None else float(np.dot(w, vals[3:]) / (hi - lo))
-        members.append((v_sum, 0.5 * v_sum + 0.5 * v_alpha, v_int, v_mid, v_alpha))
-    return members
+    # A degenerate pair keeps its first four exponents only.
+    keep = np.ones(exponents.shape, dtype=bool)
+    keep[~quad, 4:] = False
+    pair, col = np.nonzero(keep)
+    vals = np.zeros((len(kinds),) + exponents.shape)
+    vals[:, pair, col] = norms_from_sv(power_pair_sv(basis.take(pair), exponents[pair, col]), kinds)
+    v_sum, v_alpha, v_mid, v_int = vals[..., 0], vals[..., 1], vals[..., 2], vals[..., 3].copy()
+    v_int[:, quad] = (vals[:, quad, None, 3:] @ w[quad, :, None])[..., 0, 0] / (hi - lo)[quad]
+    members = np.stack((v_sum, 0.5 * v_sum + 0.5 * v_alpha, v_int, v_mid, v_alpha), axis=-1)
+    return np.moveaxis(members, 0, -2).reshape(shape + (len(kinds), 5))

@@ -1,17 +1,21 @@
 """Dense complex linear algebra and seeded instance generation.
 
 Matrices are numpy ``complex128`` arrays throughout; ``as_matrix`` is the
-boundary validator (2-D, finite entries), and ``as_spectrum`` the one for
-real spectra (nonempty, nonzero entries).  Decompositions wrap LAPACK via
-numpy and normalize its conventions: eigenvalues ascending, singular values
-descending, errors mapped onto the :mod:`normlab.errors` taxonomy.
+boundary validator (2-D, finite entries), ``as_matrices`` the one for a
+matrix or an (m, n, k) stack of them, and ``as_spectrum`` the one for real
+spectra (nonempty, nonzero entries).  Decompositions wrap LAPACK via numpy,
+take one matrix or a stack (one LAPACK call per stack), and normalize its
+conventions: eigenvalues ascending, singular values descending, errors
+mapped onto the :mod:`normlab.errors` taxonomy.
 
 Random sampling is purely functional: an :class:`Rng` is an immutable
-(seed, path) pair and every sampler draws from a generator reconstructed
-from that pair, so a given Rng always produces the same matrix.  Distinct
-instances must use distinct substreams (``rng.substream(i)``).
-``stream_keys`` derives the Philox keys of many streams in one pass, for
-samplers that draw blocks of many streams from one reused generator.
+(seed, path) pair and every sampler draws the stream that pair fixes, so a
+given Rng always produces the same matrix.  Distinct instances must use
+distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng
+or a sequence of m, and then returns an (m, n, n) stack equal to m single
+calls: ``stream_keys`` derives the streams' Philox keys in one pass, each
+stream draws from one reused generator set to its start by ``seek``, and
+the QR and products run once on the stack.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ from .errors import (
 __all__ = [
     "Rng",
     "stream_keys",
+    "seek",
     "HermEigen",
     "SvdResult",
     "as_matrix",
+    "as_matrices",
     "as_spectrum",
     "require_hermitian",
     "herm_eigen",
@@ -79,12 +85,12 @@ class Rng:
     The stream is fixed by its Philox key,
     ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
     which ``stream_keys`` computes for many streams at once.  A Philox
-    generator set to that key, to counter c and to an empty buffer draws
-    next the doubles 4c, 4c+1, ... of the stream, so a sampler may draw any
-    block of any stream from one reused generator and get the values
-    ``generator()`` gives.  The conjecture search does so, and
-    ``Rng(seed).substream(p).substream(i).generator()`` still regenerates
-    any of its spectra.
+    generator set to that key, to counter c and to an empty buffer
+    (:func:`seek`) draws next the doubles 4c, 4c+1, ... of the stream, so a
+    sampler may draw any block of any stream from one reused generator and
+    get the values ``generator()`` gives.  The matrix samplers and the
+    conjecture search do so, and ``rng.generator()`` still regenerates any
+    of their draws.
     """
 
     seed: int
@@ -188,13 +194,29 @@ def stream_keys(rngs) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def seek(g: np.random.Generator, key, counter: int) -> None:
+    """Set a Philox generator to a stream's key (a pair of uint64 words, as
+    a row of :func:`stream_keys`) and to `counter`, with an empty buffer:
+    it then draws the doubles 4 * counter, ... of that stream, and at
+    counter 0 exactly what the stream's ``Rng.generator()`` draws."""
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [counter, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 @dataclass(frozen=True)
 class HermEigen:
     """Spectral decomposition of a Hermitian matrix.
 
     eigenvalues are real and ascending; vectors is unitary with eigenvectors
     in its columns, so ``vectors @ diag(eigenvalues) @ vectors.conj().T``
-    reconstructs the input.
+    reconstructs the input.  A stack's decompositions carry its leading
+    axes.
     """
 
     eigenvalues: np.ndarray
@@ -206,7 +228,7 @@ class SvdResult:
     """Singular value decomposition ``A = left @ diag(s) @ right.conj().T``.
 
     singular_values are nonnegative and descending; left and right are
-    unitary.
+    unitary.  A stack's decompositions carry its leading axes.
     """
 
     singular_values: np.ndarray
@@ -220,9 +242,17 @@ def as_matrix(a) -> np.ndarray:
     Raises DimensionMismatch for non-2-D input and ValueError for NaN/Inf
     entries (no non-finite value is admitted into any matrix).
     """
-    out = np.asarray(a, dtype=complex)
+    out = as_matrices(a)
     if out.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={out.ndim}")
+    return out
+
+
+def as_matrices(a) -> np.ndarray:
+    """as_matrix for one matrix or an (m, n, k) stack of them."""
+    out = np.asarray(a, dtype=complex)
+    if out.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out
@@ -249,7 +279,8 @@ def _require_square(a: np.ndarray) -> None:
 
 def _require_nonsingular(singular_values: np.ndarray) -> None:
     # The Frobenius norm of a matrix is the 2-norm of its singular values.
-    if singular_values[-1] <= SINGULAR_RTOL * max(np.linalg.norm(singular_values), 1e-300):
+    frobenius = np.linalg.norm(singular_values, axis=-1)
+    if np.any(singular_values[..., -1] <= SINGULAR_RTOL * np.maximum(frobenius, 1e-300)):
         raise Singular("matrix is numerically singular")
 
 
@@ -269,8 +300,9 @@ def require_hermitian(a: np.ndarray) -> None:
 
 
 def herm_eigen(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = as_matrix(a)
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues
+    ascending."""
+    a = as_matrices(a)
     require_hermitian(a)
     try:
         eigs, q = np.linalg.eigh(a)
@@ -280,29 +312,31 @@ def herm_eigen(a) -> HermEigen:
 
 
 def posdef_eigen(a) -> HermEigen:
-    """herm_eigen of a positive definite matrix: raises NotPositiveDefinite
-    unless the smallest eigenvalue exceeds POSDEF_RTOL times the largest,
-    so negative powers stay well posed."""
+    """herm_eigen of a positive definite matrix or stack: raises
+    NotPositiveDefinite unless every smallest eigenvalue exceeds
+    POSDEF_RTOL times its largest, so negative powers stay well posed."""
     dec = herm_eigen(a)
-    eigs = dec.eigenvalues
-    if eigs[0] <= POSDEF_RTOL * eigs[-1] or eigs[-1] <= 0.0:
+    low, top = dec.eigenvalues[..., 0], dec.eigenvalues[..., -1]
+    if np.any(low <= POSDEF_RTOL * top) or np.any(top <= 0.0):
         raise NotPositiveDefinite("matrix is not positive definite within tolerance")
     return dec
 
 
 def svd(a) -> SvdResult:
-    """Singular value decomposition with descending singular values."""
-    a = as_matrix(a)
+    """Singular value decomposition of a matrix or stack, singular values
+    descending."""
+    a = as_matrices(a)
     try:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return SvdResult(singular_values=s, left=u, right=vh.conj().T)
+    return SvdResult(singular_values=s, left=u, right=_adjoint(vh))
 
 
 def invertible_svd(a) -> SvdResult:
-    """svd of a square matrix, raising Singular on the test of inverse."""
-    a = as_matrix(a)
+    """svd of a square matrix or stack, raising Singular on the test of
+    inverse."""
+    a = as_matrices(a)
     _require_square(a)
     dec = svd(a)
     _require_nonsingular(dec.singular_values)
@@ -314,119 +348,171 @@ def frac_power(p, s: float) -> np.ndarray:
 
     Defined spectrally: Q diag(eig**s) Q*, with P checked by posdef_eigen.
     """
-    dec = posdef_eigen(p)
+    dec = posdef_eigen(as_matrix(p))
     powered = (dec.vectors * dec.eigenvalues**s) @ dec.vectors.conj().T
     # The spectral formula is Hermitian; rounding is folded back symmetrically.
     return 0.5 * (powered + powered.conj().T)
 
 
-def haar_unitary(n: int, rng: Rng) -> np.ndarray:
+def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed n-by-n unitary.
 
     QR of a complex Ginibre matrix; multiplying Q by the phases of R's
     diagonal makes the factorization unique and the law exactly Haar.
     """
-    return _haar_from_generator(n, rng.generator())
+    return _sample(rng, lambda g: (_ginibre_draw(g, n, n),), _haar)
 
 
-def random_posdef(n: int, cond: float, rng: Rng) -> np.ndarray:
+def random_posdef(n: int, cond: float, rng) -> np.ndarray:
     """Random Hermitian positive definite matrix with Haar eigenvectors and
     eigenvalues log-uniform in [cond**-0.5, cond**0.5] (condition <= cond)."""
-    g = rng.generator()
-    eigs = np.sort(_log_uniform(g, n, cond))
-    return _hermitian(_haar_from_generator(n, g), eigs)
+    return _sample(
+        rng,
+        lambda g: (np.sort(_log_uniform(g, n, cond)), _ginibre_draw(g, n, n)),
+        lambda eigs, z: _hermitian(_haar(z), eigs),
+    )
 
 
-def random_selfadjoint_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
+def random_selfadjoint_invertible(n: int, cond: float, rng) -> np.ndarray:
     """Random self-adjoint invertible matrix: positive log-uniform
     magnitudes with independent random signs, |eig| >= cond**-0.5."""
-    g = rng.generator()
-    eigs = _log_uniform(g, n, cond) * _random_signs(g, n)
-    return _hermitian(_haar_from_generator(n, g), eigs)
+    return _sample(
+        rng,
+        lambda g: (_log_uniform(g, n, cond) * _random_signs(g, n), _ginibre_draw(g, n, n)),
+        lambda eigs, z: _hermitian(_haar(z), eigs),
+    )
 
 
-def random_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
+def random_invertible(n: int, cond: float, rng) -> np.ndarray:
     """Random invertible matrix U diag(s) V* with independent Haar factors
     and singular values log-uniform in [cond**-0.5, cond**0.5]."""
-    g = rng.generator()
-    svals = _log_uniform(g, n, cond)
-    u = _haar_from_generator(n, g)
-    v = _haar_from_generator(n, g)
-    return (u * svals) @ v.conj().T
+
+    def build(svals, zu, zv):
+        u, v = _haar(np.stack((zu, zv)))
+        return (u * svals[:, None, :]) @ _adjoint(v)
+
+    return _sample(rng, lambda g: (_log_uniform(g, n, cond), _ginibre_draw(g, n, n), _ginibre_draw(g, n, n)), build)
 
 
-def random_normal_invertible(n: int, cond: float, rng: Rng) -> np.ndarray:
+def random_normal_invertible(n: int, cond: float, rng) -> np.ndarray:
     """Random invertible normal matrix U diag(d) U* with complex d,
     |d| log-uniform in [cond**-0.5, cond**0.5]."""
-    g = rng.generator()
-    d = _log_uniform(g, n, cond) * np.exp(2j * np.pi * g.random(n))
-    q = _haar_from_generator(n, g)
-    return (q * d) @ q.conj().T
+
+    def build(d, z):
+        q = _haar(z)
+        return (q * d[:, None, :]) @ _adjoint(q)
+
+    return _sample(
+        rng, lambda g: (_log_uniform(g, n, cond) * np.exp(2j * np.pi * g.random(n)), _ginibre_draw(g, n, n)), build
+    )
 
 
-def random_scaled_unitary(n: int, rng: Rng) -> np.ndarray:
+def random_scaled_unitary(n: int, rng) -> np.ndarray:
     """Nonzero real scalar times a Haar unitary."""
-    g = rng.generator()
-    c = _log_uniform_scale(g) * (-1.0 if g.random() < 0.5 else 1.0)
-    return c * _haar_from_generator(n, g)
+    return _sample(
+        rng,
+        lambda g: (_log_uniform_scale(g) * (-1.0 if g.random() < 0.5 else 1.0), _ginibre_draw(g, n, n)),
+        lambda c, z: c[:, None, None] * _haar(z),
+    )
 
 
-def random_scaled_reflection(n: int, rng: Rng) -> np.ndarray:
+def random_scaled_reflection(n: int, rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint unitary (Q diag(+-1) Q*)."""
-    g = rng.generator()
-    c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
-    signs = _random_signs(g, n)
-    return c * _hermitian(_haar_from_generator(n, g), signs)
+    return _sample(
+        rng,
+        lambda g: (_log_uniform_scale(g) * np.exp(2j * np.pi * g.random()), _random_signs(g, n),
+                   _ginibre_draw(g, n, n)),
+        lambda c, signs, z: c[:, None, None] * _hermitian(_haar(z), signs),
+    )
 
 
-def random_scaled_selfadjoint(n: int, cond: float, rng: Rng) -> np.ndarray:
+def random_scaled_selfadjoint(n: int, cond: float, rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint invertible matrix."""
-    g = rng.generator()
-    c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
-    eigs = _log_uniform(g, n, max(cond, 1.0)) * _random_signs(g, n)
-    return c * _hermitian(_haar_from_generator(n, g), eigs)
+
+    def draw(g):
+        c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
+        return c, _log_uniform(g, n, max(cond, 1.0)) * _random_signs(g, n), _ginibre_draw(g, n, n)
+
+    return _sample(rng, draw, lambda c, eigs, z: c[:, None, None] * _hermitian(_haar(z), eigs))
 
 
-def ginibre(n: int, m: int | None = None, rng: Rng | None = None) -> np.ndarray:
+def ginibre(n: int, m: int | None = None, rng=None) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex Gaussian entries."""
     if rng is None:
         raise ValueError("rng is required")
-    return _ginibre_from_generator(n, n if m is None else m, rng.generator())
+    return _sample(rng, lambda g: (_ginibre_draw(g, n, n if m is None else m),), lambda z: z)
 
 
-def random_probe_matrix(n: int, rng: Rng) -> np.ndarray:
+def random_probe_matrix(n: int, rng) -> np.ndarray:
     """Free-matrix sampler for inequality checks.
 
     Mixture of dense Ginibre draws with the structured extremal candidates:
     rank-one basis matrices e_i e_j*, Hermitian draws, and Haar unitaries.
     Rank-one off-diagonal seeds need n >= 2 and fall back to Ginibre at n=1.
     """
-    g = rng.generator()
-    pick = g.integers(0, 4)
-    if pick == 0 and n >= 2:
-        i = int(g.integers(0, n))
-        j = int(g.integers(0, n - 1))
-        j = j + 1 if j >= i else j
-        x = np.zeros((n, n), dtype=complex)
-        x[i, j] = 1.0
-        return x
-    if pick == 1:
-        z = _ginibre_from_generator(n, n, g)
-        return 0.5 * (z + z.conj().T)
-    if pick == 2:
-        return _haar_from_generator(n, g)
-    return _ginibre_from_generator(n, n, g)
+
+    def draw(g):
+        pick = g.integers(0, 4)
+        if pick == 0 and n >= 2:
+            i = int(g.integers(0, n))
+            j = int(g.integers(0, n - 1))
+            j = j + 1 if j >= i else j
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j] = 1.0
+            return x, False
+        z = _ginibre_draw(g, n, n)
+        return (0.5 * (z + z.conj().T) if pick == 1 else z), pick == 2
+
+    def build(mats, haar):
+        if haar.any():
+            mats[haar] = _haar(mats[haar])
+        return mats
+
+    return _sample(rng, draw, build)
 
 
-def _ginibre_from_generator(n: int, m: int, g: np.random.Generator) -> np.ndarray:
-    return (g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))) / np.sqrt(2.0)
+def _sample(rng, draw, build):
+    """One sample for an Rng, or an (m, ...) stack of them for a sequence
+    of m Rngs, the same as m single calls.
+
+    draw(g) takes one stream's values from its generator, in stream order,
+    as a tuple; build maps the tuple's members, each stacked over the
+    streams, to the stack of samples.  The streams after the first are
+    keyed in one batch and every stream is drawn from one reused generator
+    (see :func:`seek`), so the only per-stream work is the draws
+    themselves; QR and products run once on the stack.
+    """
+    single = isinstance(rng, Rng)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise ValueError("need at least one rng")
+    # The generator starts on the first stream.
+    g = rngs[0].generator()
+    draws = [draw(g)]
+    for key in stream_keys(rngs[1:]).tolist() if len(rngs) > 1 else ():
+        seek(g, key, 0)
+        draws.append(draw(g))
+    out = build(*(np.array(column) for column in zip(*draws)))
+    return out[0] if single else out
 
 
-def _haar_from_generator(n: int, g: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre_from_generator(n, n, g))
-    d = np.diagonal(r).copy()
+def _ginibre_draw(g: np.random.Generator, n: int, m: int) -> np.ndarray:
+    # The real parts, then the imaginary parts, as two (n, m) draws give them.
+    w = g.standard_normal((2, n, m))
+    return (w[0] + 1j * w[1]) / np.sqrt(2.0)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    # Haar unitaries from a stack of Ginibre matrices: one batched QR, with
+    # Q's columns scaled by the phases of R's diagonal.
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _log_uniform(g: np.random.Generator, n: int, cond: float) -> np.ndarray:
@@ -441,9 +527,9 @@ def _random_signs(g: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _hermitian(q: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    # Q diag(eigs) Q*, with rounding folded back symmetrically.
-    a = (q * eigs) @ q.conj().T
-    return 0.5 * (a + a.conj().T)
+    # Q diag(eigs) Q* over a stack, with rounding folded back symmetrically.
+    a = (q * eigs[..., None, :]) @ _adjoint(q)
+    return 0.5 * (a + _adjoint(a))
 
 
 def _log_uniform_scale(g: np.random.Generator) -> float:

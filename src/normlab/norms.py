@@ -9,6 +9,7 @@ requested norm at once.  Selector strings used by the CLI ("op", "fro",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +89,19 @@ FRO = NormKind.schatten(2.0)
 
 def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     """Every norm in kinds for every row of an (m, n) stack of descending
-    singular values: entry [i, j] is the kinds[i] norm of row j.
+    singular values: entry [i, j] is the kinds[i] norm of row j.  An
+    (..., n) stack gives a (len(kinds), ...) result.
 
     Singular values below SV_CLIP_RTOL times their row's largest are
-    clamped to zero, then the whole stack is reduced at once.  An empty
-    row has every norm 0.
+    clamped to zero, then the whole stack is reduced at once, row by row
+    as for one row alone.  An empty row has every norm 0.
     """
     sv = np.asarray(sv, dtype=float)
+    lead = sv.shape[:-1]
+    sv = sv.reshape(math.prod(lead), sv.shape[-1])
     out = np.zeros((len(kinds), sv.shape[0]))
     if sv.shape[1] == 0:
-        return out
+        return out.reshape((len(kinds),) + lead)
     top = sv[:, 0]
     clipped = np.where(sv < SV_CLIP_RTOL * top[:, None], 0.0, sv)
     for i, kind in enumerate(kinds):
@@ -115,7 +119,7 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
             out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
         else:
             raise ValueError(f"unknown norm family {kind.family!r}")
-    return out
+    return out.reshape((len(kinds),) + lead)
 
 
 def stack_norms(mats, kinds) -> np.ndarray:

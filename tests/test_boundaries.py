@@ -127,6 +127,18 @@ def test_one_multiplier_engine():
         "matcore.inverse",
     }
     assert _package_callers({"frac_power", "matcore.frac_power"}) == {"heinz.heinz_expr"}
+    # The theorem runner samples and decomposes whole chunks: Haar QR runs
+    # once per stack in one helper, every eigh in one decomposition, and
+    # cli.py draws no generator of its own.
+    assert _package_callers({"np.linalg.qr"}) == {"matcore._haar"}
+    assert _package_callers({"np.linalg.eigh"}) == {"matcore.herm_eigen"}
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text())
+    generators = [
+        node.lineno
+        for node in ast.walk(cli_tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "generator"
+    ]
+    assert generators == []
 
 
 def test_explicit_products_only_in_oracles():
