@@ -16,7 +16,8 @@ which descends all its starts as one (S, n, n) stack with one batched SVD
 of M o Y and one of Y per iteration.
 Sampled checks of the fourteen norm identities that characterize scalar
 multiples of self-adjoint, normal, unitary, and reflection classes round
-out the module.
+out the module; they stay explicit products, and take an instance or an
+(m, n, n) stack of them through one body.
 """
 
 from __future__ import annotations
@@ -300,19 +301,18 @@ _EXPR_LABELS = {
 }
 
 
-def _expressions(s: np.ndarray, x: np.ndarray, kinds) -> list[dict[str, float]]:
-    """The five expression values in every norm of kinds, from one batched
-    SVD of SXS^-1, S^-1XS, S*XS^-1, S^-1XS*, their two sums and X."""
+def _expressions(s: np.ndarray, x: np.ndarray, kinds) -> np.ndarray:
+    """The five expression values, in _EXPR_LABELS order, in every norm of
+    kinds as a (..., K, 5) array over the stack axes of S and X, from one
+    batched SVD of SXS^-1, S^-1XS, S*XS^-1, S^-1XS*, their two sums and X."""
     si = matcore.inverse(s)
-    s_star, si_star = s.conj().T, si.conj().T
+    s_star = s.conj().swapaxes(-1, -2)
     a = s @ x @ si
     b = si @ x @ s
     c = s_star @ x @ si
     d = si @ x @ s_star
-    return [
-        {"E1": e1, "E2": e2, "N1": na + nb, "N2": nc + nd, "TWO_X": 2.0 * nx}
-        for e1, e2, na, nb, nc, nd, nx in stack_norms((a + b, c + d, a, b, c, d, x), kinds).tolist()
-    ]
+    e1, e2, na, nb, nc, nd, nx = stack_norms((a + b, c + d, a, b, c, d, x), kinds).swapaxes(0, 1)
+    return np.moveaxis(np.stack((e1, e2, na + nb, nc + nd, 2.0 * nx), axis=-1), 0, -2)
 
 
 def characterization_check(
@@ -321,9 +321,9 @@ def characterization_check(
     form: CharacterizationForm | str,
     kinds=(OP,),
     tol: float | None = None,
-) -> tuple[ChainReport, ...]:
-    """Evaluate one characterization relation on a single sample, one
-    report per norm in kinds.
+) -> tuple:
+    """Evaluate one characterization relation on a sample or an (m, n, n)
+    stack of them, one report (a ChainStack for a stack) per norm in kinds.
 
     Inequality reports put the expected-larger side first so the margin is
     nonnegative on the characterized class; equality reports use an 'eq'
@@ -335,14 +335,13 @@ def characterization_check(
             form = FORMS[form]
         except KeyError:
             raise ValueError(f"unknown form id {form!r}") from None
-    s = matcore.as_matrix(s)
-    x = matcore.as_matrix(x)
+    s, x = matcore.as_matrices(s), matcore.as_matrices(x)
     if tol is None:
         tol = EQUALITY_TOL if form.relation == "eq" else DEFAULT_TOL
     relations = ("eq",) if form.relation == "eq" else None
     sides = (form.rhs, form.lhs) if form.relation == "le" else (form.lhs, form.rhs)
     labels = tuple(_EXPR_LABELS[side] for side in sides)
-    values = [[vals[side] for side in sides] for vals in _expressions(s, x, kinds)]
+    values = _expressions(s, x, kinds)[..., [list(_EXPR_LABELS).index(side) for side in sides]]
     return chain(labels, values, tol=tol, relations=relations).unstack()
 
 

@@ -26,7 +26,7 @@ probe suites, findings do not fail the run), 1 when a theorem suite has a
 failing record, 2 for usage or configuration errors (a config-file value
 of the wrong type too), 3 for a numerical failure (an input the kernels
 reject, such as a matrix that is singular or not positive definite in
-floating point), 4 for I/O failures.
+floating point, or a norm beyond the float range), 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -165,13 +165,14 @@ def _finalcor(config, points, kinds, s, x):
 
 
 def _characterizations(config, points, kinds, s, x):
-    # The explicit forms run one instance at a time.
+    # As in _form_class, each run of one form is one stacked check.
     rows = []
-    for point, s_i, x_i in zip(points, s, x):
-        form = classes.FORMS[point["form"]]
+    for form_id, run in itertools.groupby(points, key=lambda point: point["form"]):
+        run, form = list(run), classes.FORMS[form_id]
+        span = slice(len(rows), len(rows) + len(run))
         tol = None if form.relation == "eq" else config.tol
-        reports = classes.characterization_check(s_i, x_i, form, kinds, tol=tol)
-        rows.append([(dict(point), kind.label, rep.as_dict()) for kind, rep in zip(kinds, reports)])
+        reports = classes.characterization_check(s[span], x[span], form, kinds, tol=tol)
+        rows += _instance_rows(run, [({}, kind.label, stack) for kind, stack in zip(kinds, reports)])
     return rows
 
 

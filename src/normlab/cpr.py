@@ -30,7 +30,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, chain
-from .errors import InvalidParams
+from .errors import InvalidParams, NonFinite
 from .heinz import (
     DEFAULT_NODES,
     PairBasis,
@@ -41,6 +41,8 @@ from .heinz import (
     quadratic_sv,
     rotate,
     sandwich_sv,
+    sandwich_weights,
+    weighted_sv,
 )
 from .norms import OP, NormKind, norms_from_sv
 
@@ -252,24 +254,34 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
 
     Returned as 2-value reports, (i) first and then one (ii) per p; they
     live on different scales and do not form one monotone chain.  One
-    batched SVD of E1, E2 and X serves all of them.
+    batched SVD of E1, E2 and X serves all of them.  A norm or power
+    beyond the float range raises NonFinite.
     """
     for p in ps:
         if not 1.0 <= p < np.inf:
             raise InvalidParams(f"Schatten exponent must be finite and >= 1, got {p}")
     d = matcore.invertible_svd(s)
     sig, u, v = d.singular_values, d.left, d.right
-    # Rows E1, E2 and X (the second basis's X is not used).
-    sv = sandwich_sv([rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)], 0.0)
-    norms = norms_from_sv(np.stack((sv[0, 0], sv[0, 1], sv[1, 0])), (OP,) + tuple(NormKind.schatten(p) for p in ps))
+    # E1 is W o (V*XV) and E2 is W o (U*XU), and X has the singular values
+    # of V*XV: one SVD of the three per instance.
+    e1, e2 = rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)
+    w = sandwich_weights(sig, sig, 0.0)
+    sv = weighted_sv(replace(e1, x_rot=np.stack((e1.x_rot, e2.x_rot, e1.x_rot))), np.stack((w, w, np.ones(w.shape))))
+    norms = norms_from_sv(sv, (OP,) + tuple(NormKind.schatten(p) for p in ps))
     shape = norms.shape[2:]
     op1, op2, op_x = norms[0]
     op_report = chain(("max(|E1|,|E2|)", "2|X|"), np.stack((np.maximum(op1, op2), 2.0 * op_x), axis=-1), tol=tol)
     # The p-th powers are taken on Python floats, whose power rounds apart
-    # from numpy's vectorized one.
+    # from numpy's vectorized one.  Beyond the float range a power raises
+    # OverflowError, and a sum or product is inf.
     rows = norms[1:].reshape(len(ps), 3, math.prod(shape)).tolist()
-    powers = np.array(
-        [[(n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p) for n1, n2, n_x in zip(*row)] for p, row in zip(ps, rows)]
-    ).reshape(len(ps), math.prod(shape), 2)
+    try:
+        powers = np.array(
+            [[(n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p) for n1, n2, n_x in zip(*row)] for p, row in zip(ps, rows)]
+        ).reshape(len(ps), math.prod(shape), 2)
+    except OverflowError:
+        powers = np.array(np.inf)
+    if not np.all(np.isfinite(powers)):
+        raise NonFinite("a Schatten p-th power overflowed the float range")
     power_members = np.moveaxis(powers, 0, -2).reshape(shape + (len(ps), 2))
     return (op_report, *chain(("|E1|_p^p+|E2|_p^p", "2^(p+1)|X|_p^p"), power_members, tol=tol).unstack())

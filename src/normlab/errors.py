@@ -30,6 +30,10 @@ class Singular(NormlabError):
     """Matrix is numerically singular where an inverse is required."""
 
 
+class NonFinite(NormlabError):
+    """A norm or a power of one overflowed the float range."""
+
+
 class NoConvergence(NormlabError):
     """An iterative kernel failed to converge; input is pathological."""
 

@@ -538,12 +538,12 @@ def _log_uniform_scale(g: np.random.Generator) -> float:
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse; raises Singular when the smallest singular value is
-    below SINGULAR_RTOL times the Frobenius norm."""
-    a = as_matrix(a)
+    """Inverse of a matrix or stack; raises Singular when a smallest singular
+    value is below SINGULAR_RTOL times its matrix's Frobenius norm."""
+    a = as_matrices(a)
     _require_square(a)
     _require_nonsingular(np.linalg.svd(a, compute_uv=False))
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
+    return np.linalg.solve(a, np.eye(a.shape[-1], dtype=complex))
 
 
 def direct_sum(a, b) -> np.ndarray:

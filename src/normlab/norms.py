@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
+from .errors import NonFinite
 
 __all__ = ["NormKind", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
 
@@ -94,7 +95,8 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
 
     Singular values below SV_CLIP_RTOL times their row's largest are
     clamped to zero, then the whole stack is reduced at once, row by row
-    as for one row alone.  An empty row has every norm 0.
+    as for one row alone.  An empty row has every norm 0.  A norm beyond
+    the float range (a large Schatten p) raises NonFinite.
     """
     sv = np.asarray(sv, dtype=float)
     lead = sv.shape[:-1]
@@ -114,11 +116,14 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
             elif p == 2.0:
                 out[i] = np.sqrt(np.sum(clipped * clipped, axis=1))
             else:
-                out[i] = np.sum(clipped**p, axis=1) ** (1.0 / p)
+                with np.errstate(over="ignore"):
+                    out[i] = np.sum(clipped**p, axis=1) ** (1.0 / p)
         elif kind.family == "kyfan":
             out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
         else:
             raise ValueError(f"unknown norm family {kind.family!r}")
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("a norm overflowed the float range")
     return out.reshape((len(kinds),) + lead)
 
 

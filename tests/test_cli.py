@@ -588,6 +588,30 @@ def test_dk_probe_huge_eigenvalue_does_not_overflow(tmp_path, capsys, eigs, code
     assert err == "" if code == 0 else err.startswith("numerical failure: Singular") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--suite", "finalcor", "--p", "1000"],
+        ["--suite", "finalcor", "--p", "700"],
+        ["--suite", "finalcor", "--p", "400"],
+        ["--suite", "finalcor", "--p=1e300"],
+        ["--suite", "heinz", "--norms", "schatten:1000"],
+        ["--suite", "characterizations", "--norms", "schatten:1000"],
+    ],
+)
+def test_norm_beyond_float_range_exits_3_without_records(tmp_path, capsys, extra):
+    # A norm or p-th power that overflows is a numerical failure: one
+    # stderr line and no JSONL, never a traceback, an overflow warning, an
+    # Infinity in a record or a failing record.
+    out = tmp_path / "v.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["verify", "--dim", "3", "--count", "3", "--seed", "0", *extra, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NonFinite: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dk_probe_run(tmp_path):
     out = tmp_path / "dk.jsonl"
     argv = [

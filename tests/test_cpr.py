@@ -1,6 +1,8 @@
 """Conjugation sandwich bounds, the eight-member power-pair chain, and the
 direct-sum corollaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from normlab import cpr, heinz, matcore
 from normlab.cpr import ZhanParams
-from normlab.errors import DimensionMismatch, InvalidParams, NotHermitian, Singular
+from normlab.errors import DimensionMismatch, InvalidParams, NonFinite, NotHermitian, Singular
 from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
@@ -406,6 +408,21 @@ def test_final_cor_rejects_bad_exponent():
     for p in (0.5, np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidParams):
             cpr.final_cor_check(np.eye(2), np.eye(2), (2.0, p))
+
+
+@pytest.mark.parametrize("scale, p", [(0.4, 1100.0), (0.5 * 1.5e308**0.01, 100.0)])
+def test_final_cor_power_beyond_float_range_raises(scale, p):
+    # S = I makes E1 = E2 = 2X.  At X = 0.4 e1 e2* every norm is finite but
+    # Python's 2.0 ** (p + 1) overflows; at the second scale each |E|_p^p
+    # is 1.5e308, so their sum and 2^(p+1)|X|_p^p are inf.
+    x = np.zeros((2, 2), dtype=complex)
+    x[0, 1] = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            cpr.final_cor_check(np.eye(2), x, (2.0, p))
+        with pytest.raises(NonFinite):
+            cpr.final_cor_check(np.stack((np.eye(2),) * 3), np.stack((x,) * 3), (p,))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,14 @@
 """Norm selector grammar, hand values, and the norm axioms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab import matcore
+from normlab.errors import NonFinite
 from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norms_from_sv
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
@@ -107,3 +110,14 @@ def test_direct_sum_power_identity():
         kind = NormKind.schatten(p)
         want = (norm(x, kind) ** p + norm(y, kind) ** p) ** (1.0 / p)
         assert abs(direct_sum_norm(x, y, kind) - want) <= 1e-12 * max(1.0, want)
+
+
+def test_norm_beyond_float_range_raises():
+    # 10**1000 overflows; the row of ones and halves stays finite at the same p.
+    kinds = (NormKind.schatten(1000.0),)
+    sv = np.array([[10.0, 1.0], [1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            norms_from_sv(sv, kinds)
+        assert norms_from_sv(sv[1:], kinds).tolist() == [[1.0]]

@@ -278,6 +278,8 @@ KINDS = (NormKind.parse("op"), NormKind.parse("tr"))
         (lambda s, t, x: cpr.cpr_star_check(s, x, KINDS), 0, _SINGULAR, Singular),
         (lambda s, t, x: cpr.mos2_check(s, x, t, KINDS), 0, _SINGULAR, Singular),
         (lambda s, t, x: cpr.final_cor_check(s, x, (1.0, 2.0)), 0, _SINGULAR, Singular),
+        (lambda s, t, x: classes.characterization_check(s, x, "ineq9", KINDS), 0, _SINGULAR, Singular),
+        (lambda s, t, x: classes.characterization_check(s, x, "eq14", KINDS), 0, _SINGULAR, Singular),
     ],
 )
 def test_stack_with_a_bad_last_member_raises_its_single_error(check, slot, bad, error):

@@ -46,6 +46,15 @@ def test_stacked_decompositions_match_per_matrix_calls(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_inverse_solve_matches_per_matrix_calls(n):
+    # matcore.inverse solves a whole stack against one identity.
+    z = _complex_stack(70 + n, n)
+    eye = np.eye(n, dtype=complex)
+    assert _same_bits(np.linalg.solve(z, eye), [np.linalg.solve(a, eye) for a in z])
+    assert _same_bits(matcore.inverse(z), [matcore.inverse(a) for a in z])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_stacked_products_match_per_matrix_calls(n):
     # The layouts the engine multiplies: plain, and an adjoint view on the
     # left as rotate takes it, chained left to right.
