@@ -26,7 +26,8 @@ probe suites, findings do not fail the run), 1 when a theorem suite has a
 failing record, 2 for usage or configuration errors (a config-file value
 of the wrong type too), 3 for a numerical failure (an input the kernels
 reject, such as a matrix that is singular or not positive definite in
-floating point, or a norm beyond the float range), 4 for I/O failures.
+floating point, a norm beyond the float range, or a finalcor p-th power
+of a nonzero norm below it), 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class CampaignConfig:
     no_timing: bool
 
 
+# Every JSON line and summary params key; json.dumps builds an encoder per
+# call.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 # A theorem suite runs THEOREM_CHUNK (point, instance) pairs at a time, in
 # record order: one sampler call per matrix slot and one check per chunk.
 # Bounds the campaign's working memory at any --count.
@@ -91,34 +96,37 @@ THEOREM_CHUNK = 128
 
 
 # A sampler draws one matrix slot of a chunk's instances as an (m, n, n)
-# stack: sampler(config, points, rngs), one point and one Rng per instance.
-def _posdef(config, points, rngs):
-    return matcore.random_posdef(config.dim, config.cond, rngs)
+# stack: sampler(config, points, streams), one point and one stream of the
+# matcore.Streams per instance.
+def _posdef(config, points, streams):
+    return matcore.random_posdef(config.dim, config.cond, streams)
 
 
-def _selfadjoint(config, points, rngs):
-    return matcore.random_selfadjoint_invertible(config.dim, config.cond, rngs)
+def _selfadjoint(config, points, streams):
+    return matcore.random_selfadjoint_invertible(config.dim, config.cond, streams)
 
 
-def _invertible(config, points, rngs):
-    return matcore.random_invertible(config.dim, config.cond, rngs)
+def _invertible(config, points, streams):
+    return matcore.random_invertible(config.dim, config.cond, streams)
 
 
-def _general(config, points, rngs):
-    return matcore.ginibre(config.dim, rng=rngs)
+def _general(config, points, streams):
+    return matcore.ginibre(config.dim, rng=streams)
 
 
-def _probe(config, points, rngs):
-    return matcore.random_probe_matrix(config.dim, rngs)
+def _probe(config, points, streams):
+    return matcore.random_probe_matrix(config.dim, streams)
 
 
-def _form_class(config, points, rngs):
+def _form_class(config, points, streams):
     # A chunk's instances come point by point, so each run of one form is
     # one sampler call.
-    runs = itertools.groupby(zip(points, rngs), key=lambda pair: pair[0]["form"])
-    return np.concatenate(
-        [classes.sample_for_form(form, config.dim, [rng for _, rng in run], config.cond) for form, run in runs]
-    )
+    mats, at = [], 0
+    for form, run in itertools.groupby(point["form"] for point in points):
+        size = sum(1 for _ in run)
+        mats.append(classes.sample_for_form(form, config.dim, streams[at : at + size], config.cond))
+        at += size
+    return np.concatenate(mats)
 
 
 def _single_point(config):
@@ -132,11 +140,16 @@ def _column(points, key):
 def _instance_rows(points, columns):
     """The rows (params, norm label, record fields) of each instance of a
     chunk: columns lists (params, norm label, ChainStack over the chunk) in
-    an instance's record order, and each row's params extend its point."""
+    an instance's record order, and each row's params extend its point.
+    The instances of one point share its rows' params dicts."""
     columns = [(params, label, stack.as_dicts()) for params, label, stack in columns]
-    return [
-        [({**point, **params}, label, fields[i]) for params, label, fields in columns] for i, point in enumerate(points)
-    ]
+    merged = {}
+    rows = []
+    for i, point in enumerate(points):
+        if id(point) not in merged:
+            merged[id(point)] = [{**point, **params} for params, _, _ in columns]
+        rows.append([(params, label, fields[i]) for params, (_, label, fields) in zip(merged[id(point)], columns)])
+    return rows
 
 
 def _norm_major(*checks, **forms):
@@ -180,25 +193,25 @@ def _theorem(points, samplers, check):
     """Record generator of a theorem suite.
 
     points(config) lists the parameter points; matrix slot j of instance i
-    at point pi is drawn by samplers[j] from
-    rng.substream(pi).substream(i).substream(j).  The (point, instance)
-    pairs run THEOREM_CHUNK at a time in record order: each sampler draws
-    its slot for the whole chunk, and check(config, points, kinds,
-    *stacks) evaluates the chunk once, returning each instance's rows
-    (params, norm label, record fields) in record order.  The check's wall
-    time is split evenly over the chunk's records.
+    at point pi is drawn by samplers[j] from the stream
+    Rng(seed, (pi, i, j)).  The (point, instance) pairs run THEOREM_CHUNK
+    at a time in record order: the streams of every slot of the chunk are
+    keyed in one matcore.substreams pass, each sampler draws its slot for
+    the whole chunk, and check(config, points, kinds, *stacks) evaluates
+    the chunk once, returning each instance's rows (params, norm label,
+    record fields) in record order.  The check's wall time is split evenly
+    over the chunk's records.
     """
 
     def records(config):
         kinds = [NormKind.parse(s) for s in config.norms]
-        rng = matcore.Rng(config.seed)
         pairs = ((pi, point, i) for pi, point in enumerate(points(config)) for i in range(config.count))
+        slots = len(samplers)
         while chunk := list(itertools.islice(pairs, THEOREM_CHUNK)):
-            subs = [rng.substream(pi).substream(i) for pi, _, i in chunk]
+            # Prefix-major, so slot j's streams are every slots-th one.
+            streams = matcore.substreams(config.seed, [(pi, i) for pi, _, i in chunk], range(slots))
             chunk_points = [point for _, point, _ in chunk]
-            mats = [
-                sample(config, chunk_points, [sub.substream(j) for sub in subs]) for j, sample in enumerate(samplers)
-            ]
+            mats = [sample(config, chunk_points, streams[j::slots]) for j, sample in enumerate(samplers)]
             t0 = time.perf_counter()
             rows = check(config, chunk_points, kinds, *mats)
             wall = (time.perf_counter() - t0) / sum(map(len, rows))
@@ -567,8 +580,7 @@ def _collect_records(config: CampaignConfig) -> list[dict]:
 def _write_jsonl(path: str, records: list[dict]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write("".join([_JSON.encode(record) + "\n" for record in records]))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 
@@ -612,17 +624,17 @@ def _read_jsonl(path: str) -> list[dict]:
 
 
 def _write_summary(path: str, records: list[dict]) -> None:
+    # Groups in order of first appearance; each params object is encoded
+    # once, and kept here so that its id stays its own.
     groups: dict[tuple, dict] = {}
-    order: list[tuple] = []
+    encoded: dict[int, tuple] = {}
     for r in sorted(records, key=lambda r: r.get("instance", 0)):
-        key = (
-            str(r.get("suite", "-")),
-            str(r.get("norm", "-")),
-            json.dumps(r.get("params", {}), sort_keys=True),
-        )
+        params = r.get("params", {})
+        if id(params) not in encoded:
+            encoded[id(params)] = (params, _JSON.encode(params))
+        key = (str(r.get("suite", "-")), str(r.get("norm", "-")), encoded[id(params)][1])
         if key not in groups:
             groups[key] = {"count": 0, "pass": 0, "fail": 0, "min_margin": None, "min_eig": None}
-            order.append(key)
         grp = groups[key]
         grp["count"] += r.get("count", 1)
         grp["pass"] += r.get("pass_count", 1 if r.get("pass") else 0)
@@ -639,20 +651,17 @@ def _write_summary(path: str, records: list[dict]) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["suite", "norm", "params", "count", "pass", "fail", "min_margin", "min_eig"])
-            for key in order:
-                g = groups[key]
-                writer.writerow(
-                    [
-                        key[0],
-                        key[1],
-                        key[2],
-                        g["count"],
-                        g["pass"],
-                        g["fail"],
-                        "" if g["min_margin"] is None else repr(float(g["min_margin"])),
-                        "" if g["min_eig"] is None else repr(float(g["min_eig"])),
-                    ]
-                )
+            writer.writerows(
+                [
+                    *key,
+                    g["count"],
+                    g["pass"],
+                    g["fail"],
+                    "" if g["min_margin"] is None else repr(float(g["min_margin"])),
+                    "" if g["min_eig"] is None else repr(float(g["min_eig"])),
+                ]
+                for key, g in groups.items()
+            )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 

@@ -19,10 +19,12 @@ criterion, classes.constraint_check.  The search runs on stacks: the
 constraint test, the C build and the PSD test take a leading stack axis,
 and one call of each covers a chunk of SEARCH_CHUNK spectra (one eigvalsh
 per chunk).  On a single spectrum or matrix they return scalars.  The
-sampler keys the chunk's Philox streams in one batch and draws every
-block from one generator by (key, counter), since Philox is counter-based
-(Salmon et al., SC'11); every spectrum still draws exactly its own
-stream.  Violations are written in instance order at the end of each chunk.
+chunk's Philox streams are keyed in one batch from the seed, the path
+prefix and the index range (matcore.substreams), with no Rng per
+spectrum, and the sampler draws every block from one generator by (key,
+counter), since Philox is counter-based (Salmon et al., SC'11); every
+spectrum still draws exactly its own stream.  Violations are written in
+instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -138,27 +140,32 @@ def sample_constrained_spectrum(
     first n, a minus sign where d < 1/2 for the next n.  `rejected` is the
     number of attempts before the accepted one.
 
-    rng may also be a sequence of m Rngs; the result is then an (m, n)
-    stack and an (m,) array of counts, the same as m single calls.  Every
-    spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
-    test covers the blocks of all spectra still pending.  The blocks come
-    from one Philox generator: the Philox keys of all m streams are derived
-    in one batch (matcore.stream_keys), and before each block
-    matcore.seek sets the generator to the spectrum's key and to the
-    counter where the block starts.
+    rng may also be a sequence of m Rngs or a matcore.Streams of m; the
+    result is then an (m, n) stack and an (m,) array of counts, the same as
+    m single calls.  Every spectrum draws its attempts SAMPLE_BLOCK at a
+    time, and one constraint test covers the blocks of all spectra still
+    pending.  The blocks come from one Philox generator, the first
+    stream's rng.generator(): the Philox keys of all m streams are derived
+    in one batch (matcore.stream_keys, or the Streams' own), and before
+    each block matcore.seek sets the generator to the spectrum's key and to
+    the counter where the block starts.
     So a spectrum's draws are exactly those of its own rng.generator(), and
     nothing is drawn past the block that holds the accepted attempt.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     single = isinstance(rng, matcore.Rng)
-    rngs = [rng] if single else list(rng)
-    keys = matcore.stream_keys(rngs).tolist()
-    lams = np.empty((len(rngs), n))
-    rejected = np.empty(len(rngs), dtype=int)
-    pending = np.arange(len(rngs))
-    draws = np.empty((len(rngs), SAMPLE_BLOCK, 2, n))
-    bits = rngs[0].generator() if rngs else None
+    if isinstance(rng, matcore.Streams):
+        keys = rng.keys.tolist()
+        bits = rng.first().generator() if keys else None
+    else:
+        rngs = [rng] if single else list(rng)
+        keys = matcore.stream_keys(rngs).tolist()
+        bits = rngs[0].generator() if rngs else None
+    lams = np.empty((len(keys), n))
+    rejected = np.empty(len(keys), dtype=int)
+    pending = np.arange(len(keys))
+    draws = np.empty((len(keys), SAMPLE_BLOCK, 2, n))
     max_draws = int(max_draws)
     for first in range(0, max_draws, SAMPLE_BLOCK):
         if not pending.size:
@@ -200,12 +207,13 @@ def conjecture_search(
     """Sample `count` constrained spectra per k and test PSD of each C.
 
     Instance i of the k_idx-th k draws from rng.substream(k_idx).substream(i).
-    The instances of one k go SEARCH_CHUNK at a time through one sampler
-    call, one C stack and one PSD test, so no result depends on the chunk
-    size.  Violations are appended to violations_path as JSONL in instance
-    order at the end of each chunk, one object per line with keys k,
-    lambdas, min_eig, seed, instance, so a crashed run keeps every chunk
-    finished before the crash.  A k outside [0, 2] (InvalidK) or a count
+    The instances of one k go SEARCH_CHUNK at a time through one
+    matcore.substreams keying pass, one sampler call, one C stack and one
+    PSD test, so no result depends on the chunk size.  Violations are
+    appended to violations_path as JSONL in instance order at the end of
+    each chunk, one object per line with keys k, lambdas, min_eig, seed,
+    instance, so a crashed run keeps every chunk finished before the
+    crash.  A k outside [0, 2] (InvalidK) or a count
     that is not an integer >= 0 (ValueError) is rejected before the file is
     opened.
     """
@@ -218,14 +226,14 @@ def conjecture_search(
     sink = open(violations_path, "a") if violations_path is not None else None
     try:
         for k_idx, k in enumerate(k_list):
-            stream = rng.substream(k_idx)
+            prefix = [rng.path + (k_idx,)]
             min_eigs = np.empty(count)
             rejected = 0
             violations = 0
             for start in range(0, count, SEARCH_CHUNK):
                 stop = min(start + SEARCH_CHUNK, count)
-                rngs = [stream.substream(i) for i in range(start, stop)]
-                lams, rej = sample_constrained_spectrum(n, k, rngs, max_draws=max_draws)
+                streams = matcore.substreams(rng.seed, prefix, range(start, stop))
+                lams, rej = sample_constrained_spectrum(n, k, streams, max_draws=max_draws)
                 rejected += int(rej.sum())
                 mins, ok = psd_check(build_conj_matrix(lams, k))
                 min_eigs[start:stop] = mins

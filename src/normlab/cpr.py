@@ -255,7 +255,8 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
     Returned as 2-value reports, (i) first and then one (ii) per p; they
     live on different scales and do not form one monotone chain.  One
     batched SVD of E1, E2 and X serves all of them.  A norm or power
-    beyond the float range raises NonFinite.
+    beyond the float range raises NonFinite, and so does a power of a
+    nonzero norm below the smallest normal float.
     """
     for p in ps:
         if not 1.0 <= p < np.inf:
@@ -273,14 +274,19 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
     op_report = chain(("max(|E1|,|E2|)", "2|X|"), np.stack((np.maximum(op1, op2), 2.0 * op_x), axis=-1), tol=tol)
     # The p-th powers are taken on Python floats, whose power rounds apart
     # from numpy's vectorized one.  Beyond the float range a power raises
-    # OverflowError, and a sum or product is inf.
-    rows = norms[1:].reshape(len(ps), 3, math.prod(shape)).tolist()
+    # OverflowError, and a sum or product is inf; below it, a nonzero norm's
+    # power is subnormal or zero.
+    norms_p = norms[1:].reshape(len(ps), 3, math.prod(shape))
     try:
-        powers = np.array(
-            [[(n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p) for n1, n2, n_x in zip(*row)] for p, row in zip(ps, rows)]
-        ).reshape(len(ps), math.prod(shape), 2)
+        terms = np.array([[[n**p for n in col] for col in row] for p, row in zip(ps, norms_p.tolist())])
+        scale = np.array([2.0 ** (p + 1.0) for p in ps]).reshape(len(ps), 1)
     except OverflowError:
-        powers = np.array(np.inf)
+        raise NonFinite("a Schatten p-th power overflowed the float range") from None
+    terms = terms.reshape(norms_p.shape)
+    if np.any((terms < np.finfo(float).tiny) & (norms_p > 0.0)):
+        raise NonFinite("a Schatten p-th power underflowed the float range")
+    with np.errstate(over="ignore"):
+        powers = np.stack((terms[:, 0] + terms[:, 1], scale * terms[:, 2]), axis=-1)
     if not np.all(np.isfinite(powers)):
         raise NonFinite("a Schatten p-th power overflowed the float range")
     power_members = np.moveaxis(powers, 0, -2).reshape(shape + (len(ps), 2))

@@ -11,11 +11,15 @@ mapped onto the :mod:`normlab.errors` taxonomy.
 Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws the stream that pair fixes, so a
 given Rng always produces the same matrix.  Distinct instances must use
-distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng
-or a sequence of m, and then returns an (m, n, n) stack equal to m single
-calls: ``stream_keys`` derives the streams' Philox keys in one pass, each
-stream draws from one reused generator set to its start by ``seek``, and
-the QR and products run once on the stack.
+distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng,
+a sequence of m, or a :class:`Streams` of m, and then returns an
+(m, n, n) stack equal to m single calls.  A stream's draws are raw
+generator output (uniforms, normals, integers), taken from one reused
+generator set to each stream's start by ``seek``; every transform of them
+(exponentials, sorts, signs, complex combines, the QR and the products)
+runs once on the stack.  ``stream_keys`` derives any streams' Philox keys
+in one pass, and ``substreams`` the keys of every index under every path
+prefix, hashing each prefix once.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from .errors import (
 
 __all__ = [
     "Rng",
+    "Streams",
     "stream_keys",
+    "substreams",
     "seek",
     "HermEigen",
     "SvdResult",
@@ -177,21 +183,78 @@ def stream_keys(rngs) -> np.ndarray:
     entropy[np.arange(width) < lengths[:, None]] = np.fromiter(
         itertools.chain.from_iterable(rows), dtype=np.uint32, count=int(lengths.sum())
     )
+    return _state(_absorb(entropy, lengths)[0])
 
-    # Entropy in: hash the first words into the pool, mix every pool word
-    # into every other, then mix each later word into every pool word.
+
+def substreams(seed: int, prefixes, indices) -> "Streams":
+    """The streams ``Rng(seed, prefix + (index,))`` for every row of the
+    (P, L) path prefixes and then every index, prefix-major, as a Streams
+    of P * len(indices).
+
+    Each prefix row is hashed once and each index is then mixed into every
+    prefix's pool, so the keys cost one pass over P + len(indices) words
+    columns, not one per stream.  They equal stream_keys of the same Rngs
+    bit for bit; entries of 2**32 or more take several entropy words each,
+    and are keyed through stream_keys instead.
+    """
+    prefixes, indices = np.asarray(prefixes), np.asarray(indices)
+    if prefixes.ndim != 2 or indices.ndim != 1:
+        raise ValueError("need a (P, L) array of path prefixes and a 1-D array of indices")
+    count = len(indices)
+    if all(a.dtype.kind in "iu" and np.all((0 <= a) & (a <= _MASK32)) for a in (prefixes, indices)):
+        prefixes, indices = prefixes.astype(np.int64), indices.astype(np.int64)
+        paths = np.column_stack((np.repeat(prefixes, count, axis=0), np.tile(indices, len(prefixes))))
+        words = np.array(_uint32_words(seed, _POOL_SIZE), dtype=np.uint32)
+        entropy = np.column_stack((np.broadcast_to(words, (len(prefixes), words.size)), prefixes)).astype(np.uint32)
+        pool, hashmix = _absorb(entropy, np.full(len(prefixes), entropy.shape[1]))
+        pool = _mix(pool[:, None, :], hashmix(indices.astype(np.uint32)[:, None], _POOL_SIZE))
+        return Streams(seed, paths, _state(pool).reshape(-1, 2))
+    paths = np.array([p + [i] for p in prefixes.tolist() for i in indices.tolist()], dtype=object)
+    return Streams(seed, paths, stream_keys(Rng(seed, tuple(path)) for path in paths.tolist()))
+
+
+def _absorb(entropy: np.ndarray, lengths: np.ndarray):
+    """SeedSequence's pool after each row of `entropy` (uint32 words, at
+    least _POOL_SIZE per row) has taken in its first lengths[row] words, and
+    the hasher that takes the next word."""
+    # Hash the first words into the pool, mix every pool word into every
+    # other, then mix each later word into every pool word.
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
         pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src, None], _POOL_SIZE - 1))
-    for col in range(_POOL_SIZE, width):
+    for col in range(_POOL_SIZE, entropy.shape[1]):
         mixed = _mix(pool, hashmix(entropy[:, col, None], _POOL_SIZE))
         pool = np.where((col < lengths)[:, None], mixed, pool)
+    return pool, hashmix
 
-    # State out: two uint64 words from four uint32 words, little-endian.
+
+def _state(pool: np.ndarray) -> np.ndarray:
+    # Two uint64 words from four uint32 pool words, little-endian.
     state = _hasher(_INIT_B, _MULT_B)(pool, _POOL_SIZE)
     return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass(frozen=True, eq=False)
+class Streams:
+    """m streams keyed in one pass, which a sampler takes in place of a
+    sequence of m Rngs: stream r is ``Rng(seed, tuple(paths[r]))`` and
+    keys[r] its Philox key, as stream_keys gives it.  :func:`substreams`
+    builds them; a slice takes a run of them."""
+
+    seed: int
+    paths: np.ndarray
+    keys: np.ndarray
+
+    def __getitem__(self, rows: slice) -> "Streams":
+        return Streams(self.seed, self.paths[rows], self.keys[rows])
+
+    def first(self) -> Rng:
+        """The first stream, whose generator() a sampler starts from."""
+        if not len(self.paths):
+            raise ValueError("need at least one stream")
+        return Rng(self.seed, tuple(self.paths[0].tolist()))
 
 
 def seek(g: np.random.Generator, key, counter: int) -> None:
@@ -360,7 +423,7 @@ def haar_unitary(n: int, rng) -> np.ndarray:
     QR of a complex Ginibre matrix; multiplying Q by the phases of R's
     diagonal makes the factorization unique and the law exactly Haar.
     """
-    return _sample(rng, lambda g: (_ginibre_draw(g, n, n),), _haar)
+    return _sample(rng, lambda g: (g.standard_normal((2, n, n)),), lambda w: _haar(_complex(w)))
 
 
 def random_posdef(n: int, cond: float, rng) -> np.ndarray:
@@ -368,8 +431,8 @@ def random_posdef(n: int, cond: float, rng) -> np.ndarray:
     eigenvalues log-uniform in [cond**-0.5, cond**0.5] (condition <= cond)."""
     return _sample(
         rng,
-        lambda g: (np.sort(_log_uniform(g, n, cond)), _ginibre_draw(g, n, n)),
-        lambda eigs, z: _hermitian(_haar(z), eigs),
+        lambda g: (g.uniform(-0.5, 0.5, size=n), g.standard_normal((2, n, n))),
+        lambda u, w: _hermitian(_haar(_complex(w)), np.sort(_log_uniform(u, cond), axis=-1)),
     )
 
 
@@ -378,8 +441,8 @@ def random_selfadjoint_invertible(n: int, cond: float, rng) -> np.ndarray:
     magnitudes with independent random signs, |eig| >= cond**-0.5."""
     return _sample(
         rng,
-        lambda g: (_log_uniform(g, n, cond) * _random_signs(g, n), _ginibre_draw(g, n, n)),
-        lambda eigs, z: _hermitian(_haar(z), eigs),
+        lambda g: (g.uniform(-0.5, 0.5, size=n), g.random(n), g.standard_normal((2, n, n))),
+        lambda u, r, w: _hermitian(_haar(_complex(w)), _log_uniform(u, cond) * _signs(r)),
     )
 
 
@@ -387,32 +450,31 @@ def random_invertible(n: int, cond: float, rng) -> np.ndarray:
     """Random invertible matrix U diag(s) V* with independent Haar factors
     and singular values log-uniform in [cond**-0.5, cond**0.5]."""
 
-    def build(svals, zu, zv):
-        u, v = _haar(np.stack((zu, zv)))
-        return (u * svals[:, None, :]) @ _adjoint(v)
+    def build(u, w):
+        # The normals of U, then those of V.
+        q = _haar(_complex(w))
+        return (q[:, 0] * _log_uniform(u, cond)[:, None, :]) @ _adjoint(q[:, 1])
 
-    return _sample(rng, lambda g: (_log_uniform(g, n, cond), _ginibre_draw(g, n, n), _ginibre_draw(g, n, n)), build)
+    return _sample(rng, lambda g: (g.uniform(-0.5, 0.5, size=n), g.standard_normal((2, 2, n, n))), build)
 
 
 def random_normal_invertible(n: int, cond: float, rng) -> np.ndarray:
     """Random invertible normal matrix U diag(d) U* with complex d,
     |d| log-uniform in [cond**-0.5, cond**0.5]."""
 
-    def build(d, z):
-        q = _haar(z)
-        return (q * d[:, None, :]) @ _adjoint(q)
+    def build(u, r, w):
+        q = _haar(_complex(w))
+        return (q * (_log_uniform(u, cond) * _phases(r))[:, None, :]) @ _adjoint(q)
 
-    return _sample(
-        rng, lambda g: (_log_uniform(g, n, cond) * np.exp(2j * np.pi * g.random(n)), _ginibre_draw(g, n, n)), build
-    )
+    return _sample(rng, lambda g: (g.uniform(-0.5, 0.5, size=n), g.random(n), g.standard_normal((2, n, n))), build)
 
 
 def random_scaled_unitary(n: int, rng) -> np.ndarray:
     """Nonzero real scalar times a Haar unitary."""
     return _sample(
         rng,
-        lambda g: (_log_uniform_scale(g) * (-1.0 if g.random() < 0.5 else 1.0), _ginibre_draw(g, n, n)),
-        lambda c, z: c[:, None, None] * _haar(z),
+        lambda g: (g.uniform(-1.0, 1.0), g.random(), g.standard_normal((2, n, n))),
+        lambda u, r, w: (_scales(u) * _signs(r))[:, None, None] * _haar(_complex(w)),
     )
 
 
@@ -420,27 +482,31 @@ def random_scaled_reflection(n: int, rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint unitary (Q diag(+-1) Q*)."""
     return _sample(
         rng,
-        lambda g: (_log_uniform_scale(g) * np.exp(2j * np.pi * g.random()), _random_signs(g, n),
-                   _ginibre_draw(g, n, n)),
-        lambda c, signs, z: c[:, None, None] * _hermitian(_haar(z), signs),
+        lambda g: (g.uniform(-1.0, 1.0), g.random(), g.random(n), g.standard_normal((2, n, n))),
+        lambda u, r, s, w: (_scales(u) * _phases(r))[:, None, None] * _hermitian(_haar(_complex(w)), _signs(s)),
     )
 
 
 def random_scaled_selfadjoint(n: int, cond: float, rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint invertible matrix."""
 
-    def draw(g):
-        c = _log_uniform_scale(g) * np.exp(2j * np.pi * g.random())
-        return c, _log_uniform(g, n, max(cond, 1.0)) * _random_signs(g, n), _ginibre_draw(g, n, n)
+    def build(u, r, v, s, w):
+        eigs = _log_uniform(v, max(cond, 1.0)) * _signs(s)
+        return (_scales(u) * _phases(r))[:, None, None] * _hermitian(_haar(_complex(w)), eigs)
 
-    return _sample(rng, draw, lambda c, eigs, z: c[:, None, None] * _hermitian(_haar(z), eigs))
+    return _sample(
+        rng,
+        lambda g: (g.uniform(-1.0, 1.0), g.random(), g.uniform(-0.5, 0.5, size=n), g.random(n),
+                   g.standard_normal((2, n, n))),
+        build,
+    )
 
 
 def ginibre(n: int, m: int | None = None, rng=None) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex Gaussian entries."""
     if rng is None:
         raise ValueError("rng is required")
-    return _sample(rng, lambda g: (_ginibre_draw(g, n, n if m is None else m),), lambda z: z)
+    return _sample(rng, lambda g: (g.standard_normal((2, n, n if m is None else m)),), _complex)
 
 
 def random_probe_matrix(n: int, rng) -> np.ndarray:
@@ -450,56 +516,64 @@ def random_probe_matrix(n: int, rng) -> np.ndarray:
     rank-one basis matrices e_i e_j*, Hermitian draws, and Haar unitaries.
     Rank-one off-diagonal seeds need n >= 2 and fall back to Ginibre at n=1.
     """
+    # A rank-one pick draws its row and column and no normals.
+    no_normals = np.zeros((2, n, n))
 
     def draw(g):
         pick = g.integers(0, 4)
         if pick == 0 and n >= 2:
-            i = int(g.integers(0, n))
-            j = int(g.integers(0, n - 1))
-            j = j + 1 if j >= i else j
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j] = 1.0
-            return x, False
-        z = _ginibre_draw(g, n, n)
-        return (0.5 * (z + z.conj().T) if pick == 1 else z), pick == 2
+            return pick, g.integers(0, n), g.integers(0, n - 1), no_normals
+        return pick, 0, 0, g.standard_normal((2, n, n))
 
-    def build(mats, haar):
+    def build(pick, i, j, w):
+        x = _complex(w)
+        herm, haar = pick == 1, pick == 2
+        x[herm] = 0.5 * (x[herm] + _adjoint(x[herm]))
         if haar.any():
-            mats[haar] = _haar(mats[haar])
-        return mats
+            x[haar] = _haar(x[haar])
+        unit = np.flatnonzero((pick == 0) & (n >= 2))
+        x[unit] = 0.0
+        i, j = i[unit], j[unit]
+        x[unit, i, np.where(j >= i, j + 1, j)] = 1.0
+        return x
 
     return _sample(rng, draw, build)
 
 
 def _sample(rng, draw, build):
     """One sample for an Rng, or an (m, ...) stack of them for a sequence
-    of m Rngs, the same as m single calls.
+    of m Rngs or a Streams of m, the same as m single calls.
 
-    draw(g) takes one stream's values from its generator, in stream order,
-    as a tuple; build maps the tuple's members, each stacked over the
-    streams, to the stack of samples.  The streams after the first are
-    keyed in one batch and every stream is drawn from one reused generator
-    (see :func:`seek`), so the only per-stream work is the draws
-    themselves; QR and products run once on the stack.
+    draw(g) returns one stream's raw generator output (uniforms, normals,
+    integers) in stream order, as a tuple; build takes the tuple's members,
+    each stacked over the streams, and makes every transform of them once
+    on the stack.  The generator starts on the first stream, from its
+    Rng.generator(); the later streams are keyed in one batch (or come
+    keyed in the Streams) and drawn from the same generator, set to each
+    one's start by :func:`seek`, so the only per-stream work is the draws.
     """
-    single = isinstance(rng, Rng)
-    rngs = [rng] if single else list(rng)
-    if not rngs:
-        raise ValueError("need at least one rng")
-    # The generator starts on the first stream.
-    g = rngs[0].generator()
+    if isinstance(rng, Rng):
+        first, keys = rng, []
+    elif isinstance(rng, Streams):
+        first, keys = rng.first(), rng.keys[1:].tolist()
+    else:
+        rngs = list(rng)
+        if not rngs:
+            raise ValueError("need at least one rng")
+        first, keys = rngs[0], stream_keys(rngs[1:]).tolist()
+    g = first.generator()
     draws = [draw(g)]
-    for key in stream_keys(rngs[1:]).tolist() if len(rngs) > 1 else ():
+    for key in keys:
         seek(g, key, 0)
         draws.append(draw(g))
     out = build(*(np.array(column) for column in zip(*draws)))
-    return out[0] if single else out
+    return out[0] if isinstance(rng, Rng) else out
 
 
-def _ginibre_draw(g: np.random.Generator, n: int, m: int) -> np.ndarray:
-    # The real parts, then the imaginary parts, as two (n, m) draws give them.
-    w = g.standard_normal((2, n, m))
-    return (w[0] + 1j * w[1]) / np.sqrt(2.0)
+def _complex(w: np.ndarray) -> np.ndarray:
+    # Standard complex Gaussians from (..., 2, n, m) normals: the real parts,
+    # then the imaginary parts, as two (n, m) draws give them.
+    return (w[..., 0, :, :] + 1j * w[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -515,26 +589,33 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _log_uniform(g: np.random.Generator, n: int, cond: float) -> np.ndarray:
-    # n magnitudes log-uniform in [cond**-0.5, cond**0.5].
+def _log_uniform(u: np.ndarray, cond: float) -> np.ndarray:
+    # Magnitudes log-uniform in [cond**-0.5, cond**0.5] from uniforms in
+    # [-1/2, 1/2).
     if cond < 1.0:
         raise ValueError("cond must be >= 1")
-    return np.exp(g.uniform(-0.5, 0.5, size=n) * np.log(cond))
+    return np.exp(u * np.log(cond))
 
 
-def _random_signs(g: np.random.Generator, n: int) -> np.ndarray:
-    return np.where(g.random(n) < 0.5, -1.0, 1.0)
+def _signs(r: np.ndarray) -> np.ndarray:
+    return np.where(r < 0.5, -1.0, 1.0)
+
+
+def _phases(r: np.ndarray) -> np.ndarray:
+    return np.exp(2j * np.pi * r)
+
+
+def _scales(u: np.ndarray) -> np.ndarray:
+    # Magnitudes log-uniform in [0.1, 10] from uniforms in [-1, 1); keeps
+    # scalar factors moderate.  Python's float power: numpy's vectorized
+    # power rounds apart from it on some hosts (its SIMD loops).
+    return np.array([10.0**v for v in u.tolist()])
 
 
 def _hermitian(q: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     # Q diag(eigs) Q* over a stack, with rounding folded back symmetrically.
     a = (q * eigs[..., None, :]) @ _adjoint(q)
     return 0.5 * (a + _adjoint(a))
-
-
-def _log_uniform_scale(g: np.random.Generator) -> float:
-    # Magnitude log-uniform in [0.1, 10]; keeps scalar factors moderate.
-    return float(10.0 ** g.uniform(-1.0, 1.0))
 
 
 def inverse(a) -> np.ndarray:

@@ -96,7 +96,11 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     Singular values below SV_CLIP_RTOL times their row's largest are
     clamped to zero, then the whole stack is reduced at once, row by row
     as for one row alone.  An empty row has every norm 0.  A norm beyond
-    the float range (a large Schatten p) raises NonFinite.
+    the float range (a large Schatten p) raises NonFinite.  A row whose
+    largest p-th power falls below the smallest normal float (a large p on
+    small values), whose plain sum of powers would underflow to a wrong
+    norm or to zero, takes its Schatten norm relative to its largest value
+    instead; every other row keeps the plain sum's bits.
     """
     sv = np.asarray(sv, dtype=float)
     lead = sv.shape[:-1]
@@ -113,11 +117,13 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
             p = kind.param
             if p == 1.0:
                 out[i] = np.sum(clipped, axis=1)
-            elif p == 2.0:
-                out[i] = np.sqrt(np.sum(clipped * clipped, axis=1))
-            else:
-                with np.errstate(over="ignore"):
-                    out[i] = np.sum(clipped**p, axis=1) ** (1.0 / p)
+                continue
+            with np.errstate(over="ignore"):
+                powers = clipped * clipped if p == 2.0 else clipped**p
+                out[i] = np.sqrt(np.sum(powers, axis=1)) if p == 2.0 else np.sum(powers, axis=1) ** (1.0 / p)
+            small = (powers[:, 0] < np.finfo(float).tiny) & (top > 0.0)
+            if small.any():
+                out[i, small] = top[small] * np.sum((clipped[small] / top[small, None]) ** p, axis=1) ** (1.0 / p)
         elif kind.family == "kyfan":
             out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
         else:

@@ -1,0 +1,35 @@
+"""The benchmark's campaign lists at their minimal size, run through
+``cli.main`` and checked as the benchmark checks them.
+
+``bench/`` is imported read-only, for its workload lists
+(``workloads.campaigns``) and its output check (``check.inspect``), so a
+change that breaks a benchmarked campaign fails here, in tier-1.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from normlab import cli
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+sys.path.insert(0, BENCH)
+try:
+    import check
+    import workloads
+finally:
+    sys.path.remove(BENCH)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_minimal_campaign_list_passes_the_benchmark_check(tmp_path, workload, seed):
+    campaigns = workloads.campaigns(workload, workloads.MINIMAL, seed, str(tmp_path))
+    codes = [cli.main(list(campaign.argv)) for campaign in campaigns]
+    outcome = check.inspect(str(tmp_path), campaigns, codes)
+    assert outcome.problems == []
+    assert outcome.failed == 0 and outcome.attempted == sum(c.records for c in campaigns) > 0
+    for campaign in campaigns:
+        if campaign.records:
+            assert len(outcome.reduced[campaign.out]) == campaign.records

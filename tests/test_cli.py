@@ -2,6 +2,7 @@
 summary output, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -597,12 +598,16 @@ def test_dk_probe_huge_eigenvalue_does_not_overflow(tmp_path, capsys, eigs, code
         ["--suite", "finalcor", "--p=1e300"],
         ["--suite", "heinz", "--norms", "schatten:1000"],
         ["--suite", "characterizations", "--norms", "schatten:1000"],
+        # |X|_700^700 is below the smallest normal float; this wrote a
+        # passing record with the value 0.
+        ["--suite", "finalcor", "--dim", "2", "--count", "1", "--seed", "154", "--cond", "1", "--p", "700"],
     ],
 )
 def test_norm_beyond_float_range_exits_3_without_records(tmp_path, capsys, extra):
-    # A norm or p-th power that overflows is a numerical failure: one
-    # stderr line and no JSONL, never a traceback, an overflow warning, an
-    # Infinity in a record or a failing record.
+    # A norm or p-th power that overflows, or a nonzero p-th power that
+    # underflows, is a numerical failure: one stderr line and no JSONL,
+    # never a traceback, an overflow warning, an Infinity or a lost power in
+    # a record, or a failing record.
     out = tmp_path / "v.jsonl"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -610,6 +615,18 @@ def test_norm_beyond_float_range_exits_3_without_records(tmp_path, capsys, extra
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: NonFinite: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_small_schatten_norms_at_large_p_are_not_lost(tmp_path):
+    # |AXB|_700 of this instance is about 0.29, whose 700th power underflows:
+    # the plain sum of powers recorded 2|AXB| as 0.
+    out = tmp_path / "agm.jsonl"
+    argv = ["verify", "--suite", "agm", "--dim", "2", "--count", "1", "--seed", "92", "--cond", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--norms", "schatten:700", "--no-timing", "--out", str(out)]) == 0
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert min(record["values"]) > 0.0
 
 
 def test_dk_probe_run(tmp_path):
@@ -759,3 +776,84 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, suite):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ")
     assert "Traceback" not in err
+
+
+def _reference_summary(path, records):
+    """The summary writer as it was: one json.dumps of the params per record,
+    groups in order of first appearance."""
+    groups, order = {}, []
+    for r in sorted(records, key=lambda r: r.get("instance", 0)):
+        key = (str(r.get("suite", "-")), str(r.get("norm", "-")), json.dumps(r.get("params", {}), sort_keys=True))
+        if key not in groups:
+            groups[key] = {"count": 0, "pass": 0, "fail": 0, "min_margin": None, "min_eig": None}
+            order.append(key)
+        grp = groups[key]
+        grp["count"] += r.get("count", 1)
+        grp["pass"] += r.get("pass_count", 1 if r.get("pass") else 0)
+        grp["fail"] += r.get("fail_count", 0 if r.get("pass") else 1)
+        mm = r.get("min_margin")
+        if mm is None and r.get("margins"):
+            mm = min(r["margins"])
+        if mm is not None:
+            grp["min_margin"] = mm if grp["min_margin"] is None else min(grp["min_margin"], mm)
+        me = r.get("min_eig")
+        if me is not None:
+            grp["min_eig"] = me if grp["min_eig"] is None else min(grp["min_eig"], me)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["suite", "norm", "params", "count", "pass", "fail", "min_margin", "min_eig"])
+        for key in order:
+            g = groups[key]
+            writer.writerow(
+                [
+                    key[0],
+                    key[1],
+                    key[2],
+                    g["count"],
+                    g["pass"],
+                    g["fail"],
+                    "" if g["min_margin"] is None else repr(float(g["min_margin"])),
+                    "" if g["min_eig"] is None else repr(float(g["min_eig"])),
+                ]
+            )
+
+
+def test_writers_match_per_record_json_dumps(tmp_path):
+    shared = {"t": 0.5, "r": 1.0}
+    records = [
+        {"suite": "zhan", "norm": "op", "params": shared, "pass": True, "margins": [0.3, 0.2], "instance": 2},
+        # Equal content in another key order is the same group.
+        {"suite": "zhan", "norm": "op", "params": {"r": 1.0, "t": 0.5}, "pass": False, "margins": [-0.1],
+         "min_margin": -0.1, "instance": 0},
+        {"suite": "zhan", "norm": "op", "params": shared, "pass": True, "min_margin": 0.05, "instance": 1},
+        # Equal values that encode apart are groups apart.
+        {"suite": "zhan", "norm": "op", "params": {"r": 1, "t": 0.5}, "pass": True, "margins": [], "instance": 3},
+        {"suite": "zhan", "norm": "op", "params": {"r": -0.0}, "pass": True, "margins": [1.0], "instance": 4},
+        {"suite": "zhan", "norm": "op", "params": {"r": 0.0}, "pass": True, "margins": [2.0], "instance": 5},
+        # No params field, no suite and no norm.
+        {"pass": True, "margins": [0.5], "instance": 6},
+        {"suite": "cpr", "norm": "tr", "params": {"form": "star", "note": "é\"\n"}, "pass": True, "instance": 7},
+    ]
+    for argv in (
+        ["verify", "--suite", "dk", "--dim", "3", "--count", "2", "--k", "0.5,1", "--starts", "2", "--iters", "3"],
+        ["conjecture", "--n", "3", "--count", "40", "--k", "0,2"],
+    ):
+        config = cli.parse_args([*argv, "--seed", "3", "--out", str(tmp_path / "probe.jsonl")])
+        for rec in cli._collect_records(config):
+            rec["instance"] = len(records)
+            records.append(rec)
+    out = tmp_path / "records.jsonl"
+    cli._write_jsonl(str(out), records)
+    assert out.read_text(encoding="utf-8").splitlines() == [json.dumps(r, sort_keys=True) for r in records]
+    cli._write_summary(str(out) + ".summary.csv", records)
+    _reference_summary(tmp_path / "reference.csv", records)
+    summary = (tmp_path / "records.jsonl.summary.csv").read_bytes()
+    assert summary == (tmp_path / "reference.csv").read_bytes()
+    assert summary.count(b"\nzhan,op,") == 4
+    # The report read-back gives every record its own params dict.
+    assert cli.main(["report", "--out", str(out)]) == 0
+    assert (tmp_path / "records.jsonl.summary.csv").read_bytes() == summary
+    _reference_summary(tmp_path / "read_back.csv", cli._read_jsonl(str(out)))
+    assert (tmp_path / "read_back.csv").read_bytes() == summary
+    cli._write_jsonl(str(out), [])
+    assert out.read_bytes() == b""

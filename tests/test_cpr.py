@@ -410,11 +410,12 @@ def test_final_cor_rejects_bad_exponent():
             cpr.final_cor_check(np.eye(2), np.eye(2), (2.0, p))
 
 
-@pytest.mark.parametrize("scale, p", [(0.4, 1100.0), (0.5 * 1.5e308**0.01, 100.0)])
+@pytest.mark.parametrize("scale, p", [(0.8, 1100.0), (0.5 * 1.5e308**0.01, 100.0), (0.4, 1100.0)])
 def test_final_cor_power_beyond_float_range_raises(scale, p):
-    # S = I makes E1 = E2 = 2X.  At X = 0.4 e1 e2* every norm is finite but
-    # Python's 2.0 ** (p + 1) overflows; at the second scale each |E|_p^p
-    # is 1.5e308, so their sum and 2^(p+1)|X|_p^p are inf.
+    # S = I makes E1 = E2 = 2X.  At X = 0.8 e1 e2* every norm and p-th power
+    # is finite but Python's 2.0 ** (p + 1) overflows; at the second scale
+    # each |E|_p^p is 1.5e308, so their sum and 2^(p+1)|X|_p^p are inf; at
+    # X = 0.4 e1 e2*, |X|_p^p is below the smallest normal float.
     x = np.zeros((2, 2), dtype=complex)
     x[0, 1] = scale
     with warnings.catch_warnings():
@@ -423,6 +424,24 @@ def test_final_cor_power_beyond_float_range_raises(scale, p):
             cpr.final_cor_check(np.eye(2), x, (2.0, p))
         with pytest.raises(NonFinite):
             cpr.final_cor_check(np.stack((np.eye(2),) * 3), np.stack((x,) * 3), (p,))
+
+
+def test_final_cor_power_below_float_range_raises(monkeypatch):
+    # Norms that are normal floats, from a stand-in for norms_from_sv, whose
+    # Python p-th powers underflow at p = 70 and not at p = 30.
+    def tiny_norms(sv, kinds):
+        return np.full((len(kinds),) + sv.shape[:-1], 1e-5)
+
+    monkeypatch.setattr(cpr, "norms_from_sv", tiny_norms)
+    s, x = np.eye(2), np.ones((2, 2), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power = 1e-5**30.0
+        assert cpr.final_cor_check(s, x, (30.0,))[1].values == (power + power, 2.0**31.0 * power)
+        with pytest.raises(NonFinite, match="underflowed"):
+            cpr.final_cor_check(s, x, (30.0, 70.0))
+        with pytest.raises(NonFinite, match="underflowed"):
+            cpr.final_cor_check(np.stack((s,) * 3), np.stack((x,) * 3), (70.0,))
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab import matcore
+from normlab import classes, matcore
 from normlab.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -243,6 +243,36 @@ def test_stream_keys_golden():
     for rng, key in zip(rngs, golden):
         assert np.array_equal(rng.generator().bit_generator.state["state"]["key"], key)
         assert np.array_equal(matcore.stream_keys([rng])[0], key)
+        # substreams keys a path as its prefix and last index.
+        if rng.path:
+            streams = matcore.substreams(rng.seed, [list(rng.path[:-1])], [rng.path[-1]])
+            assert streams.keys.dtype == np.uint64 and np.array_equal(streams.keys, [key])
+            assert streams.first() == rng
+
+
+_PREFIXES = st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**64)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**200)),
+    prefix=_PREFIXES,
+    rows=st.integers(1, 4),
+    indices=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2**40)), min_size=1, max_size=5),
+)
+def test_substreams_key_every_prefix_and_index(seed, prefix, rows, indices):
+    # Prefix-major: every prefix row, then every index under it, each keyed
+    # as SeedSequence keys that path alone.
+    prefixes = [[p + r for p in prefix] for r in range(rows)]
+    streams = matcore.substreams(seed, prefixes if prefix else np.zeros((rows, 0), dtype=int), indices)
+    paths = [tuple(p) + (i,) for p in prefixes for i in indices]
+    assert len(streams.keys) == len(paths)
+    assert [tuple(path) for path in streams.paths.tolist()] == paths
+    refs = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths]
+    assert np.array_equal(streams.keys, refs)
+    assert np.array_equal(matcore.stream_keys(matcore.Rng(seed, path) for path in paths), refs)
+    if len(paths) > 1:
+        assert streams[1:].first() == matcore.Rng(seed, paths[1])
 
 
 _SEEDS = st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**200), st.sampled_from([0, 2**32 - 1, 2**64 + 3]))
@@ -262,6 +292,16 @@ def test_stream_keys_match_seed_sequence(rows):
 
 def test_stream_keys_edges():
     assert matcore.stream_keys([]).shape == (0, 2)
+    empty = matcore.substreams(0, np.zeros((0, 2), dtype=int), [0, 1])
+    assert empty.keys.shape == (0, 2)
+    with pytest.raises(ValueError):
+        matcore.ginibre(2, rng=empty)
+    with pytest.raises(ValueError):
+        matcore.ginibre(2, rng=[])
+    with pytest.raises(ValueError):
+        matcore.substreams(0, [1, 2], [0])
+    with pytest.raises(ValueError):
+        matcore.substreams(0, [[1, -2]], [0])
     for bad in (matcore.Rng(-1), matcore.Rng(1, (2, -3))):
         with pytest.raises(ValueError):
             matcore.stream_keys([matcore.Rng(0), bad])
@@ -284,3 +324,58 @@ def test_random_probe_matrix_branches():
         elif np.allclose(x.conj().T @ x, np.eye(3), atol=1e-10):
             seen_unitary = True
     assert seen_rank_one and seen_hermitian and seen_unitary
+
+
+# Every public sampler, each taking (n, rng): one form of each family for
+# sample_for_form.
+_SAMPLERS = {
+    "haar_unitary": matcore.haar_unitary,
+    "random_posdef": lambda n, rng: matcore.random_posdef(n, 50.0, rng),
+    "random_selfadjoint_invertible": lambda n, rng: matcore.random_selfadjoint_invertible(n, 1e4, rng),
+    "random_invertible": lambda n, rng: matcore.random_invertible(n, 100.0, rng),
+    "random_normal_invertible": lambda n, rng: matcore.random_normal_invertible(n, 100.0, rng),
+    "random_scaled_unitary": matcore.random_scaled_unitary,
+    "random_scaled_reflection": matcore.random_scaled_reflection,
+    "random_scaled_selfadjoint": lambda n, rng: matcore.random_scaled_selfadjoint(n, 30.0, rng),
+    "ginibre": lambda n, rng: matcore.ginibre(n, rng=rng),
+    "ginibre_rectangular": lambda n, rng: matcore.ginibre(n, n + 2, rng=rng),
+    "random_probe_matrix": matcore.random_probe_matrix,
+    **{
+        f"sample_for_form[{family}]": lambda n, rng, form=form: classes.sample_for_form(form, n, rng, 40.0)
+        for family, form in {f.family: fid for fid, f in classes.FORMS.items()}.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, 2, 129])
+def test_sampler_stacks_equal_single_calls(name, n, m):
+    # A list of m Rngs, and the same streams keyed by substreams, give the
+    # m single calls bit for bit.
+    sample = _SAMPLERS[name]
+    rngs = [matcore.Rng(9, (3, i, 1)) for i in range(m)]
+    singles = np.stack([sample(n, rng) for rng in rngs])
+    stacked = sample(n, rngs)
+    assert stacked.shape == singles.shape and stacked.tobytes() == singles.tobytes()
+    streams = matcore.substreams(9, [(3, i) for i in range(m)], [1])
+    assert sample(n, streams).tobytes() == singles.tobytes()
+    assert sample(n, streams[m // 2 :]).tobytes() == singles[m // 2 :].tobytes()
+
+
+def test_probe_falls_back_to_ginibre_at_n1():
+    # At n = 1 a rank-one pick (0) draws the normals of a Ginibre entry, as
+    # the dense picks (3) do; a Hermitian pick (1) takes the real part and
+    # a unitary pick (2) the phase.
+    rngs = [matcore.Rng(4).substream(i) for i in range(129)]
+    stacked = matcore.random_probe_matrix(1, rngs)
+    picks = set()
+    for rng, x in zip(rngs, stacked):
+        g = rng.generator()
+        pick = int(g.integers(0, 4))
+        w = g.standard_normal((2, 1, 1))
+        z = (w[0] + 1j * w[1]) / np.sqrt(2.0)
+        want = {0: z, 1: z.real + 0j, 2: z / np.abs(z), 3: z}[pick]
+        assert np.allclose(x, want, rtol=1e-15, atol=0.0), pick
+        picks.add(pick)
+    assert picks == {0, 1, 2, 3}

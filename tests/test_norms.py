@@ -121,3 +121,24 @@ def test_norm_beyond_float_range_raises():
         with pytest.raises(NonFinite):
             norms_from_sv(sv, kinds)
         assert norms_from_sv(sv[1:], kinds).tolist() == [[1.0]]
+
+
+
+
+def test_norm_of_small_values_at_large_p_is_not_lost():
+    # 0.4**1000 and (1e-160)**2 fall below the smallest normal float, where
+    # the plain sums of powers gave these rows the norm 0.  Such a row is
+    # taken relative to its largest value; a zero row keeps norm 0, and a
+    # row whose largest power stays normal keeps the plain sum's bits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = (1000.0, 2.0, 3.0)
+        sv = np.array([[0.4, 0.1], [1e-160, 0.0], [4e-200, 3e-200], [1.0, 0.5], [0.0, 0.0]])
+        got = norms_from_sv(sv, tuple(NormKind.schatten(p) for p in ps))
+        assert got[0, :3].tolist() == [0.4, 1e-160, 4e-200]
+        assert got[1:, 1].tolist() == [1e-160, 1e-160] and got[:, 4].tolist() == [0.0] * 3
+        for j, p in enumerate(ps):
+            rows = sv[[0, 3]]
+            plain = np.sqrt(np.sum(rows**2, axis=1)) if p == 2.0 else np.sum(rows**p, axis=1) ** (1.0 / p)
+            assert got[j, 3] == plain[1] and (p == 1000.0 or got[j, 0] == plain[0])
+            assert got[j, 2] == pytest.approx(4e-200 * (1.0 + 0.75**p) ** (1.0 / p), rel=1e-15)

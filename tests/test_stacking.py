@@ -6,7 +6,8 @@ only because numpy's stacked LAPACK and BLAS calls and row reductions
 give each matrix the bits its own call gives.  A numpy or BLAS upgrade
 that breaks that fails here by name.  Where a stacked form can round
 apart (numpy's vectorized power against Python's float power in
-final_cor_check), the code keeps the per-row form.
+final_cor_check and in the samplers' scalar factors), the code keeps the
+per-row form.
 """
 
 import numpy as np
@@ -43,6 +44,28 @@ def test_stacked_decompositions_match_per_matrix_calls(n):
     singles = [np.linalg.svd(a) for a in z]
     for j, part in enumerate((u, s, vh)):
         assert _same_bits(part, [single[j] for single in singles])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_sampler_transforms_match_per_row_calls(n):
+    # The samplers draw each stream's raw uniforms and normals and transform
+    # the whole stack at once: the exponentials of log-uniform exponents,
+    # each spectrum's sort, the sign and phase picks, and the complex
+    # combine of Ginibre normals must round every row as its own call does,
+    # and a column of scalar draws as each scalar's own call does.
+    g = np.random.default_rng(80 + n)
+    u = g.uniform(-0.5, 0.5, size=(STACK, n)) * np.log(1e6)
+    r = g.random((STACK, n))
+    w = g.standard_normal((STACK, 2, n, n))
+    assert _same_bits(np.exp(u), [np.exp(row) for row in u])
+    assert _same_bits(np.sort(np.exp(u), axis=-1), [np.sort(np.exp(row)) for row in u])
+    assert _same_bits(np.where(r < 0.5, -1.0, 1.0), [np.where(row < 0.5, -1.0, 1.0) for row in r])
+    assert _same_bits(np.exp(2j * np.pi * r), [np.exp(2j * np.pi * row) for row in r])
+    assert _same_bits(np.exp(2j * np.pi * r[:, 0]), [np.exp(2j * np.pi * v) for v in r[:, 0].tolist()])
+    scales = np.exp(u[:, 0])
+    phases = np.exp(2j * np.pi * r[:, 0])
+    assert _same_bits(scales * phases, [a * b for a, b in zip(scales.tolist(), phases)])
+    assert _same_bits((w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0), [(z[0] + 1j * z[1]) / np.sqrt(2.0) for z in w])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
