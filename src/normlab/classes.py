@@ -12,8 +12,8 @@ engine.  That representation powers the pairwise criterion min |M_ij| >= k+2
 both the ratio probe and the conjecture search), the residual check, the
 bound check against the classical PSD multiplier theorem, and a
 multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
-which descends all its starts as one (S, n, n) stack with one batched SVD
-of M o Y and one of Y per iteration.
+which descends all its live starts as one (S, n, n) stack with one
+batched SVD of M o Y and Y per iteration.
 Sampled checks of the fourteen norm identities that characterize scalar
 multiples of self-adjoint, normal, unitary, and reflection classes round
 out the module; they stay explicit products, and take an instance or an
@@ -22,6 +22,7 @@ out the module; they stay explicit products, and take an instance or an
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +139,10 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
 
 def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ratio |M o Y| / |Y| (operator norm) of every matrix of an (S, n, n)
-    stack, and a subgradient of each ratio, from one batched SVD of M o Y
-    and one of Y."""
-    un, sn, vhn = np.linalg.svd(m * y)
-    ud, sd, vhd = np.linalg.svd(y)
+    stack, and a subgradient of each ratio, from one batched SVD of the
+    matrices M o Y and Y."""
+    u, sv, vh = np.linalg.svd(np.concatenate((m * y, y)))
+    (un, ud), (sn, sd), (vhn, vhd) = np.split(u, 2), np.split(sv, 2), np.split(vh, 2)
     ratio = sn[:, 0] / sd[:, 0]
     g_num = m * (un[:, :, :1] * vhn[:, :1, :])
     g_den = ud[:, :, :1] * vhd[:, :1, :]
@@ -212,7 +213,8 @@ def dk_ratio_minimize(
     subgradient descent on the ratio with step 0.1/sqrt(iter); the starts
     descend together as one (S, n, n) stack, evaluated at their seeds and
     after each of `iters` steps.  A start whose subgradient norm falls
-    below FROZEN_GRAD_NORM keeps its iterate from then on.  The witness is
+    below FROZEN_GRAD_NORM keeps its iterate from then on, and only the
+    live starts go through the batched SVDs.  The witness is
     the best iterate over all starts and iterations; ties go to the earliest
     iteration, then the lowest start.  Deterministic given the rng.  A k
     above DK_K_MAX, or NaN, raises InvalidK.
@@ -233,18 +235,25 @@ def dk_ratio_minimize(
     seeds = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     y = np.concatenate((seeds, np.eye(n, dtype=complex)[None] / np.sqrt(n), z / _frobenius(z)))
 
+    # A frozen start's iterate, ratio and subgradient stay as they are, so
+    # only the live starts (indices into y) are evaluated; the frozen ones
+    # keep their last ratios in the argmin.
+    ratio, live = np.empty(len(y)), np.arange(len(y))
     best_ratio, best_y = np.inf, y[0]
     for it in range(int(iters) + 1):
-        ratio, grad = _ratio_subgradients(m, y)
+        ratio[live], grad = _ratio_subgradients(m, y[live])
         i = int(np.argmin(ratio))
         if ratio[i] < best_ratio:
-            best_ratio, best_y = ratio[i], y[i]
+            best_ratio, best_y = ratio[i], y[i].copy()
         gnorm = _frobenius(grad)
-        live = gnorm >= FROZEN_GRAD_NORM
+        moving = gnorm[:, 0, 0] >= FROZEN_GRAD_NORM
+        live, grad, gnorm = live[moving], grad[moving], gnorm[moving]
+        if not live.size:
+            break
         # Each start has |y| = 1 and moves by at most 0.1, so the projection
         # back onto the unit sphere never divides by zero.
-        step = y - (0.1 / np.sqrt(it + 1.0)) * grad / np.where(live, gnorm, 1.0)
-        y = np.where(live, step / _frobenius(step), y)
+        step = y[live] - (0.1 / np.sqrt(it + 1.0)) * grad / gnorm
+        y[live] = step / _frobenius(step)
 
     witness = dec.vectors @ best_y @ dec.vectors.conj().T
     return DkProbeResult(
@@ -315,34 +324,62 @@ def _expressions(s: np.ndarray, x: np.ndarray, kinds) -> np.ndarray:
     return np.moveaxis(np.stack((e1, e2, na + nb, nc + nd, 2.0 * nx), axis=-1), 0, -2)
 
 
-def characterization_check(
-    s,
-    x,
-    form: CharacterizationForm | str,
-    kinds=(OP,),
-    tol: float | None = None,
-) -> tuple:
-    """Evaluate one characterization relation on a sample or an (m, n, n)
-    stack of them, one report (a ChainStack for a stack) per norm in kinds.
+def _form(form: CharacterizationForm | str) -> CharacterizationForm:
+    if isinstance(form, CharacterizationForm):
+        return form
+    try:
+        return FORMS[form]
+    except KeyError:
+        raise ValueError(f"unknown form id {form!r}") from None
 
-    Inequality reports put the expected-larger side first so the margin is
-    nonnegative on the characterized class; equality reports use an 'eq'
-    link whose margin is the signed difference lhs - rhs.  Sampled passes
-    are evidence about class membership, never a proof.
-    """
-    if isinstance(form, str):
-        try:
-            form = FORMS[form]
-        except KeyError:
-            raise ValueError(f"unknown form id {form!r}") from None
-    s, x = matcore.as_matrices(s), matcore.as_matrices(x)
+
+def _form_reports(values: np.ndarray, form: CharacterizationForm, tol: float | None) -> tuple:
+    """One form's report per norm from _expressions values."""
     if tol is None:
         tol = EQUALITY_TOL if form.relation == "eq" else DEFAULT_TOL
     relations = ("eq",) if form.relation == "eq" else None
     sides = (form.rhs, form.lhs) if form.relation == "le" else (form.lhs, form.rhs)
     labels = tuple(_EXPR_LABELS[side] for side in sides)
-    values = _expressions(s, x, kinds)[..., [list(_EXPR_LABELS).index(side) for side in sides]]
+    values = values[..., [list(_EXPR_LABELS).index(side) for side in sides]]
     return chain(labels, values, tol=tol, relations=relations).unstack()
+
+
+def characterization_check(
+    s,
+    x,
+    form,
+    kinds=(OP,),
+    tol=None,
+) -> tuple | list:
+    """Evaluate one characterization relation on a sample or an (m, n, n)
+    stack of them, one report (a ChainStack for a stack) per norm in kinds.
+
+    form may instead be a sequence of forms, one per instance of the stack,
+    and tol then one value or a sequence likewise; every form is read off
+    one evaluation of the five expressions.  The result is then a list of
+    (slice, reports) for each run of instances with equal form and tol.
+
+    Inequality reports put the expected-larger side first so the margin is
+    nonnegative on the characterized class; equality reports use an 'eq'
+    link whose margin is the signed difference lhs - rhs.  A tol of None is
+    EQUALITY_TOL for equality forms and DEFAULT_TOL otherwise.  Sampled
+    passes are evidence about class membership, never a proof.
+    """
+    single = isinstance(form, (str, CharacterizationForm))
+    forms = [_form(form)] if single else [_form(f) for f in form]
+    s, x = matcore.as_matrices(s), matcore.as_matrices(x)
+    if single:
+        return _form_reports(_expressions(s, x, kinds), forms[0], tol)
+    tols = list(tol) if isinstance(tol, (list, tuple)) else [tol] * len(forms)
+    if s.ndim != 3 or not len(forms) == len(tols) == len(s):
+        raise DimensionMismatch(f"expected one form and tol per matrix of S, got {len(forms)} and {len(tols)}")
+    values = _expressions(s, x, kinds)
+    runs, at = [], 0
+    for (f, t), run in itertools.groupby(zip(forms, tols)):
+        span = slice(at, at + sum(1 for _ in run))
+        runs.append((span, _form_reports(values[span], f, t)))
+        at = span.stop
+    return runs
 
 
 def sample_for_form(form_id: str, n: int, rng: matcore.Rng, cond: float = 100.0) -> np.ndarray:

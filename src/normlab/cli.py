@@ -17,7 +17,14 @@ argv's own flags so that one parse converts both and argv wins.
 The theorem suites sample, decompose and check their instances in chunks
 of THEOREM_CHUNK, each chunk as one stack, and write the records one
 instance at a time would; a record's ``wall_time`` is its chunk's check
-time split evenly over the chunk's records.
+time split evenly over the chunk's records.  Their records stay as
+blocks of arrays (``_Block``: a run of instances' points and one
+ChainStack per norm and form) until the campaign ends; the JSONL writer
+encodes a block's fixed fields once and formats only each record's
+numbers, every line still ``json.dumps(record, sort_keys=True)``, and
+the summary folds each run of one point's records at once.  The probe
+suites and ``report`` keep dict records.  Nothing is written before the
+campaign finishes.
 
 Everything emitted is a deterministic function of (config, seed) except
 wall-time fields, which ``--no-timing`` zeroes; reruns with the same
@@ -26,14 +33,16 @@ probe suites, findings do not fail the run), 1 when a theorem suite has a
 failing record, 2 for usage or configuration errors (a config-file value
 of the wrong type too), 3 for a numerical failure (an input the kernels
 reject, such as a matrix that is singular or not positive definite in
-floating point, a norm beyond the float range, or a finalcor p-th power
-of a nonzero norm below it), 4 for I/O failures.
+floating point, a norm or a finalcor p-th power beyond the float range,
+or a finalcor p-th power of a nonzero norm below it), 4 for I/O
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -119,14 +128,13 @@ def _probe(config, points, streams):
 
 
 def _form_class(config, points, streams):
-    # A chunk's instances come point by point, so each run of one form is
-    # one sampler call.
-    mats, at = [], 0
-    for form, run in itertools.groupby(point["form"] for point in points):
-        size = sum(1 for _ in run)
-        mats.append(classes.sample_for_form(form, config.dim, streams[at : at + size], config.cond))
-        at += size
-    return np.concatenate(mats)
+    # One sampler call per operator family, scattered back by instance.
+    families = np.array([classes.FORMS[point["form"]].family for point in points])
+    mats = np.empty((len(points), config.dim, config.dim), dtype=complex)
+    for family in dict.fromkeys(families.tolist()):
+        rows = np.flatnonzero(families == family)
+        mats[rows] = classes.sample_for_form(points[rows[0]]["form"], config.dim, streams[rows], config.cond)
+    return mats
 
 
 def _single_point(config):
@@ -137,34 +145,48 @@ def _column(points, key):
     return np.array([point[key] for point in points])
 
 
-def _instance_rows(points, columns):
-    """The rows (params, norm label, record fields) of each instance of a
-    chunk: columns lists (params, norm label, ChainStack over the chunk) in
-    an instance's record order, and each row's params extend its point.
-    The instances of one point share its rows' params dicts."""
-    columns = [(params, label, stack.as_dicts()) for params, label, stack in columns]
-    merged = {}
-    rows = []
-    for i, point in enumerate(points):
-        if id(point) not in merged:
-            merged[id(point)] = [{**point, **params} for params, _, _ in columns]
-        rows.append([(params, label, fields[i]) for params, (_, label, fields) in zip(merged[id(point)], columns)])
-    return rows
+@dataclass(frozen=True)
+class _Block:
+    """The records of one check over consecutive instances of a chunk,
+    held as arrays: columns lists (params, norm label, ChainStack over the
+    block's instances) in an instance's record order, and each record's
+    params extend its instance's point.  Record start + i * len(columns) + c
+    is column c of instance i; wall is every record's wall time."""
+
+    suite: str
+    start: int
+    wall: float
+    points: list
+    columns: list
+
+    @property
+    def size(self) -> int:
+        return len(self.points) * len(self.columns)
+
+    def runs(self) -> list:
+        """(first, stop, point) of each run of instances at one point."""
+        runs, first = [], 0
+        for i, point in enumerate(self.points[1:], 1):
+            if point is not self.points[first]:
+                runs.append((first, i, self.points[first]))
+                first = i
+        return runs + [(first, len(self.points), self.points[first])]
+
+    def passed(self) -> bool:
+        return all(bool(stack.link_pass.all()) for _, _, stack in self.columns)
 
 
 def _norm_major(*checks, **forms):
     """Chunk check over forms that each take every norm at once:
     fn(config, points, kinds, *stacks) returns one ChainStack per norm.
     Unnamed checks add nothing to a point's params; named forms add
-    {"form": name}.  Each runs once, and an instance's rows come norms
+    {"form": name}.  Each runs once, and an instance's records come norms
     outermost, then forms."""
     entries = [({}, fn) for fn in checks] + [({"form": name}, fn) for name, fn in forms.items()]
 
     def check(config, points, kinds, *mats):
         evaluated = [(form, fn(config, points, kinds, *mats)) for form, fn in entries]
-        return _instance_rows(
-            points, [(form, kind.label, stacks[j]) for j, kind in enumerate(kinds) for form, stacks in evaluated]
-        )
+        return [(points, [(form, kind.label, stacks[j]) for j, kind in enumerate(kinds) for form, stacks in evaluated])]
 
     return check
 
@@ -174,23 +196,22 @@ def _finalcor(config, points, kinds, s, x):
     op_stack, *power_stacks = cpr.final_cor_check(s, x, config.p_values, tol=config.tol)
     columns = [({"form": "max"}, "op", op_stack)]
     columns += [({"p": p}, NormKind.schatten(p).label, stack) for p, stack in zip(config.p_values, power_stacks)]
-    return _instance_rows(points, columns)
+    return [(points, columns)]
 
 
 def _characterizations(config, points, kinds, s, x):
-    # As in _form_class, each run of one form is one stacked check.
-    rows = []
-    for form_id, run in itertools.groupby(points, key=lambda point: point["form"]):
-        run, form = list(run), classes.FORMS[form_id]
-        span = slice(len(rows), len(rows) + len(run))
-        tol = None if form.relation == "eq" else config.tol
-        reports = classes.characterization_check(s[span], x[span], form, kinds, tol=tol)
-        rows += _instance_rows(run, [({}, kind.label, stack) for kind, stack in zip(kinds, reports)])
-    return rows
+    # One check for the chunk; each run of one form is a block.  Equality
+    # forms keep their own tolerance.
+    forms = [point["form"] for point in points]
+    tols = [None if classes.FORMS[form].relation == "eq" else config.tol for form in forms]
+    return [
+        (points[span], [({}, kind.label, stack) for kind, stack in zip(kinds, reports)])
+        for span, reports in classes.characterization_check(s, x, forms, kinds, tol=tols)
+    ]
 
 
 def _theorem(points, samplers, check):
-    """Record generator of a theorem suite.
+    """Record generator of a theorem suite, yielding record blocks.
 
     points(config) lists the parameter points; matrix slot j of instance i
     at point pi is drawn by samplers[j] from the stream
@@ -198,9 +219,9 @@ def _theorem(points, samplers, check):
     at a time in record order: the streams of every slot of the chunk are
     keyed in one matcore.substreams pass, each sampler draws its slot for
     the whole chunk, and check(config, points, kinds, *stacks) evaluates
-    the chunk once, returning each instance's rows (params, norm label,
-    record fields) in record order.  The check's wall time is split evenly
-    over the chunk's records.
+    the chunk once, returning its records in record order as (points,
+    columns) blocks of consecutive instances (see _Block).  The check's
+    wall time is split evenly over the chunk's records.
     """
 
     def records(config):
@@ -213,13 +234,10 @@ def _theorem(points, samplers, check):
             chunk_points = [point for _, point, _ in chunk]
             mats = [sample(config, chunk_points, streams[j::slots]) for j, sample in enumerate(samplers)]
             t0 = time.perf_counter()
-            rows = check(config, chunk_points, kinds, *mats)
-            wall = (time.perf_counter() - t0) / sum(map(len, rows))
-            for instance_rows in rows:
-                for params, label, fields in instance_rows:
-                    rec = {"norm": label, "params": params, "wall_time": wall, **fields}
-                    rec["min_margin"] = min(fields["margins"])
-                    yield rec
+            blocks = check(config, chunk_points, kinds, *mats)
+            wall = (time.perf_counter() - t0) / sum(len(pts) * len(columns) for pts, columns in blocks)
+            for block_points, columns in blocks:
+                yield _Block(config.suite, 0, wall, block_points, columns)
 
     return records
 
@@ -566,21 +584,71 @@ def _validate(config: CampaignConfig) -> None:
                 raise ConfigInvalid(f"conjecture k must be in [0, 2], got {k}")
 
 
-def _collect_records(config: CampaignConfig) -> list[dict]:
-    """Run the config's suite, numbering records in the order produced."""
-    records = []
-    for rec in _SUITES[config.suite](config):
-        rec.update(suite=config.suite, instance=len(records))
-        if config.no_timing:
-            rec["wall_time"] = 0.0
-        records.append(rec)
+def _collect_records(config: CampaignConfig) -> list:
+    """Run the config's suite, numbering records in the order produced: a
+    list of dict records (probe suites) or of record blocks (theorem
+    suites)."""
+    records, count = [], 0
+    for item in _SUITES[config.suite](config):
+        if isinstance(item, _Block):
+            item = dataclasses.replace(item, start=count, wall=0.0 if config.no_timing else item.wall)
+            count += item.size
+        else:
+            item.update(suite=config.suite, instance=count)
+            if config.no_timing:
+                item["wall_time"] = 0.0
+            count += 1
+        records.append(item)
     return records
 
 
-def _write_jsonl(path: str, records: list[dict]) -> None:
+def _block_text(block: _Block) -> str:
+    """The JSONL lines of a block's records, each json.dumps(record,
+    sort_keys=True) of the dict record: the fixed fields are encoded once
+    per column (the params once per run of a point), and each record
+    formats only its own numbers and verdicts."""
+    width, runs = len(block.columns), block.runs()
+    lines = [""] * block.size
+    tail = ', "wall_time": ' + _JSON.encode(block.wall) + "}\n"
+    for c, (params, label, stack) in enumerate(block.columns):
+        links = len(stack.relations)
+        codes = (stack.link_pass @ (1 << np.arange(links))).tolist()
+        link_pass = {code: str([bool(code >> j & 1) for j in range(links)]).lower() for code in set(codes)}
+        # A list of finite floats prints as its JSON; json spells the
+        # non-finite ones NaN, Infinity and -Infinity.
+        finite = bool(np.isfinite(stack.values).all() and np.isfinite(stack.margins).all())
+        floats, number = (str, float.__repr__) if finite else (_JSON.encode, _JSON.encode)
+        values = list(map(floats, stack.values.tolist()))
+        margins = list(map(floats, stack.margins.tolist()))
+        # Python's min of each row, as the dict records took it (NaN and
+        # -0.0 included): with one link, the row's only margin.
+        if links == 1:
+            mins = [m[1:-1] for m in margins]
+        else:
+            mins = list(map(number, map(min, stack.margins.tolist())))
+        head = ', "labels": ' + _JSON.encode(list(stack.labels)) + ', "link_pass": '
+        rest = ', "relations": ' + _JSON.encode(list(stack.relations))
+        rest += ', "suite": ' + _JSON.encode(block.suite) + ', "values": '
+        for first, stop, point in runs:
+            mid = ', "norm": ' + _JSON.encode(label) + ', "params": ' + _JSON.encode({**point, **params})
+            verdict = {code: mid + f', "pass": {str(code == 2**links - 1).lower()}' + rest for code in link_pass}
+            numbers = range(block.start + first * width + c, block.start + stop * width, width)
+            lines[first * width + c : stop * width : width] = [
+                f'{{"instance": {n}{head}{link_pass[code]}, "margins": {m}, "min_margin": {mm}{verdict[code]}{v}{tail}'
+                for n, code, m, mm, v in zip(
+                    numbers, codes[first:stop], margins[first:stop], mins[first:stop], values[first:stop]
+                )
+            ]
+    return "".join(lines)
+
+
+def _write_jsonl(path: str, records: list) -> None:
+    """Write dict records and record blocks, one JSON line per record."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join([_JSON.encode(record) + "\n" for record in records]))
+            fh.writelines(
+                _block_text(item) if isinstance(item, _Block) else _JSON.encode(item) + "\n" for item in records
+            )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 
@@ -603,6 +671,11 @@ def _bad_field(record: dict) -> str | None:
     return None
 
 
+# Decodes one JSONL line; json.loads builds nothing more per call, but
+# checks the line again.
+_DECODE = json.JSONDecoder().raw_decode
+
+
 def _read_jsonl(path: str) -> list[dict]:
     records = []
     try:
@@ -610,12 +683,19 @@ def _read_jsonl(path: str) -> list[dict]:
             for line in fh:
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
-                    if not isinstance(records[-1], dict):
+                    try:
+                        record, end = _DECODE(line)
+                    except json.JSONDecodeError:
+                        end = None
+                    if end != len(line):
+                        # Raises the error json.loads gives for the line.
+                        record = json.loads(line)
+                    if not isinstance(record, dict):
                         raise IoFailure(f"{path} holds a line that is not a JSON object: {line[:40]!r}")
-                    bad = _bad_field(records[-1])
+                    bad = _bad_field(record)
                     if bad is not None:
                         raise IoFailure(f"{path} holds a record whose {bad!r} has the wrong type: {line[:40]!r}")
+                    records.append(record)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -623,44 +703,62 @@ def _read_jsonl(path: str) -> list[dict]:
     return records
 
 
-def _write_summary(path: str, records: list[dict]) -> None:
-    # Groups in order of first appearance; each params object is encoded
-    # once, and kept here so that its id stays its own.
-    groups: dict[tuple, dict] = {}
+def _fold_block(groups: dict, block: _Block) -> None:
+    """Fold each (point, column) run of a block into its summary group."""
+    runs = block.runs()
+    firsts = [first for first, _, _ in runs]
+    columns = []
+    for params, label, stack in block.columns:
+        passed = np.add.reduceat(stack.link_pass.all(axis=-1), firsts, dtype=int).tolist()
+        columns.append((label, params, passed, list(map(min, stack.margins.tolist()))))
+    for r, (first, stop, point) in enumerate(runs):
+        for label, params, passed, mins in columns:
+            grp = groups.setdefault((block.suite, label, _JSON.encode({**point, **params})), [0, 0, 0, None, None])
+            grp[0] += stop - first
+            grp[1] += passed[r]
+            grp[2] += stop - first - passed[r]
+            # The fold of the dict loop: Python's min over the row minima.
+            run = mins[first:stop]
+            grp[3] = min(run if grp[3] is None else [grp[3], *run])
+
+
+def _fold_record(groups: dict, r: dict, encoded: dict) -> None:
+    """Fold a dict record into its summary group; encoded maps a params
+    object's id to (the object, its JSON), so that the id stays its own."""
+    params = r.get("params", {})
+    if id(params) not in encoded:
+        encoded[id(params)] = (params, _JSON.encode(params))
+    grp = groups.setdefault((str(r.get("suite", "-")), str(r.get("norm", "-")), encoded[id(params)][1]),
+                            [0, 0, 0, None, None])
+    grp[0] += r.get("count", 1)
+    grp[1] += r.get("pass_count", 1 if r.get("pass") else 0)
+    grp[2] += r.get("fail_count", 0 if r.get("pass") else 1)
+    mm = r.get("min_margin")
+    if mm is None and r.get("margins"):
+        mm = min(r["margins"])
+    if mm is not None:
+        grp[3] = mm if grp[3] is None else min(grp[3], mm)
+    me = r.get("min_eig")
+    if me is not None:
+        grp[4] = me if grp[4] is None else min(grp[4], me)
+
+
+def _write_summary(path: str, records: list) -> None:
+    # Groups (count, pass, fail, min_margin, min_eig) in order of first
+    # appearance, records in instance order.
+    groups: dict[tuple, list] = {}
     encoded: dict[int, tuple] = {}
-    for r in sorted(records, key=lambda r: r.get("instance", 0)):
-        params = r.get("params", {})
-        if id(params) not in encoded:
-            encoded[id(params)] = (params, _JSON.encode(params))
-        key = (str(r.get("suite", "-")), str(r.get("norm", "-")), encoded[id(params)][1])
-        if key not in groups:
-            groups[key] = {"count": 0, "pass": 0, "fail": 0, "min_margin": None, "min_eig": None}
-        grp = groups[key]
-        grp["count"] += r.get("count", 1)
-        grp["pass"] += r.get("pass_count", 1 if r.get("pass") else 0)
-        grp["fail"] += r.get("fail_count", 0 if r.get("pass") else 1)
-        mm = r.get("min_margin")
-        if mm is None and r.get("margins"):
-            mm = min(r["margins"])
-        if mm is not None:
-            grp["min_margin"] = mm if grp["min_margin"] is None else min(grp["min_margin"], mm)
-        me = r.get("min_eig")
-        if me is not None:
-            grp["min_eig"] = me if grp["min_eig"] is None else min(grp["min_eig"], me)
+    for item in sorted(records, key=lambda r: r.start if isinstance(r, _Block) else r.get("instance", 0)):
+        if isinstance(item, _Block):
+            _fold_block(groups, item)
+        else:
+            _fold_record(groups, item, encoded)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["suite", "norm", "params", "count", "pass", "fail", "min_margin", "min_eig"])
             writer.writerows(
-                [
-                    *key,
-                    g["count"],
-                    g["pass"],
-                    g["fail"],
-                    "" if g["min_margin"] is None else repr(float(g["min_margin"])),
-                    "" if g["min_eig"] is None else repr(float(g["min_eig"])),
-                ]
-                for key, g in groups.items()
+                [*key, *g[:3], *("" if v is None else repr(float(v)) for v in g[3:])] for key, g in groups.items()
             )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
@@ -678,7 +776,7 @@ def run(config: CampaignConfig) -> int:
     _write_summary(config.out + ".summary.csv", records)
     if config.suite in PROBE_SUITES:
         return 0
-    return 0 if all(r["pass"] for r in records) else 1
+    return 0 if all(r.passed() if isinstance(r, _Block) else r["pass"] for r in records) else 1
 
 
 def main(argv=None) -> int:

@@ -241,13 +241,13 @@ class Streams:
     """m streams keyed in one pass, which a sampler takes in place of a
     sequence of m Rngs: stream r is ``Rng(seed, tuple(paths[r]))`` and
     keys[r] its Philox key, as stream_keys gives it.  :func:`substreams`
-    builds them; a slice takes a run of them."""
+    builds them; a slice or an index array takes those rows of them."""
 
     seed: int
     paths: np.ndarray
     keys: np.ndarray
 
-    def __getitem__(self, rows: slice) -> "Streams":
+    def __getitem__(self, rows) -> "Streams":
         return Streams(self.seed, self.paths[rows], self.keys[rows])
 
     def first(self) -> Rng:

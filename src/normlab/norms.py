@@ -95,12 +95,13 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
 
     Singular values below SV_CLIP_RTOL times their row's largest are
     clamped to zero, then the whole stack is reduced at once, row by row
-    as for one row alone.  An empty row has every norm 0.  A norm beyond
-    the float range (a large Schatten p) raises NonFinite.  A row whose
+    as for one row alone.  An empty row has every norm 0.  A row whose
     largest p-th power falls below the smallest normal float (a large p on
-    small values), whose plain sum of powers would underflow to a wrong
-    norm or to zero, takes its Schatten norm relative to its largest value
-    instead; every other row keeps the plain sum's bits.
+    small values), or whose plain sum of p-th powers overflows while its
+    values are finite (a large p on large values), takes its Schatten norm
+    relative to its largest value instead, top * (sum (s/top)^p)^(1/p);
+    every other row keeps the plain sum's bits.  A norm that is itself
+    beyond the float range raises NonFinite.
     """
     sv = np.asarray(sv, dtype=float)
     lead = sv.shape[:-1]
@@ -121,9 +122,12 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
             with np.errstate(over="ignore"):
                 powers = clipped * clipped if p == 2.0 else clipped**p
                 out[i] = np.sqrt(np.sum(powers, axis=1)) if p == 2.0 else np.sum(powers, axis=1) ** (1.0 / p)
-            small = (powers[:, 0] < np.finfo(float).tiny) & (top > 0.0)
-            if small.any():
-                out[i, small] = top[small] * np.sum((clipped[small] / top[small, None]) ** p, axis=1) ** (1.0 / p)
+                # Powers that underflow the normal range, or a sum of powers
+                # that overflows while the values stay finite.
+                scaled = (powers[:, 0] < np.finfo(float).tiny) & (top > 0.0) | np.isinf(out[i]) & np.isfinite(top)
+                if scaled.any():
+                    relative = np.sum((clipped[scaled] / top[scaled, None]) ** p, axis=1) ** (1.0 / p)
+                    out[i, scaled] = top[scaled] * relative
         elif kind.family == "kyfan":
             out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
         else:

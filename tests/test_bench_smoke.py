@@ -1,9 +1,11 @@
 """The benchmark's campaign lists at their minimal size, run through
-``cli.main`` and checked as the benchmark checks them.
+``cli.main`` and checked as the benchmark checks them, and the tracer's
+layer targets that the output path must keep.
 
 ``bench/`` is imported read-only, for its workload lists
-(``workloads.campaigns``) and its output check (``check.inspect``), so a
-change that breaks a benchmarked campaign fails here, in tier-1.
+(``workloads.campaigns``), its output check (``check.inspect``) and its
+tracer's layer table (``tracer.LAYERS``), so a change that breaks a
+benchmarked campaign or blinds a traced layer fails here, in tier-1.
 """
 
 import sys
@@ -17,6 +19,7 @@ BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
 try:
     import check
+    import tracer
     import workloads
 finally:
     sys.path.remove(BENCH)
@@ -33,3 +36,16 @@ def test_minimal_campaign_list_passes_the_benchmark_check(tmp_path, workload, se
     for campaign in campaigns:
         if campaign.records:
             assert len(outcome.reduced[campaign.out]) == campaign.records
+
+
+def test_tracer_finds_the_runner_layers():
+    # A target the tracer cannot find is reported absent and its layer
+    # reads zero, so a renamed writer or check would silently blind it.
+    targets = [t for layer in tracer.LAYERS.values() for t in layer if t.startswith("cli:")]
+    targets.append("classes:characterization_check")
+    traced = tracer.Tracer().install()
+    try:
+        absent = set(traced.absent)
+    finally:
+        traced.uninstall()
+    assert len(targets) == 6 and absent.isdisjoint(targets)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab import classes, conjecture, heinz, matcore
+from normlab.chains import DEFAULT_TOL
 from normlab.classes import EQUALITY_FORMS, FORMS
 from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
-from normlab.norms import OP, norm
+from normlab.norms import OP, NormKind, norm
 
 
 def test_phi_identity():
@@ -305,6 +306,56 @@ def test_probe_descent_matches_one_start_at_a_time(n, k, i):
     assert res.verdict == "violated"
 
 
+def _stacked_probe(s, k, starts, iters, rng):
+    """The stacked probe as it ran before frozen starts were skipped: every
+    start, frozen or not, goes through two batched SVDs per iteration."""
+    dec = classes._selfadjoint_eigen(s)
+    eigs = dec.eigenvalues
+    n = eigs.size
+    m = heinz.sandwich_weights(eigs, eigs, k)
+    w = rng.generator().standard_normal((int(starts), 2, n, n))
+    z = (w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0)
+    seeds = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    y = np.concatenate((seeds, np.eye(n, dtype=complex)[None] / np.sqrt(n), z / classes._frobenius(z)))
+    best_ratio, best_y = np.inf, y[0]
+    for it in range(int(iters) + 1):
+        un, sn, vhn = np.linalg.svd(m * y)
+        ud, sd, vhd = np.linalg.svd(y)
+        ratio = sn[:, 0] / sd[:, 0]
+        grad = (m * (un[:, :, :1] * vhn[:, :1, :]) - ratio[:, None, None] * (ud[:, :, :1] * vhd[:, :1, :]))
+        grad = grad / sd[:, 0, None, None]
+        i = int(np.argmin(ratio))
+        if ratio[i] < best_ratio:
+            best_ratio, best_y = ratio[i], y[i]
+        gnorm = classes._frobenius(grad)
+        live = gnorm >= classes.FROZEN_GRAD_NORM
+        step = y - (0.1 / np.sqrt(it + 1.0)) * grad / np.where(live, gnorm, 1.0)
+        y = np.where(live, step / classes._frobenius(step), y)
+    witness = dec.vectors @ best_y @ dec.vectors.conj().T
+    return classes.DkProbeResult(eigs, float(k), classes.constraint_check(eigs, k).ok, float(best_ratio), witness,
+                                 len(y))
+
+
+@pytest.mark.parametrize(
+    "s, k, starts, iters",
+    [
+        (np.diag([1.0, 2.0, -3.0]), 1.0, 0, 5),
+        (np.diag([1.0, 2.0, -3.0]), 0.5, 8, 60),
+        (matcore.random_selfadjoint_invertible(3, 30.0, matcore.Rng(203)), 1.0, 16, 80),
+        (matcore.random_selfadjoint_invertible(4, 30.0, matcore.Rng(204)), 2.0, 16, 80),
+        (np.diag(conjecture.sample_constrained_spectrum(3, 0.5, matcore.Rng(7).substream(43))[0]), 0.5, 6, 40),
+    ],
+)
+def test_probe_skipping_frozen_starts_gives_the_same_result(s, k, starts, iters):
+    # The rank-one seeds and the identity freeze at once; skipping them
+    # changes no bit of the result, witness included.
+    got = classes.dk_ratio_minimize(s, k, starts=starts, iters=iters, rng=matcore.Rng(9))
+    want = _stacked_probe(s, k, starts, iters, matcore.Rng(9))
+    assert (got.k, got.spectral_ok, got.best_ratio, got.starts_used, got.verdict) == (
+        want.k, want.spectral_ok, want.best_ratio, want.starts_used, want.verdict)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues) and np.array_equal(got.witness, want.witness)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_probe_never_beats_spectral_floor(seed):
@@ -409,6 +460,30 @@ def test_sample_for_form_families():
 
     again = classes.sample_for_form("eq7", 4, rng.substream(0))
     assert np.array_equal(s, again)
+
+
+def test_characterization_check_takes_one_form_per_instance():
+    # One evaluation of the five expressions serves every run of equal form
+    # and tol, bit for bit as a check of the run alone.
+    forms = ["ineq6", "ineq6", "eq7", "eq14", "eq14", "ineq12"]
+    tols = [1e-6, 1e-6, None, None, 1e-3, None]
+    s = matcore.random_scaled_selfadjoint(3, 50.0, [matcore.Rng(130).substream(i) for i in range(6)])
+    x = matcore.random_probe_matrix(3, [matcore.Rng(131).substream(i) for i in range(6)])
+    kinds = (OP, NormKind.schatten(3.0))
+    runs = classes.characterization_check(s, x, forms, kinds, tol=tols)
+    assert [(span.start, span.stop) for span, _ in runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+    for span, reports in runs:
+        alone = classes.characterization_check(s[span], x[span], forms[span.start], kinds, tol=tols[span.start])
+        for got, want in zip(reports, alone, strict=True):
+            assert (got.labels, got.relations, got.tol) == (want.labels, want.relations, want.tol)
+            for field in ("values", "margins", "link_pass"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+    (span, (report,)), = classes.characterization_check(s[:2], x[:2], [FORMS["ineq6"]] * 2)
+    assert report.tol == DEFAULT_TOL
+    with pytest.raises(DimensionMismatch):
+        classes.characterization_check(s, x, forms[:5], kinds)
+    with pytest.raises(DimensionMismatch):
+        classes.characterization_check(s, x, forms, kinds, tol=tols[:5])
 
 
 def test_eq_forms_use_tight_default_tolerance():

@@ -113,16 +113,30 @@ def test_direct_sum_power_identity():
 
 
 def test_norm_beyond_float_range_raises():
-    # 10**1000 overflows; the row of ones and halves stays finite at the same p.
-    kinds = (NormKind.schatten(1000.0),)
-    sv = np.array([[10.0, 1.0], [1.0, 0.5]])
+    # These norms themselves exceed the largest float.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFinite):
-            norms_from_sv(sv, kinds)
-        assert norms_from_sv(sv[1:], kinds).tolist() == [[1.0]]
+        for p, sv in ((2.0, [[1.5e308, 1.5e308]]), (3.0, [[1.5e308, 1.5e308, 1.5e308]])):
+            with pytest.raises(NonFinite):
+                norms_from_sv(np.array(sv), (NormKind.schatten(p),))
 
 
+def test_norm_whose_powers_overflow_is_kept():
+    # 10**1000, (1e200)**2 and (1e120)**3 overflow, where the plain sums of
+    # powers raised NonFinite; the norms are finite.  Such a row is taken
+    # relative to its largest value, and a row whose sum stays finite keeps
+    # the plain sum's bits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = (1000.0, 2.0, 3.0)
+        sv = np.array([[10.0, 1.0], [1e200, 1e200], [1e120, 0.0], [1.0, 0.5]])
+        got = norms_from_sv(sv, tuple(NormKind.schatten(p) for p in ps))
+        assert got[:, 0].tolist()[0] == 10.0 and got[:, 2].tolist() == [1e120] * 3
+        for j, p in enumerate(ps):
+            assert got[j, 1] == pytest.approx(1e200 * 2.0 ** (1.0 / p), rel=1e-15)
+            plain = np.sqrt(np.sum(sv[3] ** 2)) if p == 2.0 else np.sum(sv[3] ** p) ** (1.0 / p)
+            assert got[j, 3] == plain
+        assert norms_from_sv(sv[[0]], (NormKind.schatten(1000.0),)).tolist() == [[10.0]]
 
 
 def test_norm_of_small_values_at_large_p_is_not_lost():
