@@ -722,13 +722,9 @@ def _fold_block(groups: dict, block: _Block) -> None:
             grp[3] = min(run if grp[3] is None else [grp[3], *run])
 
 
-def _fold_record(groups: dict, r: dict, encoded: dict) -> None:
-    """Fold a dict record into its summary group; encoded maps a params
-    object's id to (the object, its JSON), so that the id stays its own."""
-    params = r.get("params", {})
-    if id(params) not in encoded:
-        encoded[id(params)] = (params, _JSON.encode(params))
-    grp = groups.setdefault((str(r.get("suite", "-")), str(r.get("norm", "-")), encoded[id(params)][1]),
+def _fold_record(groups: dict, r: dict) -> None:
+    """Fold a dict record into its summary group."""
+    grp = groups.setdefault((str(r.get("suite", "-")), str(r.get("norm", "-")), _JSON.encode(r.get("params", {}))),
                             [0, 0, 0, None, None])
     grp[0] += r.get("count", 1)
     grp[1] += r.get("pass_count", 1 if r.get("pass") else 0)
@@ -747,12 +743,11 @@ def _write_summary(path: str, records: list) -> None:
     # Groups (count, pass, fail, min_margin, min_eig) in order of first
     # appearance, records in instance order.
     groups: dict[tuple, list] = {}
-    encoded: dict[int, tuple] = {}
     for item in sorted(records, key=lambda r: r.start if isinstance(r, _Block) else r.get("instance", 0)):
         if isinstance(item, _Block):
             _fold_block(groups, item)
         else:
-            _fold_record(groups, item, encoded)
+            _fold_record(groups, item)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

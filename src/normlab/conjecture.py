@@ -19,12 +19,12 @@ criterion, classes.constraint_check.  The search runs on stacks: the
 constraint test, the C build and the PSD test take a leading stack axis,
 and one call of each covers a chunk of SEARCH_CHUNK spectra (one eigvalsh
 per chunk).  On a single spectrum or matrix they return scalars.  The
-chunk's Philox streams are keyed in one batch from the seed, the path
-prefix and the index range (matcore.substreams), with no Rng per
-spectrum, and the sampler draws every block from one generator by (key,
-counter), since Philox is counter-based (Salmon et al., SC'11); every
-spectrum still draws exactly its own stream.  Violations are written in
-instance order at the end of each chunk.
+chunk's Philox streams are keyed in one matcore.substreams pass from the
+seed, path prefix and index range, with no Rng per spectrum; the sampler
+takes that Streams (or one Rng) and draws every block from one generator
+by (key, counter), as Philox is counter-based (Salmon et al., SC'11), so
+every spectrum still draws exactly its own stream.  Violations are
+written in instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def psd_check(c) -> tuple[float, bool]:
 def sample_constrained_spectrum(
     n: int,
     k: float,
-    rng: matcore.Rng,
+    rng: matcore.Rng | matcore.Streams,
     max_draws: int = 10**4,
 ) -> tuple[np.ndarray, int]:
     """Rejection-sample a constrained spectrum; returns (lambdas, rejected).
@@ -140,28 +140,27 @@ def sample_constrained_spectrum(
     first n, a minus sign where d < 1/2 for the next n.  `rejected` is the
     number of attempts before the accepted one.
 
-    rng may also be a sequence of m Rngs or a matcore.Streams of m; the
-    result is then an (m, n) stack and an (m,) array of counts, the same as
-    m single calls.  Every spectrum draws its attempts SAMPLE_BLOCK at a
-    time, and one constraint test covers the blocks of all spectra still
-    pending.  The blocks come from one Philox generator, the first
-    stream's rng.generator(): the Philox keys of all m streams are derived
-    in one batch (matcore.stream_keys, or the Streams' own), and before
-    each block matcore.seek sets the generator to the spectrum's key and to
-    the counter where the block starts.
-    So a spectrum's draws are exactly those of its own rng.generator(), and
-    nothing is drawn past the block that holds the accepted attempt.
+    rng may also be a matcore.Streams of m; the result is then an (m, n)
+    stack and an (m,) array of counts, the same as m single calls.  Every
+    spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
+    test covers the blocks of all spectra still pending.  The blocks come
+    from one Philox generator, the first stream's rng.generator(), and
+    before each block matcore.seek sets it to the spectrum's key (the
+    Streams' own, or for one Rng the key its generator starts with) and to
+    the counter where the block starts.  So a spectrum's draws are exactly
+    those of its own rng.generator(), and nothing is drawn past the block
+    that holds the accepted attempt.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    single = isinstance(rng, matcore.Rng)
-    if isinstance(rng, matcore.Streams):
+    if single := isinstance(rng, matcore.Rng):
+        bits = rng.generator()
+        keys = [bits.bit_generator.state["state"]["key"]]
+    elif isinstance(rng, matcore.Streams):
         keys = rng.keys.tolist()
         bits = rng.first().generator() if keys else None
     else:
-        rngs = [rng] if single else list(rng)
-        keys = matcore.stream_keys(rngs).tolist()
-        bits = rngs[0].generator() if rngs else None
+        raise TypeError(f"need an Rng or a Streams, got {type(rng).__name__}")
     lams = np.empty((len(keys), n))
     rejected = np.empty(len(keys), dtype=int)
     pending = np.arange(len(keys))

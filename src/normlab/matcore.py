@@ -12,19 +12,17 @@ Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws the stream that pair fixes, so a
 given Rng always produces the same matrix.  Distinct instances must use
 distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng,
-a sequence of m, or a :class:`Streams` of m, and then returns an
-(m, n, n) stack equal to m single calls.  A stream's draws are raw
-generator output (uniforms, normals, integers), taken from one reused
+or a :class:`Streams` of m and then returns an (m, n, n) stack equal to m
+single calls.  ``substreams`` keys a Streams in one pass: every index
+under every path prefix, hashing each prefix once.  A stream's draws are
+raw generator output (uniforms, normals, integers), taken from one reused
 generator set to each stream's start by ``seek``; every transform of them
 (exponentials, sorts, signs, complex combines, the QR and the products)
-runs once on the stack.  ``stream_keys`` derives any streams' Philox keys
-in one pass, and ``substreams`` the keys of every index under every path
-prefix, hashing each prefix once.
+runs once on the stack.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +39,6 @@ from .errors import (
 __all__ = [
     "Rng",
     "Streams",
-    "stream_keys",
     "substreams",
     "seek",
     "HermEigen",
@@ -90,7 +87,7 @@ class Rng:
 
     The stream is fixed by its Philox key,
     ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
-    which ``stream_keys`` computes for many streams at once.  A Philox
+    which ``substreams`` computes for many streams at once.  A Philox
     generator set to that key, to counter c and to an empty buffer
     (:func:`seek`) draws next the doubles 4c, 4c+1, ... of the stream, so a
     sampler may draw any block of any stream from one reused generator and
@@ -121,17 +118,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(v, least: int) -> tuple[int, ...]:
-    """Little-endian uint32 words of a nonnegative int, zero-padded to at
-    least `least` words."""
-    v = int(v)
+def _seed_words(seed) -> tuple[int, ...]:
+    """Little-endian uint32 words of a nonnegative seed, zero-padded to at
+    least _POOL_SIZE words, as SeedSequence takes them in."""
+    v = int(seed)
     if v < 0:
-        raise ValueError(f"seed and path entries must be nonnegative, got {v}")
+        raise ValueError(f"seed must be nonnegative, got {v}")
     words = [v & _MASK32]
     while v > _MASK32:
         v >>= 32
         words.append(v & _MASK32)
-    return tuple(words + [0] * (least - len(words)))
+    return tuple(words + [0] * (_POOL_SIZE - len(words)))
 
 
 def _hasher(init: int, mult: int):
@@ -159,33 +156,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def stream_keys(rngs) -> np.ndarray:
-    """Philox keys of a sequence of m Rngs as an (m, 2) uint64 array.
-
-    Row r equals ``np.random.SeedSequence(rngs[r].seed,
-    spawn_key=rngs[r].path).generate_state(2, np.uint64)`` bit for bit,
-    whatever the seeds and path lengths of the rows: the hashing runs on
-    all rows at once, each pool word an (m,)-column.
-    """
-    rngs = list(rngs)
-    # A row's entropy is its seed's words zero-padded to the pool size, then
-    # the words of each path entry.
-    seed_words = {seed: _uint32_words(seed, _POOL_SIZE) for seed in {r.seed for r in rngs}}
-    # Path entries below 2**32, the usual case, are one word each.
-    entries = [p for r in rngs for p in r.path]
-    if entries and not 0 <= min(entries) <= max(entries) <= _MASK32:
-        rows = [seed_words[r.seed] + tuple(w for p in r.path for w in _uint32_words(p, 1)) for r in rngs]
-    else:
-        rows = [seed_words[r.seed] + tuple(r.path) for r in rngs]
-    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
-    width = int(lengths.max(initial=_POOL_SIZE))
-    entropy = np.zeros((len(rows), width), dtype=np.uint32)
-    entropy[np.arange(width) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.uint32, count=int(lengths.sum())
-    )
-    return _state(_absorb(entropy, lengths)[0])
-
-
 def substreams(seed: int, prefixes, indices) -> "Streams":
     """The streams ``Rng(seed, prefix + (index,))`` for every row of the
     (P, L) path prefixes and then every index, prefix-major, as a Streams
@@ -193,30 +163,35 @@ def substreams(seed: int, prefixes, indices) -> "Streams":
 
     Each prefix row is hashed once and each index is then mixed into every
     prefix's pool, so the keys cost one pass over P + len(indices) words
-    columns, not one per stream.  They equal stream_keys of the same Rngs
-    bit for bit; entries of 2**32 or more take several entropy words each,
-    and are keyed through stream_keys instead.
+    columns, not one per stream.  Row r equals
+    ``np.random.SeedSequence(seed, spawn_key=paths[r]).generate_state(2,
+    np.uint64)`` bit for bit.  Path entries of 2**32 or more take several
+    entropy words each, so those rare batches are keyed one path at a time
+    by that SeedSequence call itself.
     """
-    prefixes, indices = np.asarray(prefixes), np.asarray(indices)
+    # numpy makes floats of a mix of int64 and larger ints; keep them exact.
+    prefixes, indices = (np.array(a, dtype=object if np.asarray(a).dtype == float else None)
+                         for a in (prefixes, indices))
     if prefixes.ndim != 2 or indices.ndim != 1:
         raise ValueError("need a (P, L) array of path prefixes and a 1-D array of indices")
     count = len(indices)
     if all(a.dtype.kind in "iu" and np.all((0 <= a) & (a <= _MASK32)) for a in (prefixes, indices)):
         prefixes, indices = prefixes.astype(np.int64), indices.astype(np.int64)
         paths = np.column_stack((np.repeat(prefixes, count, axis=0), np.tile(indices, len(prefixes))))
-        words = np.array(_uint32_words(seed, _POOL_SIZE), dtype=np.uint32)
+        words = np.array(_seed_words(seed), dtype=np.uint32)
         entropy = np.column_stack((np.broadcast_to(words, (len(prefixes), words.size)), prefixes)).astype(np.uint32)
-        pool, hashmix = _absorb(entropy, np.full(len(prefixes), entropy.shape[1]))
+        pool, hashmix = _absorb(entropy)
         pool = _mix(pool[:, None, :], hashmix(indices.astype(np.uint32)[:, None], _POOL_SIZE))
         return Streams(seed, paths, _state(pool).reshape(-1, 2))
     paths = np.array([p + [i] for p in prefixes.tolist() for i in indices.tolist()], dtype=object)
-    return Streams(seed, paths, stream_keys(Rng(seed, tuple(path)) for path in paths.tolist()))
+    keys = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths.tolist()]
+    return Streams(seed, paths, np.array(keys, dtype=np.uint64).reshape(-1, 2))
 
 
-def _absorb(entropy: np.ndarray, lengths: np.ndarray):
+def _absorb(entropy: np.ndarray):
     """SeedSequence's pool after each row of `entropy` (uint32 words, at
-    least _POOL_SIZE per row) has taken in its first lengths[row] words, and
-    the hasher that takes the next word."""
+    least _POOL_SIZE per row) has taken in all its words, and the hasher
+    that takes the next word."""
     # Hash the first words into the pool, mix every pool word into every
     # other, then mix each later word into every pool word.
     hashmix = _hasher(_INIT_A, _MULT_A)
@@ -225,8 +200,7 @@ def _absorb(entropy: np.ndarray, lengths: np.ndarray):
         dst = [d for d in range(_POOL_SIZE) if d != src]
         pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src, None], _POOL_SIZE - 1))
     for col in range(_POOL_SIZE, entropy.shape[1]):
-        mixed = _mix(pool, hashmix(entropy[:, col, None], _POOL_SIZE))
-        pool = np.where((col < lengths)[:, None], mixed, pool)
+        pool = _mix(pool, hashmix(entropy[:, col, None], _POOL_SIZE))
     return pool, hashmix
 
 
@@ -238,10 +212,10 @@ def _state(pool: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Streams:
-    """m streams keyed in one pass, which a sampler takes in place of a
-    sequence of m Rngs: stream r is ``Rng(seed, tuple(paths[r]))`` and
-    keys[r] its Philox key, as stream_keys gives it.  :func:`substreams`
-    builds them; a slice or an index array takes those rows of them."""
+    """m streams keyed in one pass, for which a sampler returns an (m, ...)
+    stack: stream r is ``Rng(seed, tuple(paths[r]))`` and keys[r] its
+    Philox key.  :func:`substreams` builds them; a slice or an index array
+    takes those rows of them."""
 
     seed: int
     paths: np.ndarray
@@ -259,7 +233,7 @@ class Streams:
 
 def seek(g: np.random.Generator, key, counter: int) -> None:
     """Set a Philox generator to a stream's key (a pair of uint64 words, as
-    a row of :func:`stream_keys`) and to `counter`, with an empty buffer:
+    a row of ``Streams.keys``) and to `counter`, with an empty buffer:
     it then draws the doubles 4 * counter, ... of that stream, and at
     counter 0 exactly what the stream's ``Rng.generator()`` draws."""
     g.bit_generator.state = {
@@ -541,26 +515,23 @@ def random_probe_matrix(n: int, rng) -> np.ndarray:
 
 
 def _sample(rng, draw, build):
-    """One sample for an Rng, or an (m, ...) stack of them for a sequence
-    of m Rngs or a Streams of m, the same as m single calls.
+    """One sample for an Rng, or an (m, ...) stack of them for a Streams
+    of m, the same as m single calls.
 
     draw(g) returns one stream's raw generator output (uniforms, normals,
     integers) in stream order, as a tuple; build takes the tuple's members,
     each stacked over the streams, and makes every transform of them once
     on the stack.  The generator starts on the first stream, from its
-    Rng.generator(); the later streams are keyed in one batch (or come
-    keyed in the Streams) and drawn from the same generator, set to each
-    one's start by :func:`seek`, so the only per-stream work is the draws.
+    Rng.generator(); the later streams come keyed in the Streams and are
+    drawn from the same generator, set to each one's start by
+    :func:`seek`, so the only per-stream work is the draws.
     """
     if isinstance(rng, Rng):
         first, keys = rng, []
     elif isinstance(rng, Streams):
         first, keys = rng.first(), rng.keys[1:].tolist()
     else:
-        rngs = list(rng)
-        if not rngs:
-            raise ValueError("need at least one rng")
-        first, keys = rngs[0], stream_keys(rngs[1:]).tolist()
+        raise TypeError(f"need an Rng or a Streams, got {type(rng).__name__}")
     g = first.generator()
     draws = [draw(g)]
     for key in keys:

@@ -111,15 +111,16 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
         return out.reshape((len(kinds),) + lead)
     top = sv[:, 0]
     clipped = np.where(sv < SV_CLIP_RTOL * top[:, None], 0.0, sv)
-    for i, kind in enumerate(kinds):
-        if kind.family == "operator":
-            out[i] = top
-        elif kind.family == "schatten":
-            p = kind.param
-            if p == 1.0:
-                out[i] = np.sum(clipped, axis=1)
-                continue
-            with np.errstate(over="ignore"):
+    # An overflowing sum is rescaled (Schatten rows) or raises NonFinite below.
+    with np.errstate(over="ignore"):
+        for i, kind in enumerate(kinds):
+            if kind.family == "operator":
+                out[i] = top
+            elif kind.family == "schatten":
+                p = kind.param
+                if p == 1.0:
+                    out[i] = np.sum(clipped, axis=1)
+                    continue
                 powers = clipped * clipped if p == 2.0 else clipped**p
                 out[i] = np.sqrt(np.sum(powers, axis=1)) if p == 2.0 else np.sum(powers, axis=1) ** (1.0 / p)
                 # Powers that underflow the normal range, or a sum of powers
@@ -128,10 +129,10 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
                 if scaled.any():
                     relative = np.sum((clipped[scaled] / top[scaled, None]) ** p, axis=1) ** (1.0 / p)
                     out[i, scaled] = top[scaled] * relative
-        elif kind.family == "kyfan":
-            out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
-        else:
-            raise ValueError(f"unknown norm family {kind.family!r}")
+            elif kind.family == "kyfan":
+                out[i] = np.sum(clipped[:, : int(kind.param)], axis=1)
+            else:
+                raise ValueError(f"unknown norm family {kind.family!r}")
     if not np.all(np.isfinite(out)):
         raise NonFinite("a norm overflowed the float range")
     return out.reshape((len(kinds),) + lead)

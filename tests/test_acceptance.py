@@ -120,11 +120,12 @@ def test_acceptance_03_power_pair_chain(announce):
             # instances of one residue mod 20 are checked as one stack.
             for first in range(20):
                 group = range(first, 200, 20)
-                subs = [rng.substream(t_idx).substream(r_idx).substream(i) for i in group]
+                # Slot j of instance i draws the path (t_idx, r_idx, i, j) under rng.
+                prefixes = [rng.path + (t_idx, r_idx, i) for i in group]
                 n = 2 + first % 4
-                a = matcore.random_posdef(n, 50.0, [sub.substream(0) for sub in subs])
-                b = matcore.random_posdef(n, 50.0, [sub.substream(1) for sub in subs])
-                x = matcore.random_probe_matrix(n, [sub.substream(2) for sub in subs])
+                a = matcore.random_posdef(n, 50.0, matcore.substreams(rng.seed, prefixes, [0]))
+                b = matcore.random_posdef(n, 50.0, matcore.substreams(rng.seed, prefixes, [1]))
+                x = matcore.random_probe_matrix(n, matcore.substreams(rng.seed, prefixes, [2]))
                 kind = KINDS5[first % 5]
                 (stack,) = cpr.zhan_chain(a, b, x, params, (kind,), tol=1e-8)
                 for i, rep in zip(group, stack.as_dicts()):

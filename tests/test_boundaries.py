@@ -1,10 +1,13 @@
 """Module boundaries inside the package: no normlab module imports or reads
 an underscore-prefixed name of another normlab module, and the SVD kernel,
 matrix powers, inverses and explicit block sums have a fixed set of
-callers."""
+callers.  Every name a module exports in __all__ exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import normlab
 
@@ -155,3 +158,10 @@ def test_explicit_products_only_in_oracles():
     cpr_tree = ast.parse((PACKAGE / "cpr.py").read_text())
     products = [node.lineno for node in ast.walk(cpr_tree) if isinstance(getattr(node, "op", None), ast.MatMult)]
     assert products == []
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_exported_name_resolves(stem):
+    # A deleted function left in __all__ breaks `from module import *`.
+    module = importlib.import_module("normlab" if stem == "__init__" else f"normlab.{stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

@@ -467,8 +467,9 @@ def test_characterization_check_takes_one_form_per_instance():
     # and tol, bit for bit as a check of the run alone.
     forms = ["ineq6", "ineq6", "eq7", "eq14", "eq14", "ineq12"]
     tols = [1e-6, 1e-6, None, None, 1e-3, None]
-    s = matcore.random_scaled_selfadjoint(3, 50.0, [matcore.Rng(130).substream(i) for i in range(6)])
-    x = matcore.random_probe_matrix(3, [matcore.Rng(131).substream(i) for i in range(6)])
+    root = np.zeros((1, 0), dtype=int)
+    s = matcore.random_scaled_selfadjoint(3, 50.0, matcore.substreams(130, root, range(6)))
+    x = matcore.random_probe_matrix(3, matcore.substreams(131, root, range(6)))
     kinds = (OP, NormKind.schatten(3.0))
     runs = classes.characterization_check(s, x, forms, kinds, tol=tols)
     assert [(span.start, span.stop) for span, _ in runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]

@@ -270,7 +270,8 @@ def test_stacked_search_matches_reference_at_default_chunk(tmp_path):
 
 def test_stacked_sampler_matches_single_calls_and_max_draws():
     rngs = [matcore.Rng(138).substream(i) for i in range(30)]
-    lams, rejected = conjecture.sample_constrained_spectrum(6, 1.0, rngs)
+    streams = matcore.substreams(138, np.zeros((1, 0), dtype=int), range(30))
+    lams, rejected = conjecture.sample_constrained_spectrum(6, 1.0, streams)
     assert lams.shape == (30, 6) and rejected.shape == (30,)
     for rng, lam, rej in zip(rngs, lams, rejected):
         ref_lam, ref_rej = _reference_sampler(6, 1.0, rng)
@@ -278,12 +279,22 @@ def test_stacked_sampler_matches_single_calls_and_max_draws():
         assert conjecture.sample_constrained_spectrum(6, 1.0, rng)[1] == ref_rej
     # max_draws counts attempts, not blocks: an instance accepted at
     # attempt r needs max_draws > r, wherever r falls in a block.
-    late = [(rng, int(rej)) for rng, rej in zip(rngs, rejected) if rej % conjecture.SAMPLE_BLOCK]
+    late = [(i, int(rej)) for i, rej in enumerate(rejected) if rej % conjecture.SAMPLE_BLOCK]
     assert late
-    for rng, rej in late[:5]:
+    for i, rej in late[:5]:
         with pytest.raises(SamplerExhausted):
-            conjecture.sample_constrained_spectrum(6, 1.0, [rng], max_draws=rej)
-        assert conjecture.sample_constrained_spectrum(6, 1.0, [rng], max_draws=rej + 1)[1][0] == rej
+            conjecture.sample_constrained_spectrum(6, 1.0, streams[[i]], max_draws=rej)
+        assert conjecture.sample_constrained_spectrum(6, 1.0, streams[[i]], max_draws=rej + 1)[1][0] == rej
+
+
+def test_sampler_takes_one_rng_or_a_streams():
+    # An empty Streams gives empty stacks; a list of Rngs is refused.
+    empty = matcore.substreams(0, np.zeros((0, 1), dtype=int), [0, 1])
+    lams, rejected = conjecture.sample_constrained_spectrum(3, 1.0, empty)
+    assert lams.shape == (0, 3) and rejected.shape == (0,)
+    for rngs in ([], [matcore.Rng(0)], [matcore.Rng(0), matcore.Rng(1)]):
+        with pytest.raises(TypeError):
+            conjecture.sample_constrained_spectrum(3, 1.0, rngs)
 
 
 @pytest.mark.parametrize("n, k, max_draws", [(8, 2.0, 10**4), (8, 2.0, 20), (3, 1.0, 10**4)])
@@ -298,8 +309,9 @@ def test_sampler_blocks_are_each_streams_own_draws(monkeypatch, n, k, max_draws)
 
     monkeypatch.setattr(conjecture, "constraint_check", spy)
     rngs = [matcore.Rng(139).substream(i) for i in range(12)]
+    streams = matcore.substreams(139, np.zeros((1, 0), dtype=int), range(12))
     try:
-        conjecture.sample_constrained_spectrum(n, k, rngs, max_draws=max_draws)
+        conjecture.sample_constrained_spectrum(n, k, streams, max_draws=max_draws)
         exhausted = False
     except SamplerExhausted:
         exhausted = True

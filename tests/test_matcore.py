@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab import classes, matcore
@@ -237,12 +237,8 @@ _GOLDEN_KEYS = [
 def test_stream_keys_golden():
     rngs = [matcore.Rng(seed, path) for seed, path, _ in _GOLDEN_KEYS]
     golden = np.array([key for *_, key in _GOLDEN_KEYS], dtype=np.uint64)
-    keys = matcore.stream_keys(rngs)
-    assert keys.dtype == np.uint64 and keys.shape == (len(rngs), 2)
-    assert np.array_equal(keys, golden)
     for rng, key in zip(rngs, golden):
         assert np.array_equal(rng.generator().bit_generator.state["state"]["key"], key)
-        assert np.array_equal(matcore.stream_keys([rng])[0], key)
         # substreams keys a path as its prefix and last index.
         if rng.path:
             streams = matcore.substreams(rng.seed, [list(rng.path[:-1])], [rng.path[-1]])
@@ -254,6 +250,8 @@ _PREFIXES = st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**64))
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=0, prefix=[2**63 - 3], rows=4, indices=[0])
+@example(seed=1, prefix=[], rows=1, indices=[2**63 - 1, 2**63])
 @given(
     seed=st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**200)),
     prefix=_PREFIXES,
@@ -269,44 +267,31 @@ def test_substreams_key_every_prefix_and_index(seed, prefix, rows, indices):
     assert len(streams.keys) == len(paths)
     assert [tuple(path) for path in streams.paths.tolist()] == paths
     refs = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths]
-    assert np.array_equal(streams.keys, refs)
-    assert np.array_equal(matcore.stream_keys(matcore.Rng(seed, path) for path in paths), refs)
+    assert streams.keys.dtype == np.uint64 and np.array_equal(streams.keys, refs)
     if len(paths) > 1:
         assert streams[1:].first() == matcore.Rng(seed, paths[1])
 
 
-_SEEDS = st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**200), st.sampled_from([0, 2**32 - 1, 2**64 + 3]))
-_PATHS = st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**64)), max_size=4).map(tuple)
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(_SEEDS, _PATHS), min_size=1, max_size=6))
-def test_stream_keys_match_seed_sequence(rows):
-    # Mixed seeds and path lengths share one batch; every row is keyed as
-    # SeedSequence keys it alone.
-    keys = matcore.stream_keys([matcore.Rng(seed, path) for seed, path in rows])
-    for (seed, path), key in zip(rows, keys):
-        ref = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-        assert np.array_equal(key, ref), (seed, path)
-
-
 def test_stream_keys_edges():
-    assert matcore.stream_keys([]).shape == (0, 2)
     empty = matcore.substreams(0, np.zeros((0, 2), dtype=int), [0, 1])
     assert empty.keys.shape == (0, 2)
     with pytest.raises(ValueError):
         matcore.ginibre(2, rng=empty)
-    with pytest.raises(ValueError):
-        matcore.ginibre(2, rng=[])
+    # A sampler takes one Rng or a Streams, not a list of Rngs.
+    for rngs in ([], [matcore.Rng(0)], [matcore.Rng(0), matcore.Rng(1)]):
+        with pytest.raises(TypeError):
+            matcore.ginibre(2, rng=rngs)
+        with pytest.raises(TypeError):
+            matcore.random_posdef(2, 10.0, rngs)
     with pytest.raises(ValueError):
         matcore.substreams(0, [1, 2], [0])
     with pytest.raises(ValueError):
         matcore.substreams(0, [[1, -2]], [0])
-    for bad in (matcore.Rng(-1), matcore.Rng(1, (2, -3))):
+    for seed, prefix, index in ((-1, (), 0), (1, (2,), -3)):
         with pytest.raises(ValueError):
-            matcore.stream_keys([matcore.Rng(0), bad])
+            matcore.substreams(seed, np.array([prefix], dtype=int), [index])
         with pytest.raises(ValueError):
-            np.random.SeedSequence(bad.seed, spawn_key=bad.path)
+            np.random.SeedSequence(seed, spawn_key=prefix + (index,))
 
 
 def test_random_probe_matrix_branches():
@@ -351,15 +336,14 @@ _SAMPLERS = {
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("m", [1, 2, 129])
 def test_sampler_stacks_equal_single_calls(name, n, m):
-    # A list of m Rngs, and the same streams keyed by substreams, give the
-    # m single calls bit for bit.
+    # The m streams keyed by substreams give the m single calls bit for
+    # bit, and so does any slice of them.
     sample = _SAMPLERS[name]
     rngs = [matcore.Rng(9, (3, i, 1)) for i in range(m)]
     singles = np.stack([sample(n, rng) for rng in rngs])
-    stacked = sample(n, rngs)
-    assert stacked.shape == singles.shape and stacked.tobytes() == singles.tobytes()
     streams = matcore.substreams(9, [(3, i) for i in range(m)], [1])
-    assert sample(n, streams).tobytes() == singles.tobytes()
+    stacked = sample(n, streams)
+    assert stacked.shape == singles.shape and stacked.tobytes() == singles.tobytes()
     assert sample(n, streams[m // 2 :]).tobytes() == singles[m // 2 :].tobytes()
 
 
@@ -368,7 +352,7 @@ def test_probe_falls_back_to_ginibre_at_n1():
     # the dense picks (3) do; a Hermitian pick (1) takes the real part and
     # a unitary pick (2) the phase.
     rngs = [matcore.Rng(4).substream(i) for i in range(129)]
-    stacked = matcore.random_probe_matrix(1, rngs)
+    stacked = matcore.random_probe_matrix(1, matcore.substreams(4, np.zeros((1, 0), dtype=int), range(129)))
     picks = set()
     for rng, x in zip(rngs, stacked):
         g = rng.generator()

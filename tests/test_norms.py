@@ -113,12 +113,18 @@ def test_direct_sum_power_identity():
 
 
 def test_norm_beyond_float_range_raises():
-    # These norms themselves exceed the largest float.
+    # These norms themselves exceed the largest float: they raise NonFinite,
+    # not an overflow warning, for the trace and Ky Fan sums too.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p, sv in ((2.0, [[1.5e308, 1.5e308]]), (3.0, [[1.5e308, 1.5e308, 1.5e308]])):
+        for kind, sv in (
+            (NormKind.schatten(2.0), [[1.5e308, 1.5e308]]),
+            (NormKind.schatten(3.0), [[1.5e308, 1.5e308, 1.5e308]]),
+            (NormKind.schatten(1.0), [[1e308, 1e308]]),
+            (NormKind.kyfan(2), [[1e308, 1e308]]),
+        ):
             with pytest.raises(NonFinite):
-                norms_from_sv(np.array(sv), (NormKind.schatten(p),))
+                norms_from_sv(np.array(sv), (kind,))
 
 
 def test_norm_whose_powers_overflow_is_kept():

@@ -256,7 +256,7 @@ def test_chunks_cross_points_and_the_count(tmp_path, monkeypatch):
 
 def _stack(sampler, n, m=4, seed=70):
     return sampler(n, *([100.0] if sampler is not matcore.random_probe_matrix else []),
-                   [matcore.Rng(seed).substream(i) for i in range(m)])
+                   matcore.substreams(seed, np.zeros((1, 0), dtype=int), range(m)))
 
 
 _NOT_HERMITIAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
