@@ -8,7 +8,8 @@ eigenbasis: with S = Q diag(l) Q* and X~ = Q*XQ,
 
 the sandwich weights ``heinz.sandwich_weights(l, l, k)`` of the multiplier
 engine.  That representation powers the pairwise criterion min |M_ij| >= k+2
-(constraint_check, which takes one spectrum or a stack of them and serves
+over i != j (constraint_check, which forms those weights at the
+off-diagonal pairs only, takes one spectrum or a stack of them and serves
 both the ratio probe and the conjecture search), the residual check, the
 bound check against the classical PSD multiplier theorem, and a
 multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
@@ -117,21 +118,26 @@ class ConstraintResult:
 
 def constraint_check(lambdas, k: float) -> ConstraintResult:
     """Minimum of |l_i/l_j + l_j/l_i + k| over distinct-index pairs,
-    against k + 2, for any real k.  Self-pairs are exactly |k + 2| and never
-    fail; a singleton spectrum is trivially constrained.  Takes one spectrum
-    or an (..., n) stack of them.  The criterion is necessary for membership
-    when S is self-adjoint with the given eigenvalues."""
+    against k + 2, for any real k.  Takes one spectrum or an (..., n) stack
+    of them.  The criterion is necessary for membership when S is
+    self-adjoint with the given eigenvalues.
+
+    Only the n(n-1) off-diagonal pairs are formed, in row-major order and
+    in the arithmetic of heinz.sandwich_weights, so min_value and pair are
+    those of the first minimum of the n x n weights with the self-pairs
+    masked.  Self-pairs are exactly |k + 2| and never fail; a singleton
+    spectrum is trivially constrained, with pair (0, 0)."""
     lam = matcore.as_spectrum(lambdas)
     k = float(k)
     n = lam.shape[-1]
-    vals = np.abs(sandwich_weights(lam, lam, k)).reshape(lam.shape[:-1] + (n * n,))
-    # Self-pairs are masked with inf; a singleton's only pair is then (0, 0).
-    search = vals + np.diag(np.full(n, np.inf)).ravel()
-    flat = np.argmin(search, axis=-1)
-    min_value = np.take_along_axis(vals, flat[..., None], axis=-1)[..., 0]
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool)) if n > 1 else (np.zeros(1, dtype=np.intp),) * 2
+    ratio = lam[..., rows] / lam[..., cols]
+    vals = np.abs(ratio + 1.0 / ratio + k)
+    at = np.argmin(vals, axis=-1)
+    min_value = np.take_along_axis(vals, at[..., None], axis=-1)[..., 0]
     threshold = k + 2.0
     ok = min_value >= threshold - SPECTRAL_SLACK
-    i, j = np.divmod(flat, n)
+    i, j = rows[at], cols[at]
     if lam.ndim == 1:
         return ConstraintResult(ok=bool(ok), min_value=float(min_value), pair=(int(i), int(j)), threshold=threshold)
     return ConstraintResult(ok=ok, min_value=min_value, pair=(i, j), threshold=threshold)

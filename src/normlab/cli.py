@@ -535,6 +535,8 @@ def _validate(config: CampaignConfig) -> None:
         raise ConfigInvalid(f"--dim must be in [2, 12], got {config.dim}")
     if config.count < 1:
         raise ConfigInvalid("--count must be >= 1")
+    if config.seed < 0:
+        raise ConfigInvalid(f"--seed must be >= 0, got {config.seed}")
     if config.tol <= 0.0:
         raise ConfigInvalid("--tol must be positive")
     # Sampled matrices of condition number beyond 1 / POSDEF_RTOL are

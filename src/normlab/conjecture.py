@@ -15,16 +15,19 @@ spectrum satisfies the pairwise constraint
 
 This module samples constrained spectra at scale and records any PSD
 failures to a JSONL file.  The pairwise constraint is the ratio probe's
-criterion, classes.constraint_check.  The search runs on stacks: the
-constraint test, the C build and the PSD test take a leading stack axis,
-and one call of each covers a chunk of SEARCH_CHUNK spectra (one eigvalsh
-per chunk).  On a single spectrum or matrix they return scalars.  The
-chunk's Philox streams are keyed in one matcore.substreams pass from the
-seed, path prefix and index range, with no Rng per spectrum; the sampler
-takes that Streams (or one Rng) and draws every block from one generator
-by (key, counter), as Philox is counter-based (Salmon et al., SC'11), so
-every spectrum still draws exactly its own stream.  Violations are
-written in instance order at the end of each chunk.
+criterion, classes.constraint_check, which forms the n(n-1) off-diagonal
+pairs only.  The search runs on stacks: the constraint test, the C build
+and the PSD test take a leading stack axis, and one call of each covers a
+chunk of SEARCH_CHUNK spectra (one eigvalsh per chunk).  On a single
+spectrum or matrix they return scalars.  C is exactly symmetric by
+construction, so its Hermitian check passes without norm arithmetic.  The
+chunk's Philox streams are keyed in one matcore.substreams pass, with no
+Rng per spectrum: the seed is absorbed once, then the path prefix and
+each index of the range.  The sampler takes that Streams (or one Rng) and
+draws every block from one generator by (key, counter), as Philox is
+counter-based (Salmon et al., SC'11), so every spectrum still draws
+exactly its own stream.  Violations are written in instance order at the
+end of each chunk.
 """
 
 from __future__ import annotations
@@ -231,7 +234,7 @@ def conjecture_search(
             violations = 0
             for start in range(0, count, SEARCH_CHUNK):
                 stop = min(start + SEARCH_CHUNK, count)
-                streams = matcore.substreams(rng.seed, prefix, range(start, stop))
+                streams = matcore.substreams(rng.seed, prefix, np.arange(start, stop))
                 lams, rej = sample_constrained_spectrum(n, k, streams, max_draws=max_draws)
                 rejected += int(rej.sum())
                 mins, ok = psd_check(build_conj_matrix(lams, k))

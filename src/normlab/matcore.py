@@ -3,22 +3,25 @@
 Matrices are numpy ``complex128`` arrays throughout; ``as_matrix`` is the
 boundary validator (2-D, finite entries), ``as_matrices`` the one for a
 matrix or an (m, n, k) stack of them, and ``as_spectrum`` the one for real
-spectra (nonempty, nonzero entries).  Decompositions wrap LAPACK via numpy,
-take one matrix or a stack (one LAPACK call per stack), and normalize its
-conventions: eigenvalues ascending, singular values descending, errors
-mapped onto the :mod:`normlab.errors` taxonomy.
+spectra (nonempty, finite, nonzero entries).  Decompositions wrap LAPACK
+via numpy, take one matrix or a stack (one LAPACK call per stack), and
+normalize its conventions: eigenvalues ascending, singular values
+descending, errors mapped onto the :mod:`normlab.errors` taxonomy.
+``require_hermitian`` passes a stack equal to its adjoint at once and
+measures the Frobenius gap of any other.
 
 Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws the stream that pair fixes, so a
 given Rng always produces the same matrix.  Distinct instances must use
 distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng,
 or a :class:`Streams` of m and then returns an (m, n, n) stack equal to m
-single calls.  ``substreams`` keys a Streams in one pass: every index
-under every path prefix, hashing each prefix once.  A stream's draws are
-raw generator output (uniforms, normals, integers), taken from one reused
-generator set to each stream's start by ``seek``; every transform of them
-(exponentials, sorts, signs, complex combines, the QR and the products)
-runs once on the stack.
+single calls.  ``substreams`` keys a Streams in one pass: it absorbs the
+seed's first four words once, then hashes the rest of the seed and each
+path prefix once per prefix and mixes every index into every prefix.  A
+stream's draws are raw generator output (uniforms, normals, integers),
+taken from one reused generator set to each stream's start by ``seek``;
+every transform of them (exponentials, sorts, signs, complex combines,
+the QR and the products) runs once on the stack.
 """
 
 from __future__ import annotations
@@ -110,12 +113,41 @@ class Rng:
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
 # seed_seq): uint32 entropy words are hashed into a pool of four words, the
-# pool is mixed, and the output words are hashed back out of the pool.
+# pool is mixed, and the output words are hashed back out of the pool.  The
+# j-th application of a hash xors with init * mult**j and multiplies by
+# init * mult**(j+1), mod 2**32.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..calls, as uint32: the constants of
+    a hash's first `calls` applications."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# Entropy of w words takes 4w applications of the pool hash: one per pool
+# word for the first four words, three per pool word to mix the pool, then
+# four for each later word, so the word at position e >= 4 takes
+# applications 4e..4e+3.  The output hash takes four applications.
+_CONSTS_B = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
+
+
+def _hashmix(value, xor, mult):
+    # SeedSequence's hash of uint32 words, as ints or arrays.
+    v = (value ^ xor) * mult & _MASK32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    v = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return v ^ v >> 16
 
 
 def _seed_words(seed) -> tuple[int, ...]:
@@ -131,29 +163,28 @@ def _seed_words(seed) -> tuple[int, ...]:
     return tuple(words + [0] * (_POOL_SIZE - len(words)))
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's uint32 hash.  Its j-th application xors with
-    init * mult**j and multiplies by init * mult**(j+1); hash_(words, calls)
-    makes the next `calls` applications at once, one per last-axis entry of
-    the result, with words broadcast against them."""
-    const = init
+def _seed_pool(words: tuple[int, ...], consts: list[int]) -> list[int]:
+    """SeedSequence's pool after it has hashed in the first _POOL_SIZE seed
+    words and mixed them, with the applications of `consts` in order."""
+    apply = zip(consts, consts[1:])
 
-    def hash_(words: np.ndarray, calls: int) -> np.ndarray:
-        nonlocal const
-        xor, mul = [], []
-        for _ in range(calls):
-            xor.append(const)
-            const = (const * mult) & _MASK32
-            mul.append(const)
-        v = (words ^ np.array(xor, dtype=np.uint32)) * np.array(mul, dtype=np.uint32)
-        return v ^ (v >> 16)
+    def hashmix(v: int) -> int:
+        return _hashmix(v, *next(apply))
 
-    return hash_
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    return pool
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return v ^ (v >> 16)
+def _take(pool: np.ndarray, words: np.ndarray, consts: np.ndarray, at: int) -> np.ndarray:
+    """The pools (last axis) after each takes in its entropy word at position
+    `at` >= _POOL_SIZE; `words` broadcasts against the pools' leading axes."""
+    first = _POOL_SIZE * at
+    xor, mult = consts[first : first + _POOL_SIZE], consts[first + 1 : first + _POOL_SIZE + 1]
+    return _mix(pool, _hashmix(words[..., None], xor, mult))
 
 
 def substreams(seed: int, prefixes, indices) -> "Streams":
@@ -161,16 +192,18 @@ def substreams(seed: int, prefixes, indices) -> "Streams":
     (P, L) path prefixes and then every index, prefix-major, as a Streams
     of P * len(indices).
 
-    Each prefix row is hashed once and each index is then mixed into every
-    prefix's pool, so the keys cost one pass over P + len(indices) words
-    columns, not one per stream.  Row r equals
+    Every stream's entropy starts with the same seed words, so the first
+    four are hashed and mixed into one pool of four words per call; each
+    prefix row then takes in the later seed words and its L words, and
+    each index is mixed into every prefix's pool.  The keys cost one pass
+    over those word columns, not one per stream.  Row r equals
     ``np.random.SeedSequence(seed, spawn_key=paths[r]).generate_state(2,
     np.uint64)`` bit for bit.  Path entries of 2**32 or more take several
     entropy words each, so those rare batches are keyed one path at a time
     by that SeedSequence call itself.
     """
     # numpy makes floats of a mix of int64 and larger ints; keep them exact.
-    prefixes, indices = (np.array(a, dtype=object if np.asarray(a).dtype == float else None)
+    prefixes, indices = (np.array(a, dtype=object) if (v := np.asarray(a)).dtype == float else v
                          for a in (prefixes, indices))
     if prefixes.ndim != 2 or indices.ndim != 1:
         raise ValueError("need a (P, L) array of path prefixes and a 1-D array of indices")
@@ -178,36 +211,22 @@ def substreams(seed: int, prefixes, indices) -> "Streams":
     if all(a.dtype.kind in "iu" and np.all((0 <= a) & (a <= _MASK32)) for a in (prefixes, indices)):
         prefixes, indices = prefixes.astype(np.int64), indices.astype(np.int64)
         paths = np.column_stack((np.repeat(prefixes, count, axis=0), np.tile(indices, len(prefixes))))
-        words = np.array(_seed_words(seed), dtype=np.uint32)
-        entropy = np.column_stack((np.broadcast_to(words, (len(prefixes), words.size)), prefixes)).astype(np.uint32)
-        pool, hashmix = _absorb(entropy)
-        pool = _mix(pool[:, None, :], hashmix(indices.astype(np.uint32)[:, None], _POOL_SIZE))
-        return Streams(seed, paths, _state(pool).reshape(-1, 2))
+        words = _seed_words(seed)
+        width = len(words) + prefixes.shape[1] + 1
+        consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)
+        pool = np.array(_seed_pool(words, consts[: _POOL_SIZE**2 + 1].tolist()), dtype=np.uint32)
+        pool = np.broadcast_to(pool, (len(prefixes), _POOL_SIZE))
+        # The seed words past the fourth, the same in every row, then the prefix columns.
+        later = [*map(np.uint32, words[_POOL_SIZE:]), *prefixes.astype(np.uint32).T]
+        for at, word in enumerate(later, _POOL_SIZE):
+            pool = _take(pool, word, consts, at)
+        pool = _take(pool[:, None, :], indices.astype(np.uint32), consts, width - 1)
+        state = _hashmix(pool, _CONSTS_B[:-1], _CONSTS_B[1:])
+        # Two uint64 words from four uint32 words, little-endian.
+        return Streams(seed, paths, state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 2))
     paths = np.array([p + [i] for p in prefixes.tolist() for i in indices.tolist()], dtype=object)
     keys = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths.tolist()]
     return Streams(seed, paths, np.array(keys, dtype=np.uint64).reshape(-1, 2))
-
-
-def _absorb(entropy: np.ndarray):
-    """SeedSequence's pool after each row of `entropy` (uint32 words, at
-    least _POOL_SIZE per row) has taken in all its words, and the hasher
-    that takes the next word."""
-    # Hash the first words into the pool, mix every pool word into every
-    # other, then mix each later word into every pool word.
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], hashmix(pool[:, src, None], _POOL_SIZE - 1))
-    for col in range(_POOL_SIZE, entropy.shape[1]):
-        pool = _mix(pool, hashmix(entropy[:, col, None], _POOL_SIZE))
-    return pool, hashmix
-
-
-def _state(pool: np.ndarray) -> np.ndarray:
-    # Two uint64 words from four uint32 pool words, little-endian.
-    state = _hasher(_INIT_B, _MULT_B)(pool, _POOL_SIZE)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +317,14 @@ def as_matrices(a) -> np.ndarray:
 def as_spectrum(lambdas) -> np.ndarray:
     """Coerce to a float array: one spectrum or an (..., n) stack of them.
 
-    Raises ValueError for an empty or 0-d input and ZeroEigenvalue for a
-    zero entry.
+    Raises ValueError for an empty or 0-d input or a NaN/Inf entry (as
+    as_matrices does), and ZeroEigenvalue for a zero entry.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 0 or lam.size == 0:
         raise ValueError("lambdas must be a nonempty real vector or stack of vectors")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum entries must be finite")
     if np.any(lam == 0.0):
         raise ZeroEigenvalue("spectrum entries must be nonzero")
     return lam
@@ -326,8 +347,12 @@ def require_hermitian(a: np.ndarray) -> None:
     equals its adjoint within HERMITICITY_RTOL (Frobenius norm, relative to
     max(1, |A|)), and DimensionMismatch unless it is square.  A matrix whose
     largest entry magnitude exceeds 1 is first divided by it, so the norms
-    cannot overflow."""
+    cannot overflow.  A stack that equals its adjoint exactly has gap 0
+    and passes without the norms: every sampled Hermitian matrix and every
+    conjecture C stack takes that path."""
     _require_square(a)
+    if np.array_equal(a, _adjoint(a)):
+        return
     axes = None if a.ndim == 2 else (-2, -1)
     peak = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     a = a / peak[..., None, None]

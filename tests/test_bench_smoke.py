@@ -41,11 +41,13 @@ def test_minimal_campaign_list_passes_the_benchmark_check(tmp_path, workload, se
 def test_tracer_finds_the_runner_layers():
     # A target the tracer cannot find is reported absent and its layer
     # reads zero, so a renamed writer or check would silently blind it.
-    targets = [t for layer in tracer.LAYERS.values() for t in layer if t.startswith("cli:")]
-    targets.append("classes:characterization_check")
+    # The conjecture search's layers include the sampler's call of
+    # constraint_check through the conjecture module's own binding.
+    targets = [t for layer in tracer.LAYERS.values() for t in layer if t.startswith(("cli:", "conjecture:"))]
+    targets += ["classes:characterization_check", "matcore:require_hermitian"]
     traced = tracer.Tracer().install()
     try:
         absent = set(traced.absent)
     finally:
         traced.uninstall()
-    assert len(targets) == 6 and absent.isdisjoint(targets)
+    assert len(targets) == 11 and absent.isdisjoint(targets)

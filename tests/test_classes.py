@@ -87,6 +87,44 @@ def test_constraint_check_equals_all_pairs_test(k):
     assert verdicts == ({True, False} if k > 0.0 else {True})
 
 
+def _masked_argmin(lams, k):
+    """min_value and pair of the criterion as a masked all-pairs argmin
+    writes them out: every pair's weight, the self-pairs masked with inf,
+    the first minimum in row-major order (a singleton's only pair is then
+    its self-pair)."""
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[-1]
+    ratio = lams[..., :, None] / lams[..., None, :]
+    vals = np.abs(ratio + 1.0 / ratio + k).reshape(lams.shape[:-1] + (n * n,))
+    flat = np.argmin(np.where(np.eye(n, dtype=bool).ravel(), np.inf, vals), axis=-1)
+    return np.take_along_axis(vals, flat[..., None], axis=-1)[..., 0], np.divmod(flat, n)
+
+
+@pytest.mark.parametrize("k", [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7, 10.0])
+def test_constraint_check_pins_min_value_and_pair(k):
+    # The criterion forms only the off-diagonal pairs; its minimum and the
+    # pair that attains it are those of the masked n x n argmin, bit for
+    # bit, on single spectra and on (m, b, n) stacks alike.
+    g = matcore.Rng(125).generator()
+    for n in range(1, 9):
+        lams = 10.0 ** g.uniform(-2.0, 2.0, size=(200, n)) * np.where(g.random((200, n)) < 0.5, -1.0, 1.0)
+        if n > 1:
+            # Opposite-sign ties ((0, n-1) against (n-1, 0)), and equal
+            # entries, whose pairs tie with the masked self-pairs.
+            lams[:40, -1] = -lams[:40, 0]
+            lams[40:80, 1] = lams[40:80, 0]
+        want_min, (want_i, want_j) = _masked_argmin(lams, k)
+        for lam, m, i, j in list(zip(lams, want_min, want_i, want_j))[::10]:
+            res = classes.constraint_check(lam, k)
+            assert (res.min_value, res.pair) == (m, (i, j)) and type(res.min_value) is float
+        for shape in ((200,), (20, 10)):
+            res = classes.constraint_check(lams.reshape(shape + (n,)), k)
+            assert res.min_value.dtype == np.float64 and res.min_value.shape == shape
+            assert np.array_equal(res.min_value.ravel(), want_min)
+            assert np.array_equal(res.pair[0].ravel(), want_i) and np.array_equal(res.pair[1].ravel(), want_j)
+            assert np.array_equal(res.ok.ravel(), want_min >= k + 2.0 - classes.SPECTRAL_SLACK)
+
+
 def test_schur_rep_residual_diagonal():
     s = np.diag([2.0, -1.0, 0.5])
     x = matcore.ginibre(3, rng=matcore.Rng(111))

@@ -125,6 +125,39 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "heinz", "--seed", "-5"],
+        ["verify", "--suite", "dk", "--seed", "-1"],
+        ["conjecture", "--n", "4", "--seed", "-1"],
+        ["dk-probe", "--eigs", "1,2", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # No stream takes a negative seed.  Exit 1 means a failing theorem
+    # record, so the seed is refused as configuration before any sampling.
+    out = tmp_path / "out.jsonl"
+    assert cli.main([*argv, "--count", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid configuration: --seed must be >= 0, got {argv[-1]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "--suite", "cpr"], ["conjecture"], ["dk-probe", "--eigs", "1,2"]], ids=" ".join
+)
+def test_negative_seed_in_config_file_exits_2(tmp_path, capsys, command):
+    # A config file's seed is read as the flag it stands for.
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out.jsonl"
+    assert cli.main([*command, "--config", str(path), "--count", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid configuration: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["heinz", "zhan", "cor24", "dk"])
 def test_cond_beyond_kernel_tolerance_exits_2(tmp_path, capsys, suite):
     # Past 1 / POSDEF_RTOL the sampled matrices fail the kernels' positive

@@ -2,6 +2,7 @@
 search and persistence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ def test_constraint_validation():
         conjecture.build_conj_matrix([1.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         conjecture.build_conj_matrix([], 1.0)
+
+
+@pytest.mark.parametrize(
+    "lambdas", [[float("nan"), 1.0, 2.0], [1.0, float("inf"), -2.0], [[1.0, 2.0], [-float("inf"), 1.0]]]
+)
+def test_non_finite_spectra_are_rejected(lambdas):
+    # A NaN or an infinity is no eigenvalue: the spectrum validator refuses
+    # it as the matrix validator does, so the criterion never reports a
+    # self-pair for one, and nothing warns on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for check in (matcore.as_spectrum, lambda lam: conjecture.constraint_check(lam, 1.0),
+                      lambda lam: conjecture.build_conj_matrix(lam, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                check(lambdas)
 
 
 @pytest.mark.parametrize(

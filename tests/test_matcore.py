@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normlab import classes, matcore
+from normlab import classes, conjecture, matcore
 from normlab.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -86,6 +86,68 @@ def test_require_hermitian_gap_is_absolute_below_norm_one():
     matcore.require_hermitian(1e-310 * gap)
     with pytest.raises(NotHermitian):
         matcore.require_hermitian(2.0 * matcore.HERMITICITY_RTOL * gap)
+
+
+def _arithmetic_verdict(a):
+    """require_hermitian's Frobenius-gap test written out, without its
+    exact-equality shortcut: "square", "hermitian" or "not hermitian"."""
+    a = np.asarray(a)
+    if a.shape[-2] != a.shape[-1]:
+        return "square"
+    peak = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    a = a / peak[..., None, None]
+    gap = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1))
+    bad = gap > matcore.HERMITICITY_RTOL * np.maximum(1.0 / peak, np.linalg.norm(a, axis=(-2, -1)))
+    return "not hermitian" if np.any(bad) else "hermitian"
+
+
+def _verdict(a):
+    try:
+        matcore.require_hermitian(a)
+    except DimensionMismatch:
+        return "square"
+    except NotHermitian:
+        return "not hermitian"
+    return "hermitian"
+
+
+def test_require_hermitian_exact_path_keeps_every_verdict():
+    # A stack equal to its adjoint passes without the norms; every other
+    # stack takes the norms, so each verdict is the arithmetic test's.
+    z = matcore.ginibre(4, rng=matcore.substreams(140, np.zeros((1, 0), dtype=int), range(6)))
+    h = 0.5 * (z + z.conj().swapaxes(-2, -1))
+    sampled = matcore.random_posdef(4, 50.0, matcore.Rng(141))
+    c = conjecture.build_conj_matrix([[1.0, -2.0, 3.0], [0.5, 4.0, -0.25]], 1.0)
+    for exact in (h, sampled, c):
+        assert np.array_equal(exact, exact.conj().swapaxes(-2, -1))
+    unit = np.zeros((4, 4), dtype=complex)
+    unit[0, 1] = 1.0
+
+    def perturbed(a, factor):
+        # Gap sqrt(2)|delta| against factor times the tolerance.
+        peak = max(1.0, np.abs(a).max())
+        scale = max(1.0, np.linalg.norm(a / peak)) * peak
+        return a + factor * matcore.HERMITICITY_RTOL * scale / np.sqrt(2.0) * unit
+
+    inside, outside = perturbed(h[0], 0.9), perturbed(h[0], 1.1)
+    one_bad = h.copy()
+    one_bad[3] = perturbed(h[3], 1.1)
+    cases = {
+        "exact stack": (h, "hermitian"),
+        "sampled": (sampled, "hermitian"),
+        "conjecture C": (c, "hermitian"),
+        "just inside": (inside, "hermitian"),
+        "just outside": (outside, "not hermitian"),
+        "near 1e300 exact": (1e300 * h, "hermitian"),
+        "near 1e300 inside": (perturbed(1e300 * h[1], 0.9), "hermitian"),
+        "near 1e300 outside": (perturbed(1e300 * h[1], 1.1), "not hermitian"),
+        "one bad member": (one_bad, "not hermitian"),
+        "non-square": (z[:, :3], "square"),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, (a, want) in cases.items():
+            assert _verdict(a) == _arithmetic_verdict(a) == want, name
 
 
 def test_svd_hand_values():
@@ -270,6 +332,17 @@ def test_substreams_key_every_prefix_and_index(seed, prefix, rows, indices):
     assert streams.keys.dtype == np.uint64 and np.array_equal(streams.keys, refs)
     if len(paths) > 1:
         assert streams[1:].first() == matcore.Rng(seed, paths[1])
+
+
+@pytest.mark.parametrize("seed", [2**128, 2**200 - 1, 3 * 2**640 + 5], ids=["5-words", "7-words", "21-words"])
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_substreams_key_seeds_past_four_words(seed, width):
+    # The seed words past the fourth are taken in after the pool is mixed,
+    # each at its own position, before the prefix words.
+    prefixes = np.arange(2 * width).reshape(2, width) + 7
+    streams = matcore.substreams(seed, prefixes, [0, 5, 2**32 - 1])
+    refs = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in streams.paths.tolist()]
+    assert np.array_equal(streams.keys, refs)
 
 
 def test_stream_keys_edges():
