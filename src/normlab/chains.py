@@ -1,15 +1,15 @@
 """Ordered value chains with per-link tolerance verdicts.
 
-A ChainReport holds named values expected to run largest-first.  Each
-adjacent pair is one link; a "ge" link passes when the margin v[i]-v[i+1]
-is at least -tol*scale, an "eq" link when |margin| <= tol*scale, with
+A chain holds named values expected to run largest-first.  Each adjacent
+pair is one link; a "ge" link passes when the margin v[i]-v[i+1] is at
+least -tol*scale, an "eq" link when |margin| <= tol*scale, with
 scale = max(1, |v[i]|, |v[i+1]|) so verdicts are scale-free.
 
 :func:`chain` evaluates a whole stack of chains under one set of labels at
 once: values of shape (..., L) give a :class:`ChainStack` whose margins
-and verdicts are (..., L-1) arrays, and a single chain (1-D values) is a
-ChainReport.  The checks build one stack over their instances and norms
-and split it with :meth:`ChainStack.unstack`.
+and verdicts are (..., L-1) arrays, and a single chain (1-D values) is the
+same stack with no leading axes.  The checks build one stack over their
+instances and norms and split it with :meth:`ChainStack.unstack`.
 """
 
 from __future__ import annotations
@@ -18,44 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ChainReport", "ChainStack", "chain", "DEFAULT_TOL"]
+from .errors import NonFinite
+
+__all__ = ["ChainStack", "chain", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ChainReport:
-    labels: tuple[str, ...]
-    values: tuple[float, ...]
-    margins: tuple[float, ...]
-    link_pass: tuple[bool, ...]
-    relations: tuple[str, ...]
-    tol: float = field(default=DEFAULT_TOL)
-
-    @property
-    def ok(self) -> bool:
-        """True when every link passes."""
-        return all(self.link_pass)
-
-    @property
-    def min_margin(self) -> float:
-        return min(self.margins) if self.margins else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "values": list(self.values),
-            "margins": list(self.margins),
-            "relations": list(self.relations),
-            "link_pass": list(self.link_pass),
-            "pass": self.ok,
-        }
-
-
-@dataclass(frozen=True)
 class ChainStack:
     """A stack of chains under one set of labels: values (..., L), margins
-    and link_pass (..., L-1)."""
+    and link_pass (..., L-1); a single chain has no leading axes."""
 
     labels: tuple[str, ...]
     values: np.ndarray
@@ -64,8 +37,18 @@ class ChainStack:
     relations: tuple[str, ...]
     tol: float = field(default=DEFAULT_TOL)
 
+    @property
+    def ok(self) -> np.ndarray:
+        """True where every link of a chain passes, over the leading axes."""
+        return self.link_pass.all(axis=-1)
+
+    @property
+    def min_margin(self) -> np.ndarray:
+        """The least margin of each chain, over the leading axes."""
+        return self.margins.min(axis=-1)
+
     def as_dicts(self) -> list[dict]:
-        """ChainReport.as_dict of every chain, in C order of the stack."""
+        """Each chain as a dict of lists, in C order of the stack."""
         size = len(self.labels)
         return [
             {
@@ -84,15 +67,8 @@ class ChainStack:
         ]
 
     def unstack(self) -> tuple:
-        """The chains along the last stack axis: a ChainReport each when it
-        is the only axis, else a ChainStack each over the other axes."""
-        if self.values.ndim == 2:
-            return tuple(
-                ChainReport(self.labels, tuple(values), tuple(margins), tuple(passes), self.relations, self.tol)
-                for values, margins, passes in zip(
-                    self.values.tolist(), self.margins.tolist(), self.link_pass.tolist()
-                )
-            )
+        """The chains along the last stack axis, a ChainStack each over the
+        other axes."""
         return tuple(
             ChainStack(self.labels, self.values[..., j, :], self.margins[..., j, :], self.link_pass[..., j, :],
                        self.relations, self.tol)
@@ -105,12 +81,13 @@ def chain(
     values,
     tol: float = DEFAULT_TOL,
     relations=None,
-) -> ChainReport | ChainStack:
-    """Build a ChainReport from ordered labels and values, or a ChainStack
-    from an (..., L) stack of value rows.
+) -> ChainStack:
+    """Build a ChainStack from ordered labels and an (..., L) stack of
+    value rows; 1-D values are one chain.
 
     relations supplies one tag per link ("ge" or "eq"); omitted links
-    default to "ge".
+    default to "ge".  A value beyond the float range (inf or NaN) raises
+    NonFinite; a slack beyond it is infinite, and its link passes.
     """
     labels = tuple(str(s) for s in labels)
     values = np.asarray(values, dtype=float)
@@ -127,15 +104,14 @@ def chain(
             raise ValueError(f"expected {nlinks} relations, got {len(relations)}")
         if any(r not in ("ge", "eq") for r in relations):
             raise ValueError("relations must be 'ge' or 'eq'")
+    if not np.all(np.isfinite(values)):
+        raise NonFinite("a chain member overflowed the float range")
 
-    single = values.ndim == 1
-    values = np.atleast_2d(values)
     hi, lo = values[..., :-1], values[..., 1:]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore"):
         margins = hi - lo
         slack = tol * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0)
         verdicts = margins >= -slack
         if "eq" in relations:
             verdicts = np.where(np.array([r == "eq" for r in relations]), np.abs(margins) <= slack, verdicts)
-    stack = ChainStack(labels, values, margins, verdicts, relations, tol)
-    return stack.unstack()[0] if single else stack
+    return ChainStack(labels, values, margins, verdicts, relations, tol)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .chains import DEFAULT_TOL, ChainReport, chain
+from .chains import DEFAULT_TOL, ChainStack, chain
 from .errors import DimensionMismatch, InvalidK, NotPSD, Singular
 from .heinz import sandwich_weights
 from .norms import OP, stack_norms
@@ -126,13 +126,15 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     in the arithmetic of heinz.sandwich_weights, so min_value and pair are
     those of the first minimum of the n x n weights with the self-pairs
     masked.  Self-pairs are exactly |k + 2| and never fail; a singleton
-    spectrum is trivially constrained, with pair (0, 0)."""
+    spectrum is trivially constrained, with pair (0, 0).  A ratio beyond
+    the float range takes its limit, so its pair's value is inf."""
     lam = matcore.as_spectrum(lambdas)
     k = float(k)
     n = lam.shape[-1]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool)) if n > 1 else (np.zeros(1, dtype=np.intp),) * 2
-    ratio = lam[..., rows] / lam[..., cols]
-    vals = np.abs(ratio + 1.0 / ratio + k)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = lam[..., rows] / lam[..., cols]
+        vals = np.abs(ratio + 1.0 / ratio + k)
     at = np.argmin(vals, axis=-1)
     min_value = np.take_along_axis(vals, at[..., None], axis=-1)[..., 0]
     threshold = k + 2.0
@@ -189,7 +191,7 @@ def schur_rep_residual(s, k: float, x) -> float:
     return float(np.linalg.norm(direct - rep) / max(1.0, np.linalg.norm(direct)))
 
 
-def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainReport:
+def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainStack:
     """max_i N_ii |X| >= |N o X| in the operator norm, for PSD N."""
     n_mat = matcore.as_matrix(n_mat)
     matcore.require_hermitian(n_mat)
@@ -358,7 +360,7 @@ def characterization_check(
     tol=None,
 ) -> tuple | list:
     """Evaluate one characterization relation on a sample or an (m, n, n)
-    stack of them, one report (a ChainStack for a stack) per norm in kinds.
+    stack of them, one ChainStack per norm in kinds.
 
     form may instead be a sequence of forms, one per instance of the stack,
     and tol then one value or a sequence likewise; every form is read off

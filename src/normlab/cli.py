@@ -33,9 +33,9 @@ probe suites, findings do not fail the run), 1 when a theorem suite has a
 failing record, 2 for usage or configuration errors (a config-file value
 of the wrong type too), 3 for a numerical failure (an input the kernels
 reject, such as a matrix that is singular or not positive definite in
-floating point, a norm or a finalcor p-th power beyond the float range,
-or a finalcor p-th power of a nonzero norm below it), 4 for I/O
-failures.
+floating point, a norm, weighted matrix, chain member or finalcor p-th
+power beyond the float range, or a finalcor p-th power of a nonzero norm
+below it), 4 for I/O failures.
 """
 
 from __future__ import annotations

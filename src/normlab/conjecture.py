@@ -39,7 +39,7 @@ import numpy as np
 
 from . import matcore
 from .classes import constraint_check
-from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, SamplerExhausted
+from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, NonFinite, SamplerExhausted
 
 __all__ = [
     "KSummary",
@@ -87,12 +87,17 @@ def _conjecture_k(k) -> float:
 
 def build_conj_matrix(lambdas, k: float) -> np.ndarray:
     """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k);
-    an (..., n) stack of spectra gives an (..., n, n) stack."""
+    an (..., n) stack of spectra gives an (..., n, n) stack.  A spectrum
+    whose products overflow the float range raises NonFinite."""
     lam, k = matcore.as_spectrum(lambdas), _conjecture_k(k)
-    cross = lam[..., :, None] * lam[..., None, :]
-    sq = lam * lam
-    scale = sq[..., :, None] + sq[..., None, :]
-    den = scale + k * cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = lam[..., :, None] * lam[..., None, :]
+        sq = lam * lam
+        scale = sq[..., :, None] + sq[..., None, :]
+        den = scale + k * cross
+    # scale >= 2|cross| and 0 <= k <= 2, so an overflowed cross or scale leaves den non-finite.
+    if not np.all(np.isfinite(den)):
+        raise NonFinite("a denominator overflowed the float range")
     bad = np.abs(den) <= DEGENERATE_RTOL * scale
     if np.any(bad):
         *at, i, j = np.argwhere(bad)[0]

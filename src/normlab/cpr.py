@@ -1,8 +1,8 @@
 """Sandwich inequalities for invertible conjugations and the two-parameter
 power-pair chain, including direct-sum variants and a Schatten power form.
 
-Every check takes a tuple of norm kinds and returns one report per kind
-(:func:`final_cor_check` takes Schatten exponents instead), and runs on
+Every check takes a tuple of norm kinds and returns one ChainStack per
+kind (:func:`final_cor_check` takes Schatten exponents instead), and runs on
 the :mod:`normlab.heinz` multiplier engine: a pair basis, weights, one
 SVD stack for every norm.  Each check on an invertible S is a sum
 A* X B^-1 + A^-1 X B* with A, B among S, S* and T: sandwich weights on
@@ -11,8 +11,8 @@ V diag(sig) U*, so one SVD of S serves both; a direct sum's singular
 values are the sorted union of its blocks'.
 
 Like the engine, every check also takes (m, n, n) stacks of its matrices,
-with t and r scalars or one per instance, and then returns one ChainStack
-over the instances for each report.
+with t and r scalars or one per instance, and then its ChainStacks have
+a leading instance axis.
 
 The Zhan chain is built from the Heinz chain, as the paper proves it.
 With X' = A^(1/2) X B^(1/2), the bracket H(s) = |A^s X B^{2-s} + A^{2-s}
@@ -168,12 +168,15 @@ def _zhan_reports(basis: PairBasis, t, r, regime, kinds, tol: float, nodes: int)
     """The chains of :func:`zhan_chain` with the regime given; r = 1 lies in
     both."""
     t = np.asarray(t, dtype=float)[..., None]
-    c = 4.0 - 2.0 * t
     # X' = A^(1/2) X B^(1/2) in the pair basis, whose Heinz bracket at s - 1/2 is H(s).
     root = replace(basis, x_rot=np.sqrt(basis.a_eigs[..., :, None] * basis.b_eigs[..., None, :]) * basis.x_rot)
     h = kittaneh_members(root, np.asarray(r) - 0.5, regime, kinds, nodes)
     q_t, q_2, g = np.moveaxis(norms_from_sv(quadratic_sv(basis, (t[..., 0], 2.0)), kinds), 0, -1)
-    members = (2.0 * q_t, 2.0 * q_2 - c * g, *np.moveaxis(4.0 * h - (c * g)[..., None], -1, 0), (t + 2.0) * h[..., -1])
+    # A t near the float range's end can take c and the members past it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 4.0 - 2.0 * t
+        members = (2.0 * q_t, 2.0 * q_2 - c * g, *np.moveaxis(4.0 * h - (c * g)[..., None], -1, 0),
+                   (t + 2.0) * h[..., -1])
     return chain(_ZHAN_LABELS, np.stack(members, axis=-1), tol=tol).unstack()
 
 
@@ -191,7 +194,7 @@ def zhan_check(
     the same evaluation, so they coincide with that chain's bitwise.
     """
     return tuple(
-        chain((full.labels[0], full.labels[-1]), np.asarray(full.values)[..., [0, -1]], tol=tol)
+        chain((full.labels[0], full.labels[-1]), full.values[..., [0, -1]], tol=tol)
         for full in zhan_chain(a, b, x, params, kinds, tol=tol)
     )
 

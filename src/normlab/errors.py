@@ -31,7 +31,8 @@ class Singular(NormlabError):
 
 
 class NonFinite(NormlabError):
-    """A norm or a power of one overflowed the float range."""
+    """A norm, a power of one, or a value built from them overflowed the
+    float range."""
 
 
 class NoConvergence(NormlabError):

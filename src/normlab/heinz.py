@@ -24,7 +24,7 @@ and X~ = V_A* X U_B makes A*A X + X BB* + t|A|X|B*| a quadratic, with
 AXB = U_A (S_A X~ S_B) V_B* its cross term.  Both rotate X with
 :func:`rotate`, which the sandwich checks on an invertible S call too.
 
-Every check takes a tuple of norm kinds and returns one report per kind.
+Every check takes a tuple of norm kinds and returns one ChainStack per kind.
 Singular values do not depend on the norm, so each check evaluates its
 instance once: one SVD stack serves every norm.  The Gauss-Legendre base
 rule is computed once per node count.
@@ -32,11 +32,11 @@ rule is computed once per node count.
 Every step also takes a stack of instances: (m, n, n) stacks of A, B and
 X with one parameter each (a scalar or an (m,) array) give a basis with a
 leading instance axis, one eigh or SVD per stack, one SVD of all the
-instances' weighted matrices, and per-norm reports that are ChainStacks
-over the instances.  A single instance is the same path with no leading
-axis, and numpy's stacked LAPACK and BLAS calls round each matrix as the
-single calls do, so a stacked check equals its instances' single checks
-bit for bit.
+instances' weighted matrices, and per-norm ChainStacks over the
+instances.  A single instance is the same path with no leading axis, its
+ChainStacks included, and numpy's stacked LAPACK and BLAS calls round
+each matrix as the single calls do, so a stacked check equals its
+instances' single checks bit for bit.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .chains import DEFAULT_TOL, ChainReport, chain
-from .errors import DimensionMismatch
+from .chains import DEFAULT_TOL, chain
+from .errors import DimensionMismatch, NonFinite
 from .norms import NormKind, norms_from_sv
 
 __all__ = [
     "HeinzParams",
-    "ChainReport",
     "PairBasis",
     "pair_basis",
     "abs_pair_basis",
@@ -151,7 +150,10 @@ def quadratic_sv(basis: PairBasis, ts) -> np.ndarray:
     la, mu = basis.a_eigs[..., :, None], basis.b_eigs[..., None, :]
     cross = la * mu
     squares = la**2 + mu**2
-    return weighted_sv(basis, np.stack([squares + np.asarray(t)[..., None, None] * cross for t in ts] + [cross]))
+    # weighted_sv refuses weights that a t near the float range's end overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.stack([squares + np.asarray(t)[..., None, None] * cross for t in ts] + [cross])
+    return weighted_sv(basis, weights)
 
 
 def sandwich_weights(l, m, k) -> np.ndarray:
@@ -175,11 +177,17 @@ def sandwich_sv(bases, k) -> np.ndarray:
 def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
     """Singular values of the rotated free matrix weighted entrywise by one
     weight matrix or, batched, by each matrix of a (..., m, n) stack; a
-    basis of k stacked pairs takes (..., k, m, n) weights."""
+    basis of k stacked pairs takes (..., k, m, n) weights.  A weighted
+    matrix beyond the float range raises NonFinite before the SVD, which
+    LAPACK would otherwise fill with NaN."""
     w = np.asarray(weights, dtype=float)
     if w.shape[-basis.x_rot.ndim :] != basis.x_rot.shape:
         raise DimensionMismatch("weight shape must match the rotated free matrix")
-    return np.linalg.svd(w * basis.x_rot, compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = w * basis.x_rot
+    if not np.all(np.isfinite(weighted)):
+        raise NonFinite("a weighted matrix overflowed the float range")
+    return np.linalg.svd(weighted, compute_uv=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -213,7 +221,8 @@ def dominance(labels, rows, factor, tol: float) -> tuple:
     """Two-value chains |larger| >= factor |smaller|, one per norm: rows is
     norms_from_sv of a (2, ..., n) stack of singular values (larger,
     smaller), factor a scalar or one per instance."""
-    members = np.stack((rows[:, 0], factor * rows[:, 1]), axis=-1)
+    with np.errstate(over="ignore"):
+        members = np.stack((rows[:, 0], factor * rows[:, 1]), axis=-1)
     return chain(labels, np.moveaxis(members, 0, -2), tol=tol).unstack()
 
 

@@ -91,7 +91,7 @@ def test_acceptance_02_heinz_refinement_chain(announce):
         b = matcore.random_posdef(n, 100.0, sub.substream(1))
         x = matcore.random_probe_matrix(n, sub.substream(2))
         (rep,) = heinz.kittaneh_chain(a, b, x, alpha, (kind,), tol=1e-8)
-        assert rep.ok, (i, alpha, kind.label, rep.as_dict())
+        assert rep.ok, (i, alpha, kind.label, rep.as_dicts())
         worst_margin = min(worst_margin, rep.min_margin)
         if i % 10 == 0:
             (rep64,) = heinz.kittaneh_chain(a, b, x, alpha, (kind,), tol=1e-8, nodes=64)
@@ -171,7 +171,7 @@ def test_acceptance_04_quadratic_corollaries(announce):
             a = np.triu(a)  # deliberately non-normal
         x = matcore.random_probe_matrix(n, sub.substream(2))
         (rep,) = cpr.cor23_check(a, b, x, t, (KINDS5[i % 5],), tol=1e-8)
-        assert rep.ok, (i, t, rep.as_dict())
+        assert rep.ok, (i, t, rep.as_dicts())
         worst23 = min(worst23, rep.min_margin)
 
     worst24 = np.inf
@@ -183,7 +183,7 @@ def test_acceptance_04_quadratic_corollaries(announce):
         q = matcore.random_posdef(n, 100.0, sub.substream(1))
         x = matcore.random_probe_matrix(n, sub.substream(2))
         (rep,) = cpr.cor24_check(p, q, x, t, (KINDS5[i % 5],), tol=1e-8)
-        assert rep.ok, (i, t, rep.as_dict())
+        assert rep.ok, (i, t, rep.as_dicts())
         worst24 = min(worst24, rep.min_margin)
     announce(
         "ACCEPTANCE 4 PASS: 500 absolute-value-pair bounds (arbitrary A,B incl. "
@@ -258,7 +258,7 @@ def test_acceptance_06_multiplier_structure(announce):
         gram = 0.5 * (gram + gram.conj().T)
         x = matcore.random_probe_matrix(n, sub.substream(1))
         rep = classes.schur_theorem_bound_check(gram, x)
-        assert rep.ok, (i, rep.as_dict())
+        assert rep.ok, (i, rep.as_dicts())
         worst_bound = min(worst_bound, rep.min_margin)
     ok = worst_rep <= 1e-10
     announce(
@@ -359,20 +359,20 @@ def test_acceptance_08_characterizations(announce):
         s = classes.sample_for_form("eq14", n, sub.substream(0))
         x = matcore.random_probe_matrix(n, sub.substream(1))
         (rep,) = classes.characterization_check(s, x, "eq14", tol=1e-9)
-        assert rep.ok, (i, rep.as_dict())
+        assert rep.ok, (i, rep.as_dicts())
         worst_eq = max(worst_eq, abs(rep.margins[0]) / max(1.0, rep.values[0]))
 
         u = classes.sample_for_form("ineq13", n, sub.substream(2))
         (rep,) = classes.characterization_check(u, x, "ineq13", tol=1e-9)
-        assert rep.ok, (i, rep.as_dict())
+        assert rep.ok, (i, rep.as_dicts())
 
         nrm = classes.sample_for_form("ineq9", n, sub.substream(3))
         (rep,) = classes.characterization_check(nrm, x, "ineq9")
-        assert rep.ok, (i, rep.as_dict())
+        assert rep.ok, (i, rep.as_dicts())
 
         h = matcore.random_selfadjoint_invertible(n, 100.0, sub.substream(4))
         (rep,) = cpr.cpr_check(h, x, (KINDS5[i % 5],))
-        assert rep.ok, (i, rep.as_dict())
+        assert rep.ok, (i, rep.as_dicts())
     announce(
         f"ACCEPTANCE 8 PASS: 300 instances each: reflection-class equality at 1e-9 "
         f"(worst residual {worst_eq:.2e}), scaled-unitary upper bound at 1e-9, "

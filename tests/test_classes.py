@@ -1,6 +1,8 @@
 """Multiplier-class machinery: the spectral criterion, the eigenbasis
 representation, the ratio probe, and the characterization forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,17 @@ def test_spectral_test_hand_cases():
     res = classes.constraint_check([1.0, -1.0], 0.0)
     assert res.ok
     assert res.min_value == 2.0
+
+
+def test_constraint_ratio_beyond_the_float_range_takes_its_limit():
+    # 1e200 / 1e-200 overflows to inf and its inverse underflows to 0, so
+    # both pairs' values are inf: no warning, and the criterion holds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = classes.constraint_check([1e200, 1e-200], 1.0)
+        assert (res.ok, res.min_value, res.pair) == (True, np.inf, (0, 1))
+        res = classes.constraint_check([[1e200, 1e-200], [1.0, -1.0]], 1.0)
+        assert res.ok.tolist() == [True, False] and res.min_value.tolist() == [np.inf, 1.0]
 
 
 def test_spectral_test_validation():
@@ -177,7 +190,7 @@ def test_schur_theorem_equals_single_norm_calls():
         gram = 0.5 * (gram + gram.conj().T)
         x = matcore.random_probe_matrix(n, rng.substream(n).substream(1))
         rep = classes.schur_theorem_bound_check(gram, x)
-        assert rep.values == (float(np.max(np.real(np.diagonal(gram)))) * norm(x, OP), norm(gram * x, OP))
+        assert rep.values.tolist() == [float(np.max(np.real(np.diagonal(gram)))) * norm(x, OP), norm(gram * x, OP)]
 
 
 def test_schur_theorem_validation():
@@ -473,7 +486,7 @@ def test_all_forms_hold_on_their_class():
             s = classes.sample_for_form(form_id, 4, sub.substream(0))
             x = matcore.random_probe_matrix(4, sub.substream(1))
             (rep,) = classes.characterization_check(s, x, form_id)
-            assert rep.ok, (form_id, rep.as_dict())
+            assert rep.ok, (form_id, rep.as_dicts())
 
 
 def test_sample_for_form_families():

@@ -533,9 +533,10 @@ _FUZZ_K_LIST = st.one_of(
 def test_conjecture_cli_fuzz(n, ks, count):
     # Every configuration ends in a documented exit code: 0 for a run, 2
     # for an out-of-range --n, --k or --count, 3 for a numerical failure.
-    # None escapes as a traceback.
+    # None escapes as a traceback or a RuntimeWarning.
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         argv = ["conjecture", "--n", str(n), "--k=" + ",".join(map(repr, ks)), "--count", str(count)]
         code = cli.main(argv + ["--seed", "1", "--no-timing", "--out", tmp + "/conj.jsonl"])
     valid = 2 <= n <= 12 and count >= 1 and all(0.0 <= k <= 2.0 for k in ks)
@@ -559,9 +560,10 @@ def test_dk_probe_cli_fuzz(eigs, k):
     # Every spectrum and k ends in a documented exit code: 0 for a run, 2
     # for a zero or non-finite eigenvalue or a k outside [0, DK_K_MAX], 3
     # for a matrix the kernels reject (singular in floating point).  None
-    # escapes as a traceback.
+    # escapes as a traceback or a RuntimeWarning.
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         argv = ["dk-probe", "--eigs=" + ",".join(map(repr, eigs)), "--k=" + repr(k)]
         code = cli.main(argv + ["--count", "1", "--starts", "3", "--iters", "3", "--no-timing", "--out", tmp + "/dk.jsonl"])
     valid = all(np.isfinite(v) and v != 0.0 for v in eigs) and 0.0 <= k <= classes.DK_K_MAX
@@ -577,10 +579,11 @@ _VERIFY_FUZZ = {
     "--dim": ([2, 3], [-1, 1, 13]),
     "--count": ([1, 2], [-1, 0]),
     "--cond": ([1.0, 10.0, 1e12], [_NAN, _INF, -_INF, -1.0, 0.5, 1e13, 1e300]),
-    "--t": ([-1.0, 0.0, 0.5, 2.0], [_NAN, _INF, -_INF, 2.5, 1e300]),
+    "--t": ([-1e308, -1.0, 0.0, 0.5, 2.0], [_NAN, _INF, -_INF, 2.5, 1e300]),
     "--r": ([0.5, 1.0], [_NAN, -_INF, -1.0, 0.0, 2.0, 1e300]),
     "--k": ([0.0, 1.0, 2.0], [_NAN, _INF, -1.0, 2.5, 1e3, 1e12, 1e308]),
     "--p": ([1.0, 3.0], [_NAN, _INF, -1.0, 0.5, 1e300]),
+    "--tol": ([1e-8, 1e308], [0.0, -1.0, _NAN, _INF]),
     "--norms": (
         ["op", "tr,fro", "schatten:3,kyfan:2"],
         ["kyfan:99", "kyfan:0", "schatten:0.5", "schatten:nan", "bogus"],
@@ -595,8 +598,9 @@ def test_verify_cli_fuzz(data, bad):
     # Every configuration ends in a documented exit code: 0 or 1 for a run
     # (1 when a theorem record fails), 2 for an invalid configuration, 3 for
     # a numerical failure, 4 for an I/O failure.  None escapes as a
-    # traceback, and a configuration of valid values always runs.  At most
-    # two flags take a bad value; the ratio probe runs on a tiny budget.
+    # traceback or a RuntimeWarning, and a configuration of valid values
+    # always runs.  At most two flags take a bad value; the ratio probe runs
+    # on a tiny budget.
     argv = ["verify"]
     for flag, (valid, invalid) in _VERIFY_FUZZ.items():
         value = data.draw(st.sampled_from(invalid if flag in bad else valid), label=flag)
@@ -604,10 +608,25 @@ def test_verify_cli_fuzz(data, bad):
             value = ",".join(map(repr, [value, *data.draw(st.lists(st.sampled_from(valid), max_size=1))]))
         argv.append(f"{flag}={value}")
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv + ["--starts", "2", "--iters", "2", "--no-timing", "--out", tmp + "/v.jsonl"])
     assert code in ({0, 1, 2, 3, 4} if bad else {0, 1, 3}), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("suite", ["zhan", "cor23", "cor24"])
+def test_extreme_t_is_one_non_finite_line(tmp_path, capfd, suite):
+    # At t = -1e308 the quadratic weights overflow (zhan, cor23) or the norms
+    # do (cor24).  A weighted matrix beyond the float range is refused before
+    # LAPACK, which would print its argument errors on a standard stream.
+    argv = ["verify", "--suite", suite, "--dim", "3", "--count", "1", "--t=-1e308", "--out", str(tmp_path / "v.jsonl")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("eigs, code", [("1e300", 0), ("1e300,2", 3)])

@@ -11,6 +11,7 @@ from normlab import classes, conjecture, heinz, matcore
 from normlab.errors import (
     DegenerateDenominator,
     InvalidK,
+    NonFinite,
     NotHermitian,
     SamplerExhausted,
     ZeroEigenvalue,
@@ -130,6 +131,20 @@ def test_build_matrix_degenerate_denominator():
     # l, -l at k = 2: l^2 + l^2 - 2 l^2 = 0.
     with pytest.raises(DegenerateDenominator):
         conjecture.build_conj_matrix([1.0, -1.0], 2.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
+def test_build_matrix_overflow_is_non_finite(k):
+    # 1e200^2 overflows the float range: the denominator at (0, 0) is inf
+    # (or NaN at k = 0), which is no vanishing denominator.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="denominator overflowed"):
+            conjecture.build_conj_matrix([1e200, 1e-200], k)
+        with pytest.raises(NonFinite, match="denominator overflowed"):
+            conjecture.build_conj_matrix([[1.0, 2.0], [1e-170, 1e160]], k)
+        # Near the float range's end but inside it, the matrix is built.
+        assert np.isfinite(conjecture.build_conj_matrix([1e150, -1e-150], k)).all()
 
 
 def test_psd_check_hand_cases():

@@ -237,7 +237,7 @@ def test_zhan_degenerate_r_endpoints():
     a, b, x = _posdef_triple(84)
     for r in (0.5, 1.5):
         (rep,) = cpr.zhan_chain(a, b, x, ZhanParams(0.0, r), (OP,))
-        assert rep.ok, rep.as_dict()
+        assert rep.ok, rep.as_dicts()
 
 
 @settings(max_examples=25, deadline=None)
@@ -250,7 +250,7 @@ def test_zhan_degenerate_r_endpoints():
 def test_zhan_chain_random(seed, t, r, kind_idx):
     a, b, x = _posdef_triple(seed, n=3)
     (rep,) = cpr.zhan_chain(a, b, x, ZhanParams(t, r), (KINDS[kind_idx],))
-    assert rep.ok, rep.as_dict()
+    assert rep.ok, rep.as_dicts()
 
 
 # ---------------------------------------------------------------- cor23/24
@@ -276,7 +276,7 @@ def test_cor23_t0_is_agm():
     b = matcore.ginibre(4, rng=rng.substream(1))
     x = matcore.ginibre(4, rng=rng.substream(2))
     for got, want in zip(cpr.cor23_check(a, b, x, 0.0, KINDS), heinz.agm_check(a, b, x, KINDS)):
-        assert got.values == want.values
+        assert np.array_equal(got.values, want.values)
 
 
 def test_cor23_posdef_reduces_to_power_pair_bound():
@@ -288,6 +288,25 @@ def test_cor23_posdef_reduces_to_power_pair_bound():
         for half, full in zip(halves, cpr.zhan_check(a, b, x, ZhanParams(t, 1.0), (OP, TR))):
             assert 2.0 * half.values[0] == pytest.approx(full.values[0], rel=1e-10)
             assert 2.0 * half.values[1] == pytest.approx(full.values[1], rel=1e-10)
+
+
+def test_members_beyond_the_float_range_are_non_finite():
+    # A = B = I and X = diag(1, 0) at t = -1e308: the quadratic weights
+    # 2 + t and every norm stay finite, but 2|A^2X+XB^2+tAXB| does not.
+    # The sums and dominance factors past the float range raise NonFinite
+    # without a RuntimeWarning.
+    eye, x = np.eye(2), np.diag([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="chain member"):
+            cpr.zhan_chain(eye, eye, x, ZhanParams(-1e308, 1.0), (OP,))
+        with pytest.raises(NonFinite, match="chain member"):
+            heinz.dominance(("a", "b"), np.array([[1.0, 1e300]]), 1e10, 1e-8)
+        with pytest.raises(NonFinite, match="weighted matrix"):
+            cpr.cor23_check(2.0 * eye, eye, x, -1e308, (OP,))
+        # Inside the range the chain is built as before.
+        (rep,) = cpr.zhan_chain(eye, eye, x, ZhanParams(-1e300, 1.0), (OP,))
+        assert np.isfinite(rep.values).all()
 
 
 def test_cor23_rejects_large_t():
@@ -437,7 +456,7 @@ def test_final_cor_power_below_float_range_raises(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         power = 1e-5**30.0
-        assert cpr.final_cor_check(s, x, (30.0,))[1].values == (power + power, 2.0**31.0 * power)
+        assert cpr.final_cor_check(s, x, (30.0,))[1].values.tolist() == [power + power, 2.0**31.0 * power]
         with pytest.raises(NonFinite, match="underflowed"):
             cpr.final_cor_check(s, x, (30.0, 70.0))
         with pytest.raises(NonFinite, match="underflowed"):

@@ -225,5 +225,5 @@ def test_kittaneh_degenerate_alpha():
 def test_kittaneh_chain_random(seed, alpha, kind_idx):
     a, b, x = _pair(seed, n=3)
     (rep,) = heinz.kittaneh_chain(a, b, x, alpha, (KINDS[kind_idx],))
-    assert rep.ok, rep.as_dict()
+    assert rep.ok, rep.as_dicts()
     assert len(rep.values) == 5

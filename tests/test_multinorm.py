@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chain_asserts import assert_same_chains
 from normlab import classes, cpr, heinz, matcore
+from normlab.chains import ChainStack
 from normlab.cpr import ZhanParams
 from normlab.norms import NormKind, norm, norms_from_sv, stack_norms
 
@@ -35,7 +37,7 @@ def test_kittaneh_chains_equal_single_norm_calls(n):
     a, b, x = _triple(200 + n, n)
     for alpha in ALPHAS:
         multi = heinz.kittaneh_chain(a, b, x, alpha, KINDS)
-        assert multi == tuple(heinz.kittaneh_chain(a, b, x, alpha, (kind,))[0] for kind in KINDS)
+        assert_same_chains(multi, (heinz.kittaneh_chain(a, b, x, alpha, (kind,))[0] for kind in KINDS))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -43,7 +45,7 @@ def test_heinz_check_is_the_kittaneh_chain_ends(n):
     a, b, x = _triple(250 + n, n)
     for alpha in ALPHAS:
         for ends, rep in zip(heinz.heinz_check(a, b, x, alpha, KINDS), heinz.kittaneh_chain(a, b, x, alpha, KINDS)):
-            assert ends.values == (rep.values[0], rep.values[-1])
+            assert ends.values.tolist() == [rep.values[0], rep.values[-1]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -51,9 +53,9 @@ def test_zhan_chains_equal_single_norm_calls(n):
     a, b, x = _triple(300 + n, n)
     for t, r in ZHAN_POINTS:
         multi = cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS)
-        assert multi == tuple(cpr.zhan_chain(a, b, x, ZhanParams(t, r), (kind,))[0] for kind in KINDS)
+        assert_same_chains(multi, (cpr.zhan_chain(a, b, x, ZhanParams(t, r), (kind,))[0] for kind in KINDS))
         for ends, rep in zip(cpr.zhan_check(a, b, x, ZhanParams(t, r), KINDS), multi):
-            assert ends.values == (rep.values[0], rep.values[-1])
+            assert ends.values.tolist() == [rep.values[0], rep.values[-1]]
 
 
 def _instance(seed, n):
@@ -98,7 +100,27 @@ def test_checks_equal_single_norm_calls(name, n):
     m = _instance(500 + n, n)
     multi = CHECKS[name](m, KINDS)
     assert len(multi) == len(KINDS)
-    assert multi == tuple(CHECKS[name](m, (kind,))[0] for kind in KINDS)
+    assert_same_chains(multi, (CHECKS[name](m, (kind,))[0] for kind in KINDS))
+
+
+# Every check of heinz, cpr and classes that returns chains.
+ONE_INSTANCE = {
+    **CHECKS,
+    "kittaneh_chain": lambda m, kinds: heinz.kittaneh_chain(m.a, m.b, m.x, 0.3, kinds),
+    "zhan_chain": lambda m, kinds: cpr.zhan_chain(m.a, m.b, m.x, ZhanParams(0.5, 1.25), kinds),
+    "final_cor_check": lambda m, kinds: cpr.final_cor_check(m.g, m.x, (1.0, 3.0)),
+    "schur_theorem_bound_check": lambda m, kinds: (classes.schur_theorem_bound_check(m.a, m.x),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_INSTANCE))
+def test_one_instance_gives_chain_stacks_with_no_leading_axes(name):
+    m = _instance(650, 3)
+    for rep in ONE_INSTANCE[name](m, KINDS):
+        assert type(rep) is ChainStack
+        links = len(rep.labels) - 1
+        assert rep.values.shape == (links + 1,) and rep.margins.shape == rep.link_pass.shape == (links,)
+        assert rep.ok.shape == rep.min_margin.shape == ()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -108,7 +130,7 @@ def test_final_cor_check_equals_single_exponent_calls(n):
     multi = cpr.final_cor_check(m.g, m.x, ps)
     assert len(multi) == 1 + len(ps)
     for p, rep in zip(ps, multi[1:]):
-        assert cpr.final_cor_check(m.g, m.x, (p,)) == (multi[0], rep)
+        assert_same_chains(cpr.final_cor_check(m.g, m.x, (p,)), (multi[0], rep))
 
 
 def test_stack_norms_equal_one_matrix_at_a_time():

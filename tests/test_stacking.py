@@ -155,4 +155,4 @@ def test_final_cor_powers_are_python_float_powers(n):
     kinds = tuple(NormKind.schatten(p) for p in ps)
     rows = norms_from_sv(np.stack((sv[0, 0], sv[0, 1], sv[1, 0])), kinds).tolist()
     for p, rep, (n1, n2, n_x) in zip(ps, cpr.final_cor_check(s, x, ps)[1:], rows):
-        assert rep.values == (n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p)
+        assert rep.values.tolist() == [n1**p + n2**p, 2.0 ** (p + 1.0) * n_x**p]
