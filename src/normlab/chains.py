@@ -25,7 +25,7 @@ __all__ = ["ChainStack", "chain", "DEFAULT_TOL"]
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainStack:
     """A stack of chains under one set of labels: values (..., L), margins
     and link_pass (..., L-1); a single chain has no leading axes."""
@@ -86,8 +86,9 @@ def chain(
     value rows; 1-D values are one chain.
 
     relations supplies one tag per link ("ge" or "eq"); omitted links
-    default to "ge".  A value beyond the float range (inf or NaN) raises
-    NonFinite; a slack beyond it is infinite, and its link passes.
+    default to "ge".  A value or a margin beyond the float range (inf or
+    NaN) raises NonFinite; a slack beyond it is infinite, and its link
+    passes.
     """
     labels = tuple(str(s) for s in labels)
     values = np.asarray(values, dtype=float)
@@ -110,6 +111,8 @@ def chain(
     hi, lo = values[..., :-1], values[..., 1:]
     with np.errstate(over="ignore"):
         margins = hi - lo
+        if not np.all(np.isfinite(margins)):
+            raise NonFinite("a chain margin overflowed the float range")
         slack = tol * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0)
         verdicts = margins >= -slack
         if "eq" in relations:

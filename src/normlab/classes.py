@@ -69,7 +69,7 @@ SELFADJOINT_SINGULAR_RTOL = 1e-12
 DK_K_MAX = 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DkProbeResult:
     """Outcome of the ratio-minimization probe.
 
@@ -104,7 +104,7 @@ def phi(s, k: float, x) -> np.ndarray:
     return s @ x @ si + si @ x @ s + k * x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintResult:
     """Pairwise criterion verdict; for an (..., n) stack of spectra every
     field but threshold is a (...)-shaped array and pair a tuple of two such

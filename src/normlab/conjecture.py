@@ -22,11 +22,12 @@ chunk of SEARCH_CHUNK spectra (one eigvalsh per chunk).  On a single
 spectrum or matrix they return scalars.  C is exactly symmetric by
 construction, so its Hermitian check passes without norm arithmetic.  The
 chunk's Philox streams are keyed in one matcore.substreams pass, with no
-Rng per spectrum: the seed is absorbed once, then the path prefix and
-each index of the range.  The sampler takes that Streams (or one Rng) and
-draws every block from one generator by (key, counter), as Philox is
-counter-based (Salmon et al., SC'11), so every spectrum still draws
-exactly its own stream.  Violations are written in instance order at the
+Rng per spectrum: every stream starts from the seed's SeedSequence pool,
+which takes in the path prefix once and each index of the range.  The
+sampler takes that Streams (or one Rng) and draws every block from one
+matcore.philox generator by (key, counter), as Philox is counter-based
+(Salmon et al., SC'11), so every spectrum still draws exactly its own
+stream.  Violations are written in instance order at the
 end of each chunk.
 """
 
@@ -65,7 +66,7 @@ assert SAMPLE_BLOCK % 2 == 0
 SEARCH_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KSummary:
     """Per-k tally of one search run."""
 
@@ -116,9 +117,11 @@ def psd_check(c) -> tuple[float, bool]:
     """(min eigenvalue, PSD verdict) with slack scaled by the top eigenvalue.
 
     An (..., n, n) stack gives both as (...)-shaped arrays from one
-    eigvalsh.  The input is cast to complex, so a stack and its matrices
-    taken one at a time go through the same LAPACK routine and agree
-    bitwise."""
+    eigvalsh.  The input is cast to complex, so a real C goes through
+    LAPACK's Hermitian solver too: the stored conjecture-search reference
+    (bench/reference) was computed that way, and the real symmetric solver
+    moves min_eig by up to 2.4e-5 relative on its seed-1 spectra, far past
+    the 1e-12 to which those values are checked."""
     c = np.asarray(c, dtype=complex)
     if c.ndim < 2:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={c.ndim}")
@@ -152,23 +155,15 @@ def sample_constrained_spectrum(
     stack and an (m,) array of counts, the same as m single calls.  Every
     spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
     test covers the blocks of all spectra still pending.  The blocks come
-    from one Philox generator, the first stream's rng.generator(), and
-    before each block matcore.seek sets it to the spectrum's key (the
-    Streams' own, or for one Rng the key its generator starts with) and to
-    the counter where the block starts.  So a spectrum's draws are exactly
-    those of its own rng.generator(), and nothing is drawn past the block
-    that holds the accepted attempt.
+    from the one generator of matcore.philox, and before each block
+    matcore.seek sets it to the spectrum's key and to the counter where
+    the block starts.  So a spectrum's draws are exactly those of its own
+    rng.generator(), and nothing is drawn past the block that holds the
+    accepted attempt.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if single := isinstance(rng, matcore.Rng):
-        bits = rng.generator()
-        keys = [bits.bit_generator.state["state"]["key"]]
-    elif isinstance(rng, matcore.Streams):
-        keys = rng.keys.tolist()
-        bits = rng.first().generator() if keys else None
-    else:
-        raise TypeError(f"need an Rng or a Streams, got {type(rng).__name__}")
+    keys, bits = matcore.philox(rng)
     lams = np.empty((len(keys), n))
     rejected = np.empty(len(keys), dtype=int)
     pending = np.arange(len(keys))
@@ -198,7 +193,7 @@ def sample_constrained_spectrum(
         raise SamplerExhausted(
             f"no constrained spectrum after {max_draws} draws (n={n}, k={k})"
         )
-    if single:
+    if isinstance(rng, matcore.Rng):
         return lams[0], int(rejected[0])
     return lams, rejected
 

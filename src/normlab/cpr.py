@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+def _require_t(t) -> None:
+    if not np.all(np.asarray(t) <= 2.0):
+        raise InvalidParams(f"t must be <= 2, got {t}")
+
+
 @dataclass(frozen=True)
 class ZhanParams:
     """Parameter box t <= 2, 1/2 <= r <= 3/2; regime 1 covers r <= 1.  t
@@ -70,8 +75,7 @@ class ZhanParams:
     r: float
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.t) <= 2.0):
-            raise InvalidParams(f"t must be <= 2, got {self.t}")
+        _require_t(self.t)
         r = np.asarray(self.r)
         if not np.all((0.5 <= r) & (r <= 1.5)):
             raise InvalidParams(f"r must lie in [1/2, 3/2], got {self.r}")
@@ -79,11 +83,6 @@ class ZhanParams:
     @property
     def regime(self):
         return np.where(np.asarray(self.r) <= 1.0, 1, 2)
-
-
-def _require_t(t) -> None:
-    if not np.all(np.asarray(t) <= 2.0):
-        raise InvalidParams(f"t must be <= 2, got {t}")
 
 
 def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple:

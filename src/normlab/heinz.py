@@ -90,7 +90,7 @@ class HeinzParams:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairBasis:
     """Eigenvalues of a positive pair (A, B, or |A|, |B*|) with the free
     matrix rotated into its eigenbases (x_rot = Q_A* X Q_B).  A stack of

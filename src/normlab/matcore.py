@@ -15,13 +15,14 @@ Random sampling is purely functional: an :class:`Rng` is an immutable
 given Rng always produces the same matrix.  Distinct instances must use
 distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng,
 or a :class:`Streams` of m and then returns an (m, n, n) stack equal to m
-single calls.  ``substreams`` keys a Streams in one pass: it absorbs the
-seed's first four words once, then hashes the rest of the seed and each
-path prefix once per prefix and mixes every index into every prefix.  A
-stream's draws are raw generator output (uniforms, normals, integers),
-taken from one reused generator set to each stream's start by ``seek``;
-every transform of them (exponentials, sorts, signs, complex combines,
-the QR and the products) runs once on the stack.
+single calls.  A stream is fixed by its Philox key, which numpy's
+SeedSequence derives from (seed, path).  ``substreams`` keys a Streams in
+one pass: it starts from SeedSequence's pool of the seed, hashes each path
+prefix into it once per prefix and mixes every index into every prefix.
+A stream's draws are raw generator output (uniforms, normals, integers),
+taken from one reused generator (:func:`philox`) set to each stream's key
+and start by ``seek``; every transform of them (exponentials, sorts,
+signs, complex combines, the QR and the products) runs once on the stack.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "Rng",
     "Streams",
     "substreams",
+    "philox",
     "seek",
     "HermEigen",
     "SvdResult",
@@ -88,15 +90,13 @@ class Rng:
     independent child stream.  Philox keyed through SeedSequence gives
     counter-based, order-independent streams.
 
-    The stream is fixed by its Philox key,
-    ``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``,
-    which ``substreams`` computes for many streams at once.  A Philox
-    generator set to that key, to counter c and to an empty buffer
-    (:func:`seek`) draws next the doubles 4c, 4c+1, ... of the stream, so a
-    sampler may draw any block of any stream from one reused generator and
-    get the values ``generator()`` gives.  The matrix samplers and the
-    conjecture search do so, and ``rng.generator()`` still regenerates any
-    of their draws.
+    The stream is fixed by its Philox ``key``, which ``substreams``
+    computes for many streams at once.  A Philox generator set to that
+    key, to counter c and to an empty buffer (:func:`seek`) draws next the
+    doubles 4c, 4c+1, ... of the stream, so a sampler may draw any block of
+    any stream from one reused generator and get the values ``generator()``
+    gives.  The matrix samplers and the conjecture search do so, and
+    ``rng.generator()`` still regenerates any of their draws.
     """
 
     seed: int
@@ -106,16 +106,22 @@ class Rng:
         """Independent child stream; substream(i) != substream(j) for i != j."""
         return Rng(self.seed, self.path + (int(index),))
 
+    @property
+    def key(self) -> np.ndarray:
+        """The stream's Philox key: two uint64 words."""
+        return np.random.SeedSequence(self.seed, spawn_key=self.path).generate_state(2, np.uint64)
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
-# seed_seq): uint32 entropy words are hashed into a pool of four words, the
-# pool is mixed, and the output words are hashed back out of the pool.  The
-# j-th application of a hash xors with init * mult**j and multiplies by
-# init * mult**(j+1), mod 2**32.
+# seed_seq): uint32 entropy words (the seed's, zero-padded to four words
+# when a spawn key follows, then the spawn key's) are hashed into a pool of
+# four words, the pool is mixed after the fourth word, and the output words
+# are hashed back out of the pool.  The j-th application of a hash xors
+# with init * mult**j and multiplies by init * mult**(j+1), mod 2**32.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -150,35 +156,6 @@ def _mix(x, y):
     return v ^ v >> 16
 
 
-def _seed_words(seed) -> tuple[int, ...]:
-    """Little-endian uint32 words of a nonnegative seed, zero-padded to at
-    least _POOL_SIZE words, as SeedSequence takes them in."""
-    v = int(seed)
-    if v < 0:
-        raise ValueError(f"seed must be nonnegative, got {v}")
-    words = [v & _MASK32]
-    while v > _MASK32:
-        v >>= 32
-        words.append(v & _MASK32)
-    return tuple(words + [0] * (_POOL_SIZE - len(words)))
-
-
-def _seed_pool(words: tuple[int, ...], consts: list[int]) -> list[int]:
-    """SeedSequence's pool after it has hashed in the first _POOL_SIZE seed
-    words and mixed them, with the applications of `consts` in order."""
-    apply = zip(consts, consts[1:])
-
-    def hashmix(v: int) -> int:
-        return _hashmix(v, *next(apply))
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    return pool
-
-
 def _take(pool: np.ndarray, words: np.ndarray, consts: np.ndarray, at: int) -> np.ndarray:
     """The pools (last axis) after each takes in its entropy word at position
     `at` >= _POOL_SIZE; `words` broadcasts against the pools' leading axes."""
@@ -192,11 +169,11 @@ def substreams(seed: int, prefixes, indices) -> "Streams":
     (P, L) path prefixes and then every index, prefix-major, as a Streams
     of P * len(indices).
 
-    Every stream's entropy starts with the same seed words, so the first
-    four are hashed and mixed into one pool of four words per call; each
-    prefix row then takes in the later seed words and its L words, and
-    each index is mixed into every prefix's pool.  The keys cost one pass
-    over those word columns, not one per stream.  Row r equals
+    Every stream's entropy starts with the same seed words, so every
+    prefix row starts from the one pool SeedSequence makes of them,
+    ``np.random.SeedSequence(seed).pool``; each row then takes in its L
+    words, and each index is mixed into every prefix's pool.  The keys cost
+    one pass over those word columns, not one per stream.  Row r equals
     ``np.random.SeedSequence(seed, spawn_key=paths[r]).generate_state(2,
     np.uint64)`` bit for bit.  Path entries of 2**32 or more take several
     entropy words each, so those rare batches are keyed one path at a time
@@ -211,43 +188,34 @@ def substreams(seed: int, prefixes, indices) -> "Streams":
     if all(a.dtype.kind in "iu" and np.all((0 <= a) & (a <= _MASK32)) for a in (prefixes, indices)):
         prefixes, indices = prefixes.astype(np.int64), indices.astype(np.int64)
         paths = np.column_stack((np.repeat(prefixes, count, axis=0), np.tile(indices, len(prefixes))))
-        words = _seed_words(seed)
-        width = len(words) + prefixes.shape[1] + 1
+        pool = np.broadcast_to(np.random.SeedSequence(seed).pool, (len(prefixes), _POOL_SIZE))
+        # The path words follow the seed's words, zero-padded to the pool size.
+        first = max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
+        width = first + prefixes.shape[1] + 1
         consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)
-        pool = np.array(_seed_pool(words, consts[: _POOL_SIZE**2 + 1].tolist()), dtype=np.uint32)
-        pool = np.broadcast_to(pool, (len(prefixes), _POOL_SIZE))
-        # The seed words past the fourth, the same in every row, then the prefix columns.
-        later = [*map(np.uint32, words[_POOL_SIZE:]), *prefixes.astype(np.uint32).T]
-        for at, word in enumerate(later, _POOL_SIZE):
+        for at, word in enumerate(prefixes.astype(np.uint32).T, first):
             pool = _take(pool, word, consts, at)
         pool = _take(pool[:, None, :], indices.astype(np.uint32), consts, width - 1)
         state = _hashmix(pool, _CONSTS_B[:-1], _CONSTS_B[1:])
         # Two uint64 words from four uint32 words, little-endian.
-        return Streams(seed, paths, state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 2))
+        return Streams(paths, state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 2))
     paths = np.array([p + [i] for p in prefixes.tolist() for i in indices.tolist()], dtype=object)
     keys = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths.tolist()]
-    return Streams(seed, paths, np.array(keys, dtype=np.uint64).reshape(-1, 2))
+    return Streams(paths, np.array(keys, dtype=np.uint64).reshape(-1, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class Streams:
     """m streams keyed in one pass, for which a sampler returns an (m, ...)
-    stack: stream r is ``Rng(seed, tuple(paths[r]))`` and keys[r] its
-    Philox key.  :func:`substreams` builds them; a slice or an index array
-    takes those rows of them."""
+    stack: stream r is ``Rng(seed, tuple(paths[r]))`` of the keying seed,
+    and keys[r] its Philox key.  :func:`substreams` builds them; a slice or
+    an index array takes those rows of them."""
 
-    seed: int
     paths: np.ndarray
     keys: np.ndarray
 
     def __getitem__(self, rows) -> "Streams":
-        return Streams(self.seed, self.paths[rows], self.keys[rows])
-
-    def first(self) -> Rng:
-        """The first stream, whose generator() a sampler starts from."""
-        if not len(self.paths):
-            raise ValueError("need at least one stream")
-        return Rng(self.seed, tuple(self.paths[0].tolist()))
+        return Streams(self.paths[rows], self.keys[rows])
 
 
 def seek(g: np.random.Generator, key, counter: int) -> None:
@@ -265,7 +233,22 @@ def seek(g: np.random.Generator, key, counter: int) -> None:
     }
 
 
-@dataclass(frozen=True)
+def philox(rng) -> tuple[list, np.random.Generator | None]:
+    """The Philox keys of one Rng or of a Streams' streams, as a list of
+    pairs of uint64 ints, and one generator keyed to the first of them
+    (None when there is none), which :func:`seek` sets to any of them."""
+    if isinstance(rng, Rng):
+        keys = rng.key[None]
+    elif isinstance(rng, Streams):
+        keys = rng.keys
+    else:
+        raise TypeError(f"need an Rng or a Streams, got {type(rng).__name__}")
+    # Philox takes its key as uint64 words: a list mixing ints above and
+    # below 2**63 would round through float.
+    return keys.tolist(), np.random.Generator(np.random.Philox(key=keys[0])) if len(keys) else None
+
+
+@dataclass(frozen=True, eq=False)
 class HermEigen:
     """Spectral decomposition of a Hermitian matrix.
 
@@ -279,7 +262,7 @@ class HermEigen:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Singular value decomposition ``A = left @ diag(s) @ right.conj().T``.
 
@@ -546,19 +529,15 @@ def _sample(rng, draw, build):
     draw(g) returns one stream's raw generator output (uniforms, normals,
     integers) in stream order, as a tuple; build takes the tuple's members,
     each stacked over the streams, and makes every transform of them once
-    on the stack.  The generator starts on the first stream, from its
-    Rng.generator(); the later streams come keyed in the Streams and are
-    drawn from the same generator, set to each one's start by
-    :func:`seek`, so the only per-stream work is the draws.
+    on the stack.  Every stream is drawn from the one generator of
+    :func:`philox`, set to the stream's key and start by :func:`seek`, so
+    the only per-stream work is the draws.  A Streams of none raises
+    ValueError.
     """
-    if isinstance(rng, Rng):
-        first, keys = rng, []
-    elif isinstance(rng, Streams):
-        first, keys = rng.first(), rng.keys[1:].tolist()
-    else:
-        raise TypeError(f"need an Rng or a Streams, got {type(rng).__name__}")
-    g = first.generator()
-    draws = [draw(g)]
+    keys, g = philox(rng)
+    if g is None:
+        raise ValueError("need at least one stream")
+    draws = []
     for key in keys:
         seek(g, key, 0)
         draws.append(draw(g))

@@ -1,15 +1,19 @@
 """Module boundaries inside the package: no normlab module imports or reads
 an underscore-prefixed name of another normlab module, and the SVD kernel,
 matrix powers, inverses and explicit block sums have a fixed set of
-callers.  Every name a module exports in __all__ exists."""
+callers.  Every name a module exports in __all__ exists, the stream layer
+keeps its numpy calls in matcore, and the result types that hold arrays
+compare and hash by identity."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normlab
+from normlab import chains, classes, conjecture, heinz, matcore
 
 PACKAGE = Path(normlab.__file__).parent
 
@@ -74,23 +78,24 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def _callers(source: str, module: str, names: set[str]) -> set[str]:
-    """'module.function' for every top-level function whose body, nested
-    functions included, calls one of the dotted names (np.linalg.svd,
-    matcore.frac_power, ...); 'module' for a call outside any function."""
-    found = set()
+def _dotted(node) -> str:
+    if isinstance(node, ast.Attribute):
+        return _dotted(node.value) + "." + node.attr
+    return node.id if isinstance(node, ast.Name) else ""
 
-    def dotted(node) -> str:
-        if isinstance(node, ast.Attribute):
-            return dotted(node.value) + "." + node.attr
-        return node.id if isinstance(node, ast.Name) else ""
+
+def _owners(source: str, module: str, match) -> set[str]:
+    """'module.function' for every top-level function (or method) whose
+    body, nested functions included, holds a node that `match` accepts;
+    'module' for such a node outside any function."""
+    found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, owner or child.name)
                 continue
-            if isinstance(child, ast.Call) and dotted(child.func) in names:
+            if match(child):
                 found.add(f"{module}.{owner}" if owner else module)
             visit(child, owner)
 
@@ -98,8 +103,28 @@ def _callers(source: str, module: str, names: set[str]) -> set[str]:
     return found
 
 
+def _calls(names: set[str]):
+    """Matcher of the calls of one of the dotted names (np.linalg.svd,
+    matcore.frac_power, ...)."""
+    return lambda node: isinstance(node, ast.Call) and _dotted(node.func) in names
+
+
+def _callers(source: str, module: str, names: set[str]) -> set[str]:
+    return _owners(source, module, _calls(names))
+
+
+def _touches_generator_state(node) -> bool:
+    # `<anything>.bit_generator.state`, read or written.
+    return (isinstance(node, ast.Attribute) and node.attr == "state"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "bit_generator")
+
+
+def _package_owners(match) -> set[str]:
+    return set().union(*(_owners(f.read_text(), f.stem, match) for f in sorted(PACKAGE.glob("*.py"))))
+
+
 def _package_callers(names: set[str]) -> set[str]:
-    return set().union(*(_callers(f.read_text(), f.stem, names) for f in sorted(PACKAGE.glob("*.py"))))
+    return _package_owners(_calls(names))
 
 
 def test_guard_finds_callers():
@@ -115,6 +140,27 @@ def test_guard_finds_callers():
     )
     assert _callers(source, "m", {"np.linalg.svd"}) == {"m.engine", "m"}
     assert _callers(source, "m", {"frac_power", "matcore.frac_power"}) == {"m.power"}
+
+
+def test_guard_finds_generator_state():
+    source = (
+        "def read(rng):\n"
+        "    return rng.generator().bit_generator.state['state']['key']\n"
+        "class Seeker:\n"
+        "    def seek(self, g, key):\n"
+        "        g.bit_generator.state = {'key': key}\n"
+        "ok = g.state, g.bit_generator\n"
+    )
+    assert _owners(source, "m", _touches_generator_state) == {"m.read", "m.seek"}
+
+
+def test_stream_layer_stays_in_matcore():
+    # Keys come from SeedSequence, and generators from Philox, in matcore
+    # only; only matcore.seek reads or writes a generator's state.  Every
+    # other module takes an Rng, a Streams or matcore.philox.
+    assert _package_callers({"np.random.SeedSequence"}) == {"matcore.key", "matcore.generator", "matcore.substreams"}
+    assert _package_callers({"np.random.Philox"}) == {"matcore.generator", "matcore.philox"}
+    assert _package_owners(_touches_generator_state) == {"matcore.seek"}
 
 
 def test_one_multiplier_engine():
@@ -165,3 +211,25 @@ def test_every_exported_name_resolves(stem):
     # A deleted function left in __all__ breaks `from module import *`.
     module = importlib.import_module("normlab" if stem == "__init__" else f"normlab.{stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+# One fresh instance of every result type that holds arrays.
+_ARRAY_RESULTS = {
+    "ChainStack": lambda: chains.chain(("a", "b"), (2.0, 1.0)),
+    "HermEigen": lambda: matcore.herm_eigen(np.eye(2)),
+    "SvdResult": lambda: matcore.svd(np.eye(2)),
+    "PairBasis": lambda: heinz.pair_basis(np.eye(2), np.eye(2), np.eye(2)),
+    "ConstraintResult": lambda: classes.constraint_check([[1.0, 2.0], [1.0, 3.0]], 0.0),
+    "DkProbeResult": lambda: classes.DkProbeResult(np.array([1.0, 2.0]), 0.0, True, 2.0, np.eye(2), 1),
+    "KSummary": lambda: conjecture.KSummary(0.0, 1, 0, 0, 0.5, np.ones(2, dtype=int), np.arange(3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RESULTS))
+def test_array_results_compare_and_hash_by_identity(name):
+    # Field-wise == would take the truth value of an array, and hashing
+    # would hash one.
+    a, b = _ARRAY_RESULTS[name](), _ARRAY_RESULTS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -77,6 +77,16 @@ def test_slack_beyond_the_float_range_passes_without_warning():
         assert stack.ok.tolist() == [True, True]
 
 
+def test_margin_beyond_the_float_range_is_non_finite():
+    # Finite members near the float range whose difference overflows: no
+    # margin to write, so the chain is refused as a member beyond it is.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in ((1e308, -1e308), [[2.0, 1.0], [-1e308, 1e308]]):
+            with pytest.raises(NonFinite):
+                chain(("a", "b"), values)
+
+
 def test_eq_relation():
     rep = chain(("a", "b"), (1.0, 1.0 + 1e-12), relations=("eq",))
     assert rep.ok

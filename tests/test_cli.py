@@ -629,6 +629,19 @@ def test_extreme_t_is_one_non_finite_line(tmp_path, capfd, suite):
     assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1, err
 
 
+def test_overflowing_chain_margin_is_one_non_finite_line(tmp_path, capfd):
+    # At t = -1e306 the zhan chain members stay finite, near the float
+    # range, but a margin between two of them overflows.
+    out = tmp_path / "v.jsonl"
+    argv = ["verify", "--suite", "zhan", "--dim", "5", "--count", "3", "--t=-1e306", "--seed", "0", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 3
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("numerical failure: NonFinite") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("eigs, code", [("1e300", 0), ("1e300,2", 3)])
 def test_dk_probe_huge_eigenvalue_does_not_overflow(tmp_path, capsys, eigs, code):
     # The Hermitian check scales S by its largest entry, so a spectrum near

@@ -305,7 +305,6 @@ def test_stream_keys_golden():
         if rng.path:
             streams = matcore.substreams(rng.seed, [list(rng.path[:-1])], [rng.path[-1]])
             assert streams.keys.dtype == np.uint64 and np.array_equal(streams.keys, [key])
-            assert streams.first() == rng
 
 
 _PREFIXES = st.lists(st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**64)), max_size=3)
@@ -330,8 +329,6 @@ def test_substreams_key_every_prefix_and_index(seed, prefix, rows, indices):
     assert [tuple(path) for path in streams.paths.tolist()] == paths
     refs = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in paths]
     assert streams.keys.dtype == np.uint64 and np.array_equal(streams.keys, refs)
-    if len(paths) > 1:
-        assert streams[1:].first() == matcore.Rng(seed, paths[1])
 
 
 @pytest.mark.parametrize("seed", [2**128, 2**200 - 1, 3 * 2**640 + 5], ids=["5-words", "7-words", "21-words"])
@@ -365,6 +362,24 @@ def test_stream_keys_edges():
             matcore.substreams(seed, np.array([prefix], dtype=int), [index])
         with pytest.raises(ValueError):
             np.random.SeedSequence(seed, spawn_key=prefix + (index,))
+
+
+def test_philox_keys_an_rng_or_streams_and_one_generator():
+    # An Rng's key is the one its generator starts with; philox gives the
+    # keys in stream order and a generator at the first of them.
+    for seed, path, key in _GOLDEN_KEYS:
+        rng = matcore.Rng(seed, path)
+        assert rng.key.dtype == np.uint64 and np.array_equal(rng.key, key)
+        keys, g = matcore.philox(rng)
+        assert keys == [list(key)]
+        assert np.array_equal(g.random(7), rng.generator().random(7))
+    streams = matcore.substreams(3, [(1,), (2,)], [0, 4])
+    keys, g = matcore.philox(streams)
+    assert keys == streams.keys.tolist()
+    assert np.array_equal(g.random(5), matcore.Rng(3, (1, 0)).generator().random(5))
+    assert matcore.philox(streams[:0]) == ([], None)
+    with pytest.raises(TypeError):
+        matcore.philox([matcore.Rng(0)])
 
 
 def test_random_probe_matrix_branches():
