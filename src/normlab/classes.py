@@ -23,8 +23,9 @@ out the module; they stay explicit products, and take an instance or an
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,14 +107,24 @@ def phi(s, k: float, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintResult:
-    """Pairwise criterion verdict; for an (..., n) stack of spectra every
-    field but threshold is a (...)-shaped array and pair a tuple of two such
-    arrays."""
+    """Pairwise criterion verdict; for an (..., n) stack of spectra ok and
+    min_value are (...)-shaped arrays and pair a tuple of two such arrays.
+    values holds the criterion at every distinct-index pair along its last
+    axis, in row-major order, and pairs the (rows, cols) index arrays of
+    that axis.  pair, the first pair attaining min_value, is found from
+    them on first read: the sampler reads only ok."""
 
     ok: bool | np.ndarray
     min_value: float | np.ndarray
-    pair: tuple
     threshold: float
+    values: np.ndarray = field(repr=False)
+    pairs: tuple = field(repr=False)
+
+    @functools.cached_property
+    def pair(self) -> tuple:
+        at = np.argmin(self.values, axis=-1)
+        i, j = self.pairs[0][at], self.pairs[1][at]
+        return (int(i), int(j)) if self.values.ndim == 1 else (i, j)
 
 
 def constraint_check(lambdas, k: float) -> ConstraintResult:
@@ -135,14 +146,12 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     with np.errstate(over="ignore", divide="ignore"):
         ratio = lam[..., rows] / lam[..., cols]
         vals = np.abs(ratio + 1.0 / ratio + k)
-    at = np.argmin(vals, axis=-1)
-    min_value = np.take_along_axis(vals, at[..., None], axis=-1)[..., 0]
+    min_value = vals.min(axis=-1)
     threshold = k + 2.0
     ok = min_value >= threshold - SPECTRAL_SLACK
-    i, j = rows[at], cols[at]
     if lam.ndim == 1:
-        return ConstraintResult(ok=bool(ok), min_value=float(min_value), pair=(int(i), int(j)), threshold=threshold)
-    return ConstraintResult(ok=ok, min_value=min_value, pair=(i, j), threshold=threshold)
+        ok, min_value = bool(ok), float(min_value)
+    return ConstraintResult(ok=ok, min_value=min_value, threshold=threshold, values=vals, pairs=(rows, cols))
 
 
 def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +159,8 @@ def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     stack, and a subgradient of each ratio, from one batched SVD of the
     matrices M o Y and Y."""
     u, sv, vh = np.linalg.svd(np.concatenate((m * y, y)))
-    (un, ud), (sn, sd), (vhn, vhd) = np.split(u, 2), np.split(sv, 2), np.split(vh, 2)
+    h = len(y)
+    un, ud, sn, sd, vhn, vhd = u[:h], u[h:], sv[:h], sv[h:], vh[:h], vh[h:]
     ratio = sn[:, 0] / sd[:, 0]
     g_num = m * (un[:, :, :1] * vhn[:, :1, :])
     g_den = ud[:, :, :1] * vhd[:, :1, :]
@@ -318,17 +328,32 @@ _EXPR_LABELS = {
 }
 
 
-def _expressions(s: np.ndarray, x: np.ndarray, kinds) -> np.ndarray:
+# Bit j of an expression's mask is set when the expression reads the norm of
+# the j-th of the seven matrices of _expressions.
+_EXPR_READS = {"E1": 0b0000001, "E2": 0b0000010, "N1": 0b0001100, "N2": 0b0110000, "TWO_X": 0b1000000}
+
+
+def _expressions(s: np.ndarray, x: np.ndarray, kinds, forms) -> np.ndarray:
     """The five expression values, in _EXPR_LABELS order, in every norm of
     kinds as a (..., K, 5) array over the stack axes of S and X, from one
-    batched SVD of SXS^-1, S^-1XS, S*XS^-1, S^-1XS*, their two sums and X."""
+    batched SVD.  forms holds one form, which every instance takes, or one
+    form per instance of an (m, n, n) stack.  Of the seven matrices SXS^-1+S^-1XS,
+    S*XS^-1+S^-1XS*, SXS^-1, S^-1XS, S*XS^-1, S^-1XS* and X, the SVD takes
+    only those the instance's form reads; an expression it does not read
+    is NaN."""
     si = matcore.inverse(s)
     s_star = s.conj().swapaxes(-1, -2)
     a = s @ x @ si
     b = si @ x @ s
     c = s_star @ x @ si
     d = si @ x @ s_star
-    e1, e2, na, nb, nc, nd, nx = stack_norms((a + b, c + d, a, b, c, d, x), kinds).swapaxes(0, 1)
+    mats = np.stack((a + b, c + d, a, b, c, d, x))
+    masks = np.array([_EXPR_READS[form.lhs] | _EXPR_READS[form.rhs] for form in forms])
+    reads = (masks >> np.arange(len(mats))[:, None]) & 1 == 1
+    reads = np.broadcast_to(reads if mats.ndim == 4 else reads[:, 0], mats.shape[:-2])
+    norms = np.full((len(kinds),) + reads.shape, np.nan)
+    norms[:, reads] = stack_norms(mats[reads], kinds)
+    e1, e2, na, nb, nc, nd, nx = norms.swapaxes(0, 1)
     return np.moveaxis(np.stack((e1, e2, na + nb, nc + nd, 2.0 * nx), axis=-1), 0, -2)
 
 
@@ -364,7 +389,7 @@ def characterization_check(
 
     form may instead be a sequence of forms, one per instance of the stack,
     and tol then one value or a sequence likewise; every form is read off
-    one evaluation of the five expressions.  The result is then a list of
+    one evaluation of the expressions it reads.  The result is then a list of
     (slice, reports) for each run of instances with equal form and tol.
 
     Inequality reports put the expected-larger side first so the margin is
@@ -377,11 +402,11 @@ def characterization_check(
     forms = [_form(form)] if single else [_form(f) for f in form]
     s, x = matcore.as_matrices(s), matcore.as_matrices(x)
     if single:
-        return _form_reports(_expressions(s, x, kinds), forms[0], tol)
+        return _form_reports(_expressions(s, x, kinds, forms), forms[0], tol)
     tols = list(tol) if isinstance(tol, (list, tuple)) else [tol] * len(forms)
     if s.ndim != 3 or not len(forms) == len(tols) == len(s):
         raise DimensionMismatch(f"expected one form and tol per matrix of S, got {len(forms)} and {len(tols)}")
-    values = _expressions(s, x, kinds)
+    values = _expressions(s, x, kinds, forms)
     runs, at = [], 0
     for (f, t), run in itertools.groupby(zip(forms, tols)):
         span = slice(at, at + sum(1 for _ in run))

@@ -27,8 +27,11 @@ which takes in the path prefix once and each index of the range.  The
 sampler takes that Streams (or one Rng) and draws every block from one
 matcore.philox generator by (key, counter), as Philox is counter-based
 (Salmon et al., SC'11), so every spectrum still draws exactly its own
-stream.  Violations are written in instance order at the
-end of each chunk.
+stream, and the round schedule (a half block first, since most spectra
+accept within a few attempts, then full blocks) decides only how much is
+drawn, never what.  The sampler reads only the constraint's verdicts, so
+it never pays for locating the minimizing pair.  Violations are written
+in instance order at the end of each chunk.
 """
 
 from __future__ import annotations
@@ -56,11 +59,14 @@ PSD_SLACK = 1e-10
 # Relative floor below which a denominator counts as degenerate.
 DEGENERATE_RTOL = 1e-12
 HIST_BINS = 20
-# Attempts each spectrum draws from its stream per sampling round.  Even,
-# so a block of 2n * SAMPLE_BLOCK doubles starts on a Philox counter
-# boundary (four doubles per counter).
+# Attempts each spectrum draws from its stream per sampling round, and in
+# the first round, which is half a block: most spectra accept within a few
+# attempts, so a full first block is mostly drawn and tested for nothing.
+# Both are even, so every block starts on a Philox counter boundary (four
+# doubles per counter, 2n doubles per attempt).
 SAMPLE_BLOCK = 8
-assert SAMPLE_BLOCK % 2 == 0
+FIRST_BLOCK = SAMPLE_BLOCK // 2
+assert SAMPLE_BLOCK % 2 == 0 and FIRST_BLOCK % 2 == 0
 # Spectra per sampler call, C stack and eigvalsh in the search; bounds the
 # search's memory at any count.
 SEARCH_CHUNK = 256
@@ -153,13 +159,14 @@ def sample_constrained_spectrum(
 
     rng may also be a matcore.Streams of m; the result is then an (m, n)
     stack and an (m,) array of counts, the same as m single calls.  Every
-    spectrum draws its attempts SAMPLE_BLOCK at a time, and one constraint
-    test covers the blocks of all spectra still pending.  The blocks come
-    from the one generator of matcore.philox, and before each block
-    matcore.seek sets it to the spectrum's key and to the counter where
-    the block starts.  So a spectrum's draws are exactly those of its own
-    rng.generator(), and nothing is drawn past the block that holds the
-    accepted attempt.
+    spectrum draws its first FIRST_BLOCK attempts (half a block) in the
+    first round and SAMPLE_BLOCK attempts in every later one, and one
+    constraint test covers the blocks of all spectra still pending.  The
+    blocks come from the one generator of matcore.philox, and before each
+    block matcore.seek sets it to the spectrum's key and to the counter
+    where the block starts.  So a spectrum's draws are exactly those of
+    its own rng.generator(), whatever the round sizes, and nothing is
+    drawn past the block that holds the accepted attempt.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -167,18 +174,17 @@ def sample_constrained_spectrum(
     lams = np.empty((len(keys), n))
     rejected = np.empty(len(keys), dtype=int)
     pending = np.arange(len(keys))
-    draws = np.empty((len(keys), SAMPLE_BLOCK, 2, n))
+    buffer = np.empty(len(keys) * max(FIRST_BLOCK, SAMPLE_BLOCK) * 2 * n)
     max_draws = int(max_draws)
-    for first in range(0, max_draws, SAMPLE_BLOCK):
-        if not pending.size:
-            break
+    first, size = 0, FIRST_BLOCK
+    while pending.size and first < max_draws:
         # Attempt `first` of a stream starts at double 2n * first, the first
         # double of Philox counter 2n * first / 4.
         counter = 2 * n * first // 4
-        block = draws[: pending.size]
+        block = buffer[: pending.size * size * 2 * n].reshape(pending.size, size, 2, n)
         for p, out in zip(pending.tolist(), block):
             matcore.seek(bits, keys[p], counter)
-            bits.random((SAMPLE_BLOCK, 2, n), out=out)
+            bits.random((size, 2, n), out=out)
         lam = 10.0 ** (-2.0 + 4.0 * block[:, :, 0])
         lam = np.where(block[:, :, 1] < 0.5, -lam, lam)
         ok = constraint_check(lam, k).ok
@@ -189,6 +195,7 @@ def sample_constrained_spectrum(
         lams[done] = lam[hit, at]
         rejected[done] = first + at
         pending = pending[~hit]
+        first, size = first + size, SAMPLE_BLOCK
     if pending.size:
         raise SamplerExhausted(
             f"no constrained spectrum after {max_draws} draws (n={n}, k={k})"

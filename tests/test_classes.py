@@ -12,7 +12,7 @@ from normlab import classes, conjecture, heinz, matcore
 from normlab.chains import DEFAULT_TOL
 from normlab.classes import EQUALITY_FORMS, FORMS
 from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
-from normlab.norms import OP, NormKind, norm
+from normlab.norms import OP, NormKind, norm, stack_norms
 
 
 def test_phi_identity():
@@ -136,6 +136,57 @@ def test_constraint_check_pins_min_value_and_pair(k):
             assert np.array_equal(res.min_value.ravel(), want_min)
             assert np.array_equal(res.pair[0].ravel(), want_i) and np.array_equal(res.pair[1].ravel(), want_j)
             assert np.array_equal(res.ok.ravel(), want_min >= k + 2.0 - classes.SPECTRAL_SLACK)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _argmin_constraint(lams, k):
+    """min_value and pair as an argmin over the off-diagonal pairs alone
+    finds them: the first minimum in row-major order and its value (a
+    singleton's only pair is its self-pair).  Unlike _masked_argmin, it
+    never lands on a masked self-pair when every pair's value is inf."""
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[-1]
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool)) if n > 1 else (np.zeros(1, dtype=int),) * 2
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = lams[..., rows] / lams[..., cols]
+        vals = np.abs(ratio + 1.0 / ratio + k)
+    at = np.argmin(vals, axis=-1)
+    return np.take_along_axis(vals, at[..., None], axis=-1)[..., 0], (rows[at], cols[at])
+
+
+# Entries that tie often (equal and opposite magnitudes) and whose ratios
+# leave the float range.
+_TIE_ENTRIES = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, 1e200, -1e200, 1e-200, -1e-200]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 5),
+    k=st.sampled_from([np.nan, -5.0, -0.5, 0.0, 0.5, 1.0, 2.0, 7.25]),
+    data=st.data(),
+)
+def test_constraint_check_equals_argmin_reference(n, m, k, data):
+    # min_value is a plain minimum and pair is found on first read; all
+    # three fields keep the bits of the argmin that finds both together,
+    # ties, overflowing ratios and a NaN k included.
+    row = st.lists(st.sampled_from(_TIE_ENTRIES), min_size=n, max_size=n)
+    lams = np.array(data.draw(st.lists(row, min_size=m, max_size=m)))
+    want_min, (want_i, want_j) = _argmin_constraint(lams, k)
+    want_ok = want_min >= k + 2.0 - classes.SPECTRAL_SLACK
+    res = classes.constraint_check(lams, k)
+    assert "pair" not in vars(res)
+    assert np.array_equal(res.ok, want_ok) and np.array_equal(_bits(res.min_value), _bits(want_min))
+    assert np.array_equal(res.pair[0], want_i) and np.array_equal(res.pair[1], want_j)
+    assert res.pair is res.pair
+    for lam, ok, m_, i, j in zip(lams, want_ok, want_min, want_i, want_j):
+        one = classes.constraint_check(lam, k)
+        assert (one.ok, one.pair) == (ok, (i, j)) and type(one.ok) is bool
+        assert type(one.min_value) is float and _bits(one.min_value) == _bits(m_)
+        assert type(one.pair[0]) is int
 
 
 def test_schur_rep_residual_diagonal():
@@ -536,6 +587,38 @@ def test_characterization_check_takes_one_form_per_instance():
         classes.characterization_check(s, x, forms[:5], kinds)
     with pytest.raises(DimensionMismatch):
         classes.characterization_check(s, x, forms, kinds, tol=tols[:5])
+
+
+def test_mixed_forms_take_only_the_norms_they_read(monkeypatch):
+    # Every form of a mixed stack reads its two expressions with the bits
+    # of all seven matrices' norms from one batched SVD, while the SVD
+    # takes only the matrices the form reads: 38 of the 98 of the fourteen
+    # forms.
+    forms = sorted(FORMS)
+    root = np.zeros((1, 0), dtype=int)
+    s = matcore.random_normal_invertible(4, 50.0, matcore.substreams(132, root, range(len(forms))))
+    x = matcore.random_probe_matrix(4, matcore.substreams(133, root, range(len(forms))))
+    kinds = (OP, NormKind.schatten(3.0), NormKind.kyfan(2))
+    si = matcore.inverse(s)
+    s_star = s.conj().swapaxes(-1, -2)
+    a, b, c, d = s @ x @ si, si @ x @ s, s_star @ x @ si, si @ x @ s_star
+    e1, e2, na, nb, nc, nd, nx = stack_norms((a + b, c + d, a, b, c, d, x), kinds).swapaxes(0, 1)
+    expr = {"E1": e1, "E2": e2, "N1": na + nb, "N2": nc + nd, "TWO_X": 2.0 * nx}
+    sizes = []
+
+    def counting(mats, kinds):
+        sizes.append(len(mats))
+        return stack_norms(mats, kinds)
+
+    monkeypatch.setattr(classes, "stack_norms", counting)
+    runs = classes.characterization_check(s, x, forms, kinds)
+    assert sizes == [38] and len(runs) == len(forms)
+    for (span, reports), form_id in zip(runs, forms, strict=True):
+        form = FORMS[form_id]
+        sides = (form.rhs, form.lhs) if form.relation == "le" else (form.lhs, form.rhs)
+        for kind, report in enumerate(reports):
+            want = np.stack([expr[side][kind, span] for side in sides], axis=-1)
+            assert np.array_equal(report.values, want), (form_id, kind)
 
 
 def test_eq_forms_use_tight_default_tolerance():

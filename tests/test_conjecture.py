@@ -330,8 +330,9 @@ def test_sampler_takes_one_rng_or_a_streams():
 
 @pytest.mark.parametrize("n, k, max_draws", [(8, 2.0, 10**4), (8, 2.0, 20), (3, 1.0, 10**4)])
 def test_sampler_blocks_are_each_streams_own_draws(monkeypatch, n, k, max_draws):
-    # Every block the sampler tests is the next SAMPLE_BLOCK attempts of
-    # each pending spectrum's own Rng.generator(), round after round.
+    # Every block the sampler tests is the next attempts of each pending
+    # spectrum's own Rng.generator(), round after round: FIRST_BLOCK
+    # attempts in the first round and SAMPLE_BLOCK in every later one.
     seen = []
 
     def spy(lam, k):
@@ -348,19 +349,56 @@ def test_sampler_blocks_are_each_streams_own_draws(monkeypatch, n, k, max_draws)
         exhausted = True
     gens = [rng.generator() for rng in rngs]
     pending = list(range(len(rngs)))
+    first = 0
     for b, lam in enumerate(seen):
+        size = lam.shape[1]
+        assert size == (conjecture.FIRST_BLOCK if b == 0 else conjecture.SAMPLE_BLOCK), b
         ref = []
         for i in pending:
-            d = gens[i].random((conjecture.SAMPLE_BLOCK, 2, n))
+            d = gens[i].random((size, 2, n))
             mag = 10.0 ** (-2.0 + 4.0 * d[:, 0])
             ref.append(np.where(d[:, 1] < 0.5, -mag, mag))
         assert np.array_equal(lam, np.array(ref)), b
         ok = classes.constraint_check(lam, k).ok
-        ok[:, max_draws - b * conjecture.SAMPLE_BLOCK :] = False
+        ok[:, max_draws - first :] = False
         pending = [i for i, hit in zip(pending, ok.any(axis=1)) if not hit]
+        first += size
     assert exhausted == bool(pending)
     if n == 8:
         assert len(seen) >= 3
+
+
+def _sample_or_exhaust(n, k, rng, max_draws):
+    try:
+        return conjecture.sample_constrained_spectrum(n, k, rng, max_draws=max_draws)
+    except SamplerExhausted:
+        return None
+
+
+@pytest.mark.parametrize("max_draws", [5, 20, 10**4])
+@pytest.mark.parametrize("n, k", [(3, 1.0), (4, 2.0), (8, 2.0)])
+def test_first_round_size_changes_no_result(monkeypatch, n, k, max_draws):
+    # Draws are fixed by (key, counter), so the round schedule decides only
+    # how much is drawn: every even first-round size, shorter or longer
+    # than SAMPLE_BLOCK and on either side of max_draws, gives the same
+    # spectra and counts, or exhausts alike.
+    streams = matcore.substreams(140, np.zeros((1, 0), dtype=int), range(24))
+    results = {}
+    for size in (2, 4, 8, 16):
+        monkeypatch.setattr(conjecture, "FIRST_BLOCK", size)
+        results[size] = [
+            _sample_or_exhaust(n, k, streams, max_draws),
+            *(_sample_or_exhaust(n, k, streams[[i]], max_draws) for i in range(0, 24, 5)),
+            _sample_or_exhaust(n, k, matcore.Rng(140).substream(3), max_draws),
+        ]
+    want = results[conjecture.SAMPLE_BLOCK]
+    for size, got in results.items():
+        for g, w in zip(got, want, strict=True):
+            assert (g is None) == (w is None), size
+            if w is not None:
+                assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1]), size
+    if max_draws == 10**4:
+        assert want[0] is not None
 
 
 def test_search_small_run(tmp_path):
