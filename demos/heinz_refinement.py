@@ -9,8 +9,6 @@ checks every adjacent link.
 Run:  python3 demos/heinz_refinement.py
 """
 
-import numpy as np
-
 from normlab import OP, Rng
 from normlab.heinz import agm_check, heinz_check, integral_mean_norm, kittaneh_chain
 from normlab.matcore import random_posdef, random_probe_matrix

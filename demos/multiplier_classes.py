@@ -10,7 +10,7 @@ Run:  python3 demos/multiplier_classes.py
 
 import numpy as np
 
-from normlab import OP, Rng
+from normlab import Rng
 from normlab.classes import (
     EQUALITY_FORMS,
     FORMS,

@@ -9,8 +9,6 @@ interval, hit the midpoint, land on H(r).
 Run:  python3 demos/power_pair_chain.py
 """
 
-import numpy as np
-
 from normlab import OP, Rng
 from normlab.cpr import ZhanParams, zhan_chain, zhan_check
 from normlab.matcore import random_posdef, random_probe_matrix

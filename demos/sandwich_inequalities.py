@@ -8,8 +8,6 @@ S, T, for shifted quadratic forms, and for block direct-sum forms.
 Run:  python3 demos/sandwich_inequalities.py
 """
 
-import numpy as np
-
 from normlab import FRO, OP, TR, Rng
 from normlab.cpr import (
     cor23_check,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainStack, chain
-from .errors import DimensionMismatch, InvalidK, NotPSD, Singular
+from .errors import DimensionMismatch, InvalidK, InvalidParams, NotPSD, Singular
 from .heinz import sandwich_weights
 from .norms import OP, stack_norms
 
@@ -45,6 +45,7 @@ __all__ = [
     "constraint_check",
     "schur_rep_residual",
     "schur_theorem_bound_check",
+    "require_probe_k",
     "dk_ratio_minimize",
     "characterization_check",
     "sample_for_form",
@@ -215,6 +216,11 @@ def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainStack:
     return chain(("maxdiag(N)|X|", "|NoX|"), (float(np.max(np.real(np.diagonal(n_mat)))) * nx, nnx), tol=tol)
 
 
+def require_probe_k(k) -> None:
+    """Raise InvalidK unless the probe's k (or each of an array) is in [0, DK_K_MAX]."""
+    matcore.require_within(k, 0.0, DK_K_MAX, InvalidK, f"k must be in [0, {DK_K_MAX:g}] for the ratio probe")
+
+
 def dk_ratio_minimize(
     s,
     k: float,
@@ -234,11 +240,11 @@ def dk_ratio_minimize(
     below FROZEN_GRAD_NORM keeps its iterate from then on, and only the
     live starts go through the batched SVDs.  The witness is
     the best iterate over all starts and iterations; ties go to the earliest
-    iteration, then the lowest start.  Deterministic given the rng.  A k
-    above DK_K_MAX, or NaN, raises InvalidK.
+    iteration, then the lowest start.  Deterministic given the rng.  Raises
+    InvalidK for a k that require_probe_k refuses, InvalidParams for starts or iters < 0.
     """
-    if not k <= DK_K_MAX:
-        raise InvalidK(f"the ratio probe takes k <= {DK_K_MAX:g}, got {k}")
+    require_probe_k(k)
+    matcore.require_within((starts, iters), 0, np.inf, InvalidParams, "the ratio probe takes starts and iters >= 0")
     if rng is None:
         rng = matcore.Rng(0)
     dec = _selfadjoint_eigen(s)
@@ -363,7 +369,7 @@ def _form(form: CharacterizationForm | str) -> CharacterizationForm:
     try:
         return FORMS[form]
     except KeyError:
-        raise ValueError(f"unknown form id {form!r}") from None
+        raise InvalidParams(f"unknown form id {form!r}") from None
 
 
 def _form_reports(values: np.ndarray, form: CharacterizationForm, tol: float | None) -> tuple:
@@ -417,10 +423,7 @@ def characterization_check(
 
 def sample_for_form(form_id: str, n: int, rng: matcore.Rng, cond: float = 100.0) -> np.ndarray:
     """Draw S from the operator class characterized by the given form."""
-    try:
-        family = FORMS[form_id].family
-    except KeyError:
-        raise ValueError(f"unknown form id {form_id!r}") from None
+    family = _form(form_id).family
     if family == "scaled_selfadjoint":
         return matcore.random_scaled_selfadjoint(n, cond, rng)
     if family == "normal":

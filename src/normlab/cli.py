@@ -46,7 +46,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -512,9 +511,9 @@ def parse_args(argv=None) -> CampaignConfig:
 
 
 def _validate(config: CampaignConfig) -> None:
+    if not config.out:
+        raise ConfigInvalid("--out must not be empty")
     if config.command == "report":
-        if not config.out:
-            raise UsageError("report requires --out")
         return
     if config.suite is None:
         raise UsageError("missing --suite")
@@ -529,8 +528,7 @@ def _validate(config: CampaignConfig) -> None:
         ("--p", config.p_values),
         ("--eigs", config.eigs or ()),
     ):
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigInvalid(f"{flag} values must be finite, got {', '.join(map(str, values))}")
+        matcore.require_within(values, -np.inf, np.inf, ConfigInvalid, f"{flag} values must be finite")
     if not 2 <= config.dim <= 12:
         raise ConfigInvalid(f"--dim must be in [2, 12], got {config.dim}")
     if config.count < 1:
@@ -543,47 +541,40 @@ def _validate(config: CampaignConfig) -> None:
     # rejected by the kernels, which would abort the campaign.
     if not 1.0 <= config.cond <= 1.0 / matcore.POSDEF_RTOL:
         raise ConfigInvalid(f"--cond must be in [1, {1.0 / matcore.POSDEF_RTOL:g}], got {config.cond}")
-    if not config.out:
-        raise ConfigInvalid("--out must not be empty")
-    for sel in config.norms:
-        try:
+    try:
+        for sel in config.norms:
             NormKind.parse(sel)
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from None
+        _DOMAINS.get(config.suite, lambda c: None)(config)
+    except ValueError as exc:  # InvalidParams, or a selector's number that does not parse
+        raise ConfigInvalid(str(exc)) from None
 
-    suite = config.suite
-    if suite in ("zhan", "cor23", "cor24"):
-        for t in config.t_values:
-            if t > 2.0:
-                raise ConfigInvalid(f"t must be <= 2, got {t}")
-    if suite == "heinz":
-        for a in config.r_values:
-            if not 0.0 <= a <= 1.0:
-                raise ConfigInvalid(f"Heinz exponent must be in [0, 1], got {a}")
-    if suite == "zhan":
-        for r in config.r_values:
-            if not 0.5 <= r <= 1.5:
-                raise ConfigInvalid(f"r must be in [1/2, 3/2], got {r}")
-    if suite == "finalcor":
-        for p in config.p_values:
-            if p < 1.0:
-                raise ConfigInvalid(f"Schatten exponent p must be >= 1, got {p}")
-    if suite == "dk":
-        for k in config.k_values:
-            if not 0.0 <= k <= classes.DK_K_MAX:
-                raise ConfigInvalid(f"k must be in [0, {classes.DK_K_MAX:g}] for the ratio probe, got {k}")
-        if config.starts < 1 or config.iters < 1:
-            raise ConfigInvalid("--starts and --iters must be >= 1")
-        if config.eigs is not None and any(v == 0.0 for v in config.eigs):
-            raise ConfigInvalid("--eigs entries must be nonzero")
-        if config.command == "dk-probe" and config.eigs is None:
-            raise UsageError("dk-probe requires --eigs")
-    if suite == "conjecture":
-        if not 2 <= config.n <= 12:
-            raise ConfigInvalid(f"--n must be in [2, 12], got {config.n}")
-        for k in config.k_values:
-            if not 0.0 <= k <= 2.0:
-                raise ConfigInvalid(f"conjecture k must be in [0, 2], got {k}")
+
+def _dk_domain(config):
+    classes.require_probe_k(config.k_values)
+    if config.starts < 1 or config.iters < 1:
+        raise ConfigInvalid("--starts and --iters must be >= 1")
+    if config.eigs is not None:
+        matcore.as_spectrum(config.eigs)
+    elif config.command == "dk-probe":
+        raise UsageError("dk-probe requires --eigs")
+
+
+def _conjecture_domain(config):
+    if not 2 <= config.n <= 12:
+        raise ConfigInvalid(f"--n must be in [2, 12], got {config.n}")
+    conjecture.require_k(config.k_values)
+
+
+# Suite -> checks of its theorem parameters by their owners, and the probes' run policy.
+_DOMAINS = {
+    "heinz": lambda c: heinz.require_alpha(c.r_values),
+    "zhan": lambda c: cpr.ZhanParams(c.t_values, c.r_values),
+    "cor23": lambda c: cpr.require_t(c.t_values),
+    "cor24": lambda c: cpr.require_t(c.t_values),
+    "finalcor": lambda c: [NormKind.schatten(p) for p in c.p_values],
+    "dk": _dk_domain,
+    "conjecture": _conjecture_domain,
+}
 
 
 def _collect_records(config: CampaignConfig) -> list:
@@ -656,13 +647,14 @@ def _write_jsonl(path: str, records: list) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # Not a bool, nor an integer beyond the float range, which float() refuses.
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
 def _bad_field(record: dict) -> str | None:
     """The first field _write_summary reads whose type it cannot use."""
     for key in ("count", "pass_count", "fail_count", "instance"):
-        if key in record and not (isinstance(record[key], int) and not isinstance(record[key], bool)):
+        if key in record and type(record[key]) is not int:
             return key
     for key in ("min_margin", "min_eig"):
         if record.get(key) is not None and not _is_number(record[key]):
@@ -687,7 +679,7 @@ def _read_jsonl(path: str) -> list[dict]:
                 if line:
                     try:
                         record, end = _DECODE(line)
-                    except json.JSONDecodeError:
+                    except ValueError:
                         end = None
                     if end != len(line):
                         # Raises the error json.loads gives for the line.
@@ -700,7 +692,8 @@ def _read_jsonl(path: str) -> list[dict]:
                     records.append(record)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal past Python's digit limit.
         raise IoFailure(f"{path} is not valid JSONL: {exc}") from None
     return records
 

@@ -43,9 +43,10 @@ import numpy as np
 
 from . import matcore
 from .classes import constraint_check
-from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, NonFinite, SamplerExhausted
+from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, InvalidParams, NonFinite, SamplerExhausted
 
 __all__ = [
+    "require_k",
     "KSummary",
     "build_conj_matrix",
     "psd_check",
@@ -85,18 +86,17 @@ class KSummary:
     hist_edges: np.ndarray
 
 
-def _conjecture_k(k) -> float:
-    k = float(k)
-    if not 0.0 <= k <= 2.0:
-        raise InvalidK(f"conjecture is stated for k in [0, 2], got {k}")
-    return k
+def require_k(k) -> None:
+    """Raise InvalidK unless the conjecture's k (or each of an array) is in [0, 2]."""
+    matcore.require_within(k, 0.0, 2.0, InvalidK, "conjecture k must be in [0, 2]")
 
 
 def build_conj_matrix(lambdas, k: float) -> np.ndarray:
     """Entrywise-inverse multiplier matrix with diagonal pinned to 1/(2+k);
     an (..., n) stack of spectra gives an (..., n, n) stack.  A spectrum
     whose products overflow the float range raises NonFinite."""
-    lam, k = matcore.as_spectrum(lambdas), _conjecture_k(k)
+    lam, k = matcore.as_spectrum(lambdas), float(k)
+    require_k(k)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = lam[..., :, None] * lam[..., None, :]
         sq = lam * lam
@@ -169,7 +169,7 @@ def sample_constrained_spectrum(
     drawn past the block that holds the accepted attempt.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParams(f"n must be >= 1, got {n}")
     keys, bits = matcore.philox(rng)
     lams = np.empty((len(keys), n))
     rejected = np.empty(len(keys), dtype=int)
@@ -222,15 +222,16 @@ def conjecture_search(
     appended to violations_path as JSONL in instance order at the end of
     each chunk, one object per line with keys k, lambdas, min_eig, seed,
     instance, so a crashed run keeps every chunk finished before the
-    crash.  A k outside [0, 2] (InvalidK) or a count
-    that is not an integer >= 0 (ValueError) is rejected before the file is
-    opened.
+    crash.  An n below 2 or a count that is not an integer >= 0
+    (InvalidParams), or a k outside [0, 2] (InvalidK), is rejected before
+    the file is opened.
     """
     if n < 2:
-        raise ValueError("search needs n >= 2 (n=1 is trivially PSD)")
+        raise InvalidParams(f"search needs n >= 2 (n=1 is trivially PSD), got {n}")
     if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be an integer >= 0, got {count!r}")
-    k_list = [_conjecture_k(k) for k in k_list]
+        raise InvalidParams(f"count must be an integer >= 0, got {count!r}")
+    k_list = [float(k) for k in k_list]
+    require_k(k_list)
     summaries = []
     sink = open(violations_path, "a") if violations_path is not None else None
     try:

@@ -47,6 +47,7 @@ from .heinz import (
 from .norms import OP, NormKind, norms_from_sv
 
 __all__ = [
+    "require_t",
     "ZhanParams",
     "cpr_check",
     "cpr_two_sided_check",
@@ -61,24 +62,23 @@ __all__ = [
 ]
 
 
-def _require_t(t) -> None:
-    if not np.all(np.asarray(t) <= 2.0):
-        raise InvalidParams(f"t must be <= 2, got {t}")
+def require_t(t) -> None:
+    """Raise InvalidParams unless the shift t (or each of an array) is finite and <= 2."""
+    matcore.require_within(t, -np.inf, 2.0, InvalidParams, "t must be finite and <= 2")
 
 
 @dataclass(frozen=True)
 class ZhanParams:
-    """Parameter box t <= 2, 1/2 <= r <= 3/2; regime 1 covers r <= 1.  t
-    and r may be arrays, one entry per instance of a stack."""
+    """Parameter box: finite t <= 2 and 1/2 <= r <= 3/2, InvalidParams
+    outside it; regime 1 covers r <= 1.  t and r may be arrays, one entry
+    per instance of a stack."""
 
     t: float
     r: float
 
     def __post_init__(self):
-        _require_t(self.t)
-        r = np.asarray(self.r)
-        if not np.all((0.5 <= r) & (r <= 1.5)):
-            raise InvalidParams(f"r must lie in [1/2, 3/2], got {self.r}")
+        require_t(self.t)
+        matcore.require_within(self.r, 0.5, 1.5, InvalidParams, "r must be in [1/2, 3/2]")
 
     @property
     def regime(self):
@@ -208,14 +208,14 @@ def cor23_check(a, b, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
     is forced: swapping either star makes the statement false, with random
     3x3 counterexamples at margin ~1e0.)
     """
-    _require_t(t)
+    require_t(t)
     rows = norms_from_sv(quadratic_sv(abs_pair_basis(a, b, x), (t,)), kinds)
     return dominance(("|A*AX+XBB*+t|A|X|B*||", "(t+2)|AXB|"), rows, np.asarray(t) + 2.0, tol)
 
 
 def cor24_check(p, q, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
-    _require_t(t)
+    require_t(t)
     rows = norms_from_sv(sandwich_sv([pair_basis(p, q, x)], t)[:, 0], kinds)
     return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, np.asarray(t) + 2.0, tol)
 
@@ -258,11 +258,10 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
     live on different scales and do not form one monotone chain.  One
     batched SVD of E1, E2 and X serves all of them.  A norm or power
     beyond the float range raises NonFinite, and so does a power of a
-    nonzero norm below the smallest normal float.
+    nonzero norm below the smallest normal float.  A p that
+    NormKind.schatten refuses raises InvalidParams before S is decomposed.
     """
-    for p in ps:
-        if not 1.0 <= p < np.inf:
-            raise InvalidParams(f"Schatten exponent must be finite and >= 1, got {p}")
+    kinds = (OP,) + tuple(NormKind.schatten(p) for p in ps)
     d = matcore.invertible_svd(s)
     sig, u, v = d.singular_values, d.left, d.right
     # E1 is W o (V*XV) and E2 is W o (U*XU), and X has the singular values
@@ -270,7 +269,7 @@ def final_cor_check(s, x, ps, tol: float = DEFAULT_TOL) -> tuple:
     e1, e2 = rotate(sig, v, sig, v, x), rotate(sig, u, sig, u, x)
     w = sandwich_weights(sig, sig, 0.0)
     sv = weighted_sv(replace(e1, x_rot=np.stack((e1.x_rot, e2.x_rot, e1.x_rot))), np.stack((w, w, np.ones(w.shape))))
-    norms = norms_from_sv(sv, (OP,) + tuple(NormKind.schatten(p) for p in ps))
+    norms = norms_from_sv(sv, kinds)
     shape = norms.shape[2:]
     op1, op2, op_x = norms[0]
     op_report = chain(("max(|E1|,|E2|)", "2|X|"), np.stack((np.maximum(op1, op2), 2.0 * op_x), axis=-1), tol=tol)

@@ -3,6 +3,10 @@
 Every error raised on purpose by the library derives from NormlabError,
 so callers can catch one type at a campaign boundary.  CLI-facing errors
 (usage, config, io) are separate leaves because they map to exit codes.
+
+An argument outside its function's domain raises InvalidParams (InvalidK
+for a shift k, ZeroEigenvalue for a zero spectrum entry), which names the
+first offending value and is also a ValueError.
 """
 
 
@@ -39,16 +43,16 @@ class NoConvergence(NormlabError):
     """An iterative kernel failed to converge; input is pathological."""
 
 
-class ZeroEigenvalue(NormlabError):
+class InvalidParams(NormlabError, ValueError):
+    """An argument outside the domain its function is stated on."""
+
+
+class ZeroEigenvalue(InvalidParams):
     """A spectral criterion received an eigenvalue equal to zero."""
 
 
-class InvalidK(NormlabError):
+class InvalidK(InvalidParams):
     """Shift parameter k outside the admissible range."""
-
-
-class InvalidParams(NormlabError):
-    """Chain parameters (t, r) outside their admissible box."""
 
 
 class DegenerateDenominator(NormlabError):

@@ -48,11 +48,11 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, chain
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, InvalidParams, NonFinite
 from .norms import NormKind, norms_from_sv
 
 __all__ = [
-    "HeinzParams",
+    "require_alpha",
     "PairBasis",
     "pair_basis",
     "abs_pair_basis",
@@ -78,16 +78,9 @@ DEGENERATE_INTERVAL = 1e-10
 DEFAULT_NODES = 32
 
 
-@dataclass(frozen=True)
-class HeinzParams:
-    """Heinz bracket exponent alpha in [0,1], or an array of them."""
-
-    alpha: float
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha)
-        if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
-            raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
+def require_alpha(alpha) -> None:
+    """Raise InvalidParams unless the Heinz exponent alpha (or each of an array) is in [0, 1]."""
+    matcore.require_within(alpha, 0.0, 1.0, InvalidParams, "Heinz exponent must be in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +203,7 @@ def gauss_legendre_nodes(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, 
 
 def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     """The bracket A^alpha X B^(1-alpha) + A^(1-alpha) X B^alpha."""
-    HeinzParams(alpha)
+    require_alpha(alpha)
     x = matcore.as_matrix(x)
     t1 = matcore.frac_power(a, alpha) @ x @ matcore.frac_power(b, 1.0 - alpha)
     t2 = matcore.frac_power(a, 1.0 - alpha) @ x @ matcore.frac_power(b, alpha)
@@ -229,7 +222,7 @@ def dominance(labels, rows, factor, tol: float) -> tuple:
 def heinz_check(a, b, x, alpha, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """Two-value chain: |AX+XB| >= |A^a X B^(1-a) + A^(1-a) X B^a|, the
     first and last members of kittaneh_chain, bit for bit."""
-    HeinzParams(alpha)
+    require_alpha(alpha)
     basis = pair_basis(a, b, x)
     shape = basis.a_eigs.shape[:-1]
     exponents = np.stack((np.ones(shape), np.broadcast_to(alpha, shape)))
@@ -258,7 +251,7 @@ def integral_mean_norm(
     nu for positive definite inputs, so convergence is spectral.
     """
     if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+        raise InvalidParams(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
     basis = pair_basis(a, b, x)
     pts, w = gauss_legendre_nodes(lo, hi, nodes)
     return float(np.dot(w, norms_from_sv(power_pair_sv(basis, pts), (kind,))[0]) / (hi - lo))
@@ -291,7 +284,7 @@ def kittaneh_chain(
     exponents and the quadrature nodes serves every norm.  Stacks of A, B
     and X with one alpha each give one ChainStack per norm.
     """
-    HeinzParams(alpha)
+    require_alpha(alpha)
     basis = pair_basis(a, b, x)
     regime = np.where(np.asarray(alpha) <= 0.5, 1, 2)
     return _kittaneh_reports(basis, alpha, regime, kinds, tol, nodes)

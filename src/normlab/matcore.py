@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParams,
     NoConvergence,
     NotHermitian,
     NotPositiveDefinite,
@@ -51,6 +52,7 @@ __all__ = [
     "as_matrix",
     "as_matrices",
     "as_spectrum",
+    "require_within",
     "require_hermitian",
     "herm_eigen",
     "posdef_eigen",
@@ -300,17 +302,25 @@ def as_matrices(a) -> np.ndarray:
 def as_spectrum(lambdas) -> np.ndarray:
     """Coerce to a float array: one spectrum or an (..., n) stack of them.
 
-    Raises ValueError for an empty or 0-d input or a NaN/Inf entry (as
-    as_matrices does), and ZeroEigenvalue for a zero entry.
+    The owner of a spectrum's domain: raises InvalidParams for an empty or
+    0-d input or a NaN/Inf entry, and ZeroEigenvalue for a zero entry.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 0 or lam.size == 0:
-        raise ValueError("lambdas must be a nonempty real vector or stack of vectors")
+        raise InvalidParams("lambdas must be a nonempty real vector or stack of vectors")
     if not np.all(np.isfinite(lam)):
-        raise ValueError("spectrum entries must be finite")
+        raise InvalidParams(f"spectrum entries must be finite, got {lam[~np.isfinite(lam)][0]}")
     if np.any(lam == 0.0):
-        raise ZeroEigenvalue("spectrum entries must be nonzero")
+        raise ZeroEigenvalue(f"spectrum entries must be nonzero, got {lam[lam == 0.0][0]}")
     return lam
+
+
+def require_within(values, lo: float, hi: float, error: type, message: str) -> None:
+    """Raise error(f"{message}, got {v}") for the first v of values not finite and in [lo, hi]."""
+    v = np.asarray(values)
+    ok = np.isfinite(v) & (lo <= v) & (v <= hi)
+    if not ok.all():
+        raise error(f"{message}, got {v[~ok][0].item()}")
 
 
 def _require_square(a: np.ndarray) -> None:
@@ -473,7 +483,7 @@ def random_scaled_selfadjoint(n: int, cond: float, rng) -> np.ndarray:
     """Nonzero complex scalar times a self-adjoint invertible matrix."""
 
     def build(u, r, v, s, w):
-        eigs = _log_uniform(v, max(cond, 1.0)) * _signs(s)
+        eigs = _log_uniform(v, cond) * _signs(s)
         return (_scales(u) * _phases(r))[:, None, None] * _hermitian(_haar(_complex(w)), eigs)
 
     return _sample(
@@ -484,10 +494,8 @@ def random_scaled_selfadjoint(n: int, cond: float, rng) -> np.ndarray:
     )
 
 
-def ginibre(n: int, m: int | None = None, rng=None) -> np.ndarray:
+def ginibre(n: int, m: int | None = None, *, rng) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex Gaussian entries."""
-    if rng is None:
-        raise ValueError("rng is required")
     return _sample(rng, lambda g: (g.standard_normal((2, n, n if m is None else m)),), _complex)
 
 
@@ -567,8 +575,8 @@ def _haar(z: np.ndarray) -> np.ndarray:
 def _log_uniform(u: np.ndarray, cond: float) -> np.ndarray:
     # Magnitudes log-uniform in [cond**-0.5, cond**0.5] from uniforms in
     # [-1/2, 1/2).
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
+    if not 1.0 <= cond < np.inf:
+        raise InvalidParams(f"cond must be finite and >= 1, got {cond}")
     return np.exp(u * np.log(cond))
 
 

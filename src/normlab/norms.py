@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NonFinite
+from .errors import InvalidParams, NonFinite
 
 __all__ = ["NormKind", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
 
@@ -42,15 +42,13 @@ class NormKind:
 
     @staticmethod
     def schatten(p: float) -> "NormKind":
-        p = float(p)
-        if not np.isfinite(p) or p < 1.0:
-            raise ValueError(f"Schatten p must be finite and >= 1, got {p}")
-        return NormKind("schatten", p)
+        matcore.require_within(p, 1.0, np.inf, InvalidParams, "Schatten p must be finite and >= 1")
+        return NormKind("schatten", float(p))
 
     @staticmethod
     def kyfan(k: int) -> "NormKind":
         if int(k) != k or k < 1:
-            raise ValueError(f"Ky Fan k must be a positive integer, got {k}")
+            raise InvalidParams(f"Ky Fan k must be a positive integer, got {k}")
         return NormKind("kyfan", float(int(k)))
 
     @staticmethod
@@ -67,7 +65,7 @@ class NormKind:
             return NormKind.schatten(float(sel.split(":", 1)[1]))
         if sel.startswith("kyfan:"):
             return NormKind.kyfan(int(sel.split(":", 1)[1]))
-        raise ValueError(f"unknown norm selector {text!r}")
+        raise InvalidParams(f"unknown norm selector {text!r}")
 
     @property
     def label(self) -> str:

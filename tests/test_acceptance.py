@@ -5,9 +5,7 @@ form "ACCEPTANCE <n> PASS/FAIL: ..." so a log scrape recovers the verdicts
 without parsing pytest output.
 """
 
-import json
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from normlab import classes, conjecture, heinz, matcore
 from normlab.chains import DEFAULT_TOL
 from normlab.classes import EQUALITY_FORMS, FORMS
-from normlab.errors import DimensionMismatch, InvalidK, NotHermitian, NotPSD, Singular, ZeroEigenvalue
+from normlab.errors import DimensionMismatch, InvalidK, InvalidParams, NotHermitian, NotPSD, Singular, ZeroEigenvalue
 from normlab.norms import OP, NormKind, norm, stack_norms
 
 
@@ -316,12 +316,21 @@ def test_probe_bounds_k():
     # Past DK_K_MAX one ulp of k+2 nears the verdict slacks, so rounding
     # alone would decide the verdict; a scalar S meets the bound with
     # equality and reads "consistent" at the bound.
-    for k in (1e12, 1e308, float("nan"), float("inf")):
-        with pytest.raises(InvalidK):
+    # The class is stated for k >= 0.
+    for k in (1e12, 1e308, float("nan"), float("inf"), -1e-300, -1.0, float("-inf")):
+        with pytest.raises(InvalidK, match=r"k must be in \[0, 1000\] for the ratio probe"):
             classes.dk_ratio_minimize(np.diag([1.0]), k, starts=3, iters=3, rng=matcore.Rng(0))
     res = classes.dk_ratio_minimize(np.diag([1.0]), classes.DK_K_MAX, starts=3, iters=3, rng=matcore.Rng(0))
     assert res.verdict == "consistent"
     assert np.spacing(classes.DK_K_MAX + 2.0) < 0.2 * classes.SPECTRAL_SLACK
+
+
+def test_probe_bounds_starts_and_iters():
+    # A negative iters would evaluate nothing and report best_ratio inf; a
+    # negative starts would fail inside numpy.
+    for starts, iters in ((-1, 5), (3, -1)):
+        with pytest.raises(InvalidParams, match=r"starts and iters >= 0, got -1$"):
+            classes.dk_ratio_minimize(np.diag([1.0, 2.0]), 1.0, starts=starts, iters=iters, rng=matcore.Rng(0))
 
 
 def _reference_probe(s, k, starts, iters, rng):

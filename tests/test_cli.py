@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab import classes, cli, matcore
+from normlab import classes, cli, conjecture, cpr, heinz, matcore
 from normlab.chains import ChainStack
-from normlab.errors import ConfigInvalid, IoFailure, UsageError
+from normlab.errors import ConfigInvalid, InvalidParams, IoFailure, UsageError
 from normlab.norms import NormKind
 
 
@@ -435,6 +435,10 @@ def test_report_rejects_records_that_are_not_objects(tmp_path, capsys):
         ("min_eig", [0.1]),
         ("margins", 0.1),
         ("margins", [0.1, None]),
+        # Integers beyond the float range, which the summary cannot print.
+        ("min_margin", int("1" * 400)),
+        ("min_eig", -(10**400)),
+        ("margins", [0.5, 2**1024]),
     ],
 )
 def test_report_rejects_fields_of_the_wrong_type(tmp_path, capsys, field, value):
@@ -445,6 +449,15 @@ def test_report_rejects_fields_of_the_wrong_type(tmp_path, capsys, field, value)
     err = capsys.readouterr().err
     assert "io failure" in err
     assert "Traceback" not in err
+
+
+def test_report_rejects_integers_past_the_digit_limit(tmp_path, capsys):
+    # Python refuses to decode an integer literal of more than 4300 digits.
+    out = tmp_path / "huge.jsonl"
+    out.write_text('{"suite": "cpr", "min_eig": ' + "1" * 5000 + ', "margins": [1.0]}\n')
+    assert cli.main(["report", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"io failure: {out} is not valid JSONL: Exceeds the limit")
+    assert not (tmp_path / "huge.jsonl.summary.csv").exists()
 
 
 _NORMS = ("op", "schatten:1")
@@ -572,6 +585,51 @@ def test_dk_probe_cli_fuzz(eigs, k):
 
 
 _NAN, _INF = float("nan"), float("inf")
+
+# Theorem parameter -> (argv up to the parameter's flag, the flag's text for
+# a value v, the library function that owns v's domain, the domain's
+# finite bounds).
+_OWNED = {
+    "heinz alpha": ("verify --suite heinz --r", repr, heinz.require_alpha, (0.0, 1.0)),
+    "zhan t": ("verify --suite zhan --t", repr, lambda t: cpr.ZhanParams(t, 1.0), (2.0,)),
+    "cor23 t": ("verify --suite cor23 --t", repr, cpr.require_t, (2.0,)),
+    "cor24 t": ("verify --suite cor24 --t", repr, cpr.require_t, (2.0,)),
+    "zhan r": ("verify --suite zhan --r", repr, lambda r: cpr.ZhanParams(0.0, r), (0.5, 1.5)),
+    "finalcor p": ("verify --suite finalcor --p", repr, NormKind.schatten, (1.0,)),
+    "norms p": ("verify --suite agm --norms", lambda p: f"schatten:{p!r}", NormKind.schatten, (1.0,)),
+    "probe k": ("verify --suite dk --k", repr, classes.require_probe_k, (0.0, classes.DK_K_MAX)),
+    "dk-probe k": ("dk-probe --eigs 1,-2 --k", repr, classes.require_probe_k, (0.0, classes.DK_K_MAX)),
+    "eigs": ("dk-probe --eigs", repr, lambda v: matcore.as_spectrum([v]), (0.0,)),
+    "conjecture k": ("conjecture --k", repr, conjecture.require_k, (0.0, 2.0)),
+}
+
+
+def _near(bounds):
+    """A bound, a float just past either side of one, NaN, +-inf or any float."""
+    edges = [float(np.nextafter(b, side)) for b in bounds for side in (-_INF, _INF)]
+    return st.one_of(st.sampled_from([*bounds, *edges, -0.0, _NAN, _INF, -_INF]), st.floats())
+
+
+@pytest.mark.parametrize("param", sorted(_OWNED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_refuses_a_parameter_exactly_when_its_owner_does(param, data):
+    # The CLI restates no theorem domain: a value is a configuration error
+    # (ConfigInvalid, exit 2) exactly when the library refuses it.
+    head, text, owner, bounds = _OWNED[param]
+    *argv, flag = head.split()
+    value = data.draw(_near(bounds))
+    try:
+        owner(value)
+        owner_refuses = False
+    except InvalidParams:
+        owner_refuses = True
+    try:
+        cli.parse_args([*argv, f"{flag}={text(value)}"])
+        cli_refuses = False
+    except ConfigInvalid:
+        cli_refuses = True
+    assert cli_refuses == owner_refuses, value
 # flag -> (values valid for every suite, values out of range for some or all
 # suites, non-finite or malformed).
 _VERIFY_FUZZ = {

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from normlab import cpr, heinz, matcore
 from normlab.cpr import ZhanParams
 from normlab.errors import DimensionMismatch, InvalidParams, NonFinite, NotHermitian, Singular
-from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm
+from normlab.norms import FRO, OP, TR, NormKind, norm
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab import heinz, matcore
-from normlab.errors import DimensionMismatch, NotPositiveDefinite
+from normlab.errors import DimensionMismatch, InvalidParams, NotPositiveDefinite
 from normlab.norms import FRO, OP, TR, NormKind, norm, norms_from_sv
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
@@ -24,12 +24,12 @@ def _pair(seed, n=4, cond=10.0):
 
 
 def test_heinz_params_validation():
-    with pytest.raises(ValueError):
-        heinz.HeinzParams(-0.1)
-    with pytest.raises(ValueError):
-        heinz.HeinzParams(1.1)
-    heinz.HeinzParams(0.0)
-    heinz.HeinzParams(1.0)
+    with pytest.raises(InvalidParams):
+        heinz.require_alpha(-0.1)
+    with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.1$"):
+        heinz.require_alpha(np.array([0.5, 1.1, -2.0]))
+    heinz.require_alpha(0.0)
+    heinz.require_alpha(np.array([0.0, 1.0]))
 
 
 def test_pair_basis_validation():

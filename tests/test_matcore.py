@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from normlab import classes, conjecture, matcore
 from normlab.errors import (
     DimensionMismatch,
+    InvalidParams,
     NotHermitian,
     NotPositiveDefinite,
     Singular,
@@ -340,6 +341,22 @@ def test_substreams_key_seeds_past_four_words(seed, width):
     streams = matcore.substreams(seed, prefixes, [0, 5, 2**32 - 1])
     refs = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64) for path in streams.paths.tolist()]
     assert np.array_equal(streams.keys, refs)
+
+
+@pytest.mark.parametrize("cond", [0.5, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        matcore.random_posdef,
+        matcore.random_selfadjoint_invertible,
+        matcore.random_invertible,
+        matcore.random_normal_invertible,
+        matcore.random_scaled_selfadjoint,
+    ],
+)
+def test_samplers_refuse_a_cond_outside_their_domain(sampler, cond):
+    with pytest.raises(InvalidParams, match=f"cond must be finite and >= 1, got {cond}$"):
+        sampler(3, cond, matcore.Rng(0))
 
 
 def test_stream_keys_edges():
