@@ -55,7 +55,7 @@ import numpy as np
 from . import classes, conjecture, cpr, heinz, matcore
 from .chains import DEFAULT_TOL
 from .errors import ConfigInvalid, IoFailure, NormlabError, UsageError
-from .norms import NormKind
+from .norms import NormKind, require_kyfan_k
 
 __all__ = ["CampaignConfig", "parse_args", "run", "main"]
 
@@ -542,8 +542,7 @@ def _validate(config: CampaignConfig) -> None:
     if not 1.0 <= config.cond <= 1.0 / matcore.POSDEF_RTOL:
         raise ConfigInvalid(f"--cond must be in [1, {1.0 / matcore.POSDEF_RTOL:g}], got {config.cond}")
     try:
-        for sel in config.norms:
-            NormKind.parse(sel)
+        require_kyfan_k([NormKind.parse(sel) for sel in config.norms], config.dim)
         _DOMAINS.get(config.suite, lambda c: None)(config)
     except ValueError as exc:  # InvalidParams, or a selector's number that does not parse
         raise ConfigInvalid(str(exc)) from None

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import matcore
 from .classes import constraint_check
-from .errors import DegenerateDenominator, DimensionMismatch, InvalidK, InvalidParams, NonFinite, SamplerExhausted
+from .errors import DegenerateDenominator, InvalidK, InvalidParams, NonFinite, SamplerExhausted
 
 __all__ = [
     "require_k",
@@ -123,16 +123,13 @@ def psd_check(c) -> tuple[float, bool]:
     """(min eigenvalue, PSD verdict) with slack scaled by the top eigenvalue.
 
     An (..., n, n) stack gives both as (...)-shaped arrays from one
-    eigvalsh.  The input is cast to complex, so a real C goes through
-    LAPACK's Hermitian solver too: the stored conjecture-search reference
-    (bench/reference) was computed that way, and the real symmetric solver
-    moves min_eig by up to 2.4e-5 relative on its seed-1 spectra, far past
-    the 1e-12 to which those values are checked."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim < 2:
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={c.ndim}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("matrix entries must be finite")
+    eigvalsh.  matcore.as_matrices validates C and casts it to complex, so
+    a real C goes through LAPACK's Hermitian solver too: the stored
+    conjecture-search reference (bench/reference) was computed that way,
+    and the real symmetric solver moves min_eig by up to 2.4e-5 relative on
+    its seed-1 spectra, far past the 1e-12 to which those values are
+    checked."""
+    c = matcore.as_matrices(c)
     matcore.require_hermitian(c)
     eigs = np.linalg.eigvalsh(c)
     min_eig = eigs[..., 0]

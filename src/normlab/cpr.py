@@ -32,7 +32,6 @@ from . import matcore
 from .chains import DEFAULT_TOL, chain
 from .errors import InvalidParams, NonFinite
 from .heinz import (
-    DEFAULT_NODES,
     PairBasis,
     abs_pair_basis,
     dominance,
@@ -120,7 +119,6 @@ def zhan_chain(
     params: ZhanParams,
     kinds,
     tol: float = DEFAULT_TOL,
-    nodes: int = DEFAULT_NODES,
 ) -> tuple:
     """Eight-member refinement chain between 2|A^2X+XB^2+tAXB| and
     (t+2)H(r), one report per norm in kinds, largest first.
@@ -142,13 +140,13 @@ def zhan_chain(
 
     The pair is diagonalized once.  The H members are the Kittaneh members
     of A^(1/2) X B^(1/2) at alpha = r - 1/2, whose regime interval and
-    midpoint map are nu's shifted by 1/2; one SVD stack of them and one of
-    the quadratic and AXB weights serve every norm.
+    midpoint map are nu's shifted by 1/2; their nested rule's SVD stacks and
+    one of the quadratic and AXB weights serve every norm.
     """
     if not isinstance(params, ZhanParams):
         params = ZhanParams(*params)
     basis = pair_basis(a, b, x)
-    return _zhan_reports(basis, params.t, params.r, params.regime, kinds, tol, nodes)
+    return _zhan_reports(basis, params.t, params.r, params.regime, kinds, tol)
 
 
 _ZHAN_LABELS = (
@@ -163,13 +161,13 @@ _ZHAN_LABELS = (
 )
 
 
-def _zhan_reports(basis: PairBasis, t, r, regime, kinds, tol: float, nodes: int) -> tuple:
+def _zhan_reports(basis: PairBasis, t, r, regime, kinds, tol: float) -> tuple:
     """The chains of :func:`zhan_chain` with the regime given; r = 1 lies in
     both."""
     t = np.asarray(t, dtype=float)[..., None]
     # X' = A^(1/2) X B^(1/2) in the pair basis, whose Heinz bracket at s - 1/2 is H(s).
     root = replace(basis, x_rot=np.sqrt(basis.a_eigs[..., :, None] * basis.b_eigs[..., None, :]) * basis.x_rot)
-    h = kittaneh_members(root, np.asarray(r) - 0.5, regime, kinds, nodes)
+    h = kittaneh_members(root, np.asarray(r) - 0.5, regime, kinds)
     q_t, q_2, g = np.moveaxis(norms_from_sv(quadratic_sv(basis, (t[..., 0], 2.0)), kinds), 0, -1)
     # A t near the float range's end can take c and the members past it.
     with np.errstate(over="ignore", invalid="ignore"):

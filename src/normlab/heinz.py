@@ -26,8 +26,7 @@ AXB = U_A (S_A X~ S_B) V_B* its cross term.  Both rotate X with
 
 Every check takes a tuple of norm kinds and returns one ChainStack per kind.
 Singular values do not depend on the norm, so each check evaluates its
-instance once: one SVD stack serves every norm.  The Gauss-Legendre base
-rule is computed once per node count.
+instance once: one SVD stack serves every norm.
 
 Every step also takes a stack of instances: (m, n, n) stacks of A, B and
 X with one parameter each (a scalar or an (m,) array) give a basis with a
@@ -42,6 +41,7 @@ instances' single checks bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +68,45 @@ __all__ = [
     "integral_mean_norm",
     "kittaneh_chain",
     "kittaneh_members",
-    "gauss_legendre_nodes",
 ]
 
 # Interval lengths below this are collapsed to an endpoint evaluation of the
 # integrand instead of a quadrature rule on a degenerate interval.
 DEGENERATE_INTERVAL = 1e-10
 
-DEFAULT_NODES = 32
+# The "mean H" member is a nested Clenshaw-Curtis rule: its (n + 1)-point
+# levels have the nodes cos(pi j / n) of [-1, 1], each among the next's.
+QUAD_LEVELS = (8, 16, 32, 64)
+
+# A (pair, norm) accepts a level's mean Q_2n once |Q_2n - Q_n| <= QUAD_RTOL
+# |Q_2n|, an estimate of the coarser Q_n's error: on 1,536 random pairs (n =
+# 2..6, cond 10 to 1e12, five norms) every mean accepted at 17 or 33 points
+# lay within 5.2e-15 of a 2000-node reference.  At 1e-10 some means at kinks
+# (a crossing or vanishing singular value) were accepted up to 9e-12 off.
+QUAD_RTOL = 1e-11
+
+# A (pair, norm) that the 65-point level leaves unconverged has a kink: its
+# interval splits at the kink, at most this many times over (see _mean_h).
+# On the heinz and zhan suites at n = 2, 3, 5 and cond 100 and 1e12, one
+# split took the worst mean that moved from the old 32-node Gauss-Legendre
+# value from 2.9e-7 to 2.8e-10 off a 2000-node reference.
+QUAD_SPLITS = 1
+
+
+@functools.cache
+def _rule() -> tuple[np.ndarray, dict]:
+    """Node j of the finest level (the sine makes j and 64 - j exact
+    opposites) and each level's Clenshaw-Curtis mean weights on [-1, 1],
+    built on first use: at import they add 0.2 MB to every run."""
+    top, weights = QUAD_LEVELS[-1], {}
+    for n in QUAD_LEVELS:
+        moments = [(1.0 if k == n // 2 else 2.0) / (4 * k * k - 1) for k in range(1, n // 2 + 1)]
+        w = [
+            (1.0 - sum(b * math.cos(2.0 * math.pi * j * k / n) for k, b in enumerate(moments, 1))) / n
+            for j in range(n + 1)
+        ]
+        weights[n] = 0.5 * np.array([v if j in (0, n) else 2.0 * v for j, v in enumerate(w)])
+    return np.array([math.sin(math.pi * (top // 2 - j) / top) for j in range(top + 1)]), weights
 
 
 def require_alpha(alpha) -> None:
@@ -183,24 +214,6 @@ def weighted_sv(basis: PairBasis, weights) -> np.ndarray:
     return np.linalg.svd(weighted, compute_uv=False)
 
 
-@functools.lru_cache(maxsize=8)
-def _legendre_base(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only because the
-    cache hands the same arrays to every caller."""
-    base, w = np.polynomial.legendre.leggauss(nodes)
-    base.flags.writeable = False
-    w.flags.writeable = False
-    return base, w
-
-
-def gauss_legendre_nodes(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped affinely to [lo, hi];
-    weights sum to hi - lo."""
-    base, w = _legendre_base(int(nodes))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * base, half * w
-
-
 def heinz_expr(a, b, x, alpha: float) -> np.ndarray:
     """The bracket A^alpha X B^(1-alpha) + A^(1-alpha) X B^alpha."""
     require_alpha(alpha)
@@ -243,18 +256,15 @@ def integral_mean_norm(
     lo: float,
     hi: float,
     kind: NormKind,
-    nodes: int = DEFAULT_NODES,
 ) -> float:
-    """Mean of nu -> |A^nu X B^(1-nu) + A^(1-nu) X B^nu| over [lo, hi].
-
-    Gauss-Legendre with the stated node count; the integrand is analytic in
-    nu for positive definite inputs, so convergence is spectral.
-    """
+    """Mean of nu -> |A^nu X B^(1-nu) + A^(1-nu) X B^nu| over [lo, hi] by the
+    chains' nested rule; an interval shorter than DEGENERATE_INTERVAL is its
+    endpoint hi.  Op and trace integrands have kinks, where it may need all
+    65 points and a split of the interval."""
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidParams(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    basis = pair_basis(a, b, x)
-    pts, w = gauss_legendre_nodes(lo, hi, nodes)
-    return float(np.dot(w, norms_from_sv(power_pair_sv(basis, pts), (kind,))[0]) / (hi - lo))
+    ends = np.array([[lo, hi, 0.5 * (lo + hi)]])
+    return float(_mean_h(pair_basis(a, b, x), ends, ends[:, 0], ends[:, 1], (kind,), QUAD_SPLITS)[1][0, 0])
 
 
 def kittaneh_chain(
@@ -264,7 +274,6 @@ def kittaneh_chain(
     alpha,
     kinds,
     tol: float = DEFAULT_TOL,
-    nodes: int = DEFAULT_NODES,
 ) -> tuple:
     """Five-value refinement chain for the Heinz bracket, one report per
     norm in kinds, largest first:
@@ -280,52 +289,117 @@ def kittaneh_chain(
     with midpoint map (1+alpha)/2 otherwise.  A zero-length interval
     (alpha at 0 or 1) evaluates the integrand at the endpoint.
 
-    The pair is diagonalized once, and one batched SVD over the bracket
-    exponents and the quadrature nodes serves every norm.  Stacks of A, B
-    and X with one alpha each give one ChainStack per norm.
+    The pair is diagonalized once, and each SVD of the nested rule serves
+    every norm (see :func:`kittaneh_members`).  Stacks of A, B and X with
+    one alpha each give one ChainStack per norm.
     """
     require_alpha(alpha)
     basis = pair_basis(a, b, x)
     regime = np.where(np.asarray(alpha) <= 0.5, 1, 2)
-    return _kittaneh_reports(basis, alpha, regime, kinds, tol, nodes)
+    return _kittaneh_reports(basis, alpha, regime, kinds, tol)
 
 
 _KITTANEH_LABELS = ("|AX+XB|", "(|AX+XB|+H(a))/2", "mean H", "H(midmap)", "H(a)")
 
 
-def _kittaneh_reports(basis: PairBasis, alpha, regime, kinds, tol: float, nodes: int) -> tuple:
+def _kittaneh_reports(basis: PairBasis, alpha, regime, kinds, tol: float) -> tuple:
     """The chains of :func:`kittaneh_chain` with the regime given."""
-    return chain(_KITTANEH_LABELS, kittaneh_members(basis, alpha, regime, kinds, nodes), tol=tol).unstack()
+    return chain(_KITTANEH_LABELS, kittaneh_members(basis, alpha, regime, kinds), tol=tol).unstack()
 
 
-def kittaneh_members(basis: PairBasis, alpha, regime, kinds, nodes: int) -> np.ndarray:
+def kittaneh_members(basis: PairBasis, alpha, regime, kinds) -> np.ndarray:
     """The five members of :func:`kittaneh_chain`, largest first, as an
     (..., K, 5) array over the basis's stack axes and the K norms in kinds;
     alpha and regime are scalars or one per pair.  Regime 1 integrates over
     [0, alpha] with midpoint map alpha/2, regime 2 over [alpha, 1] with
     (1+alpha)/2; alpha = 1/2 lies in both.  An interval shorter than
-    DEGENERATE_INTERVAL is its endpoint alpha.
-
-    Every pair's exponents (1, alpha, the midpoint map, then the nodes or
-    the endpoint) go through one SVD; the quadrature sums stay one
-    inner product per pair and norm."""
+    DEGENERATE_INTERVAL is its endpoint alpha.  The exponents 1, alpha and
+    the midpoint map are the quadrature's ends (H(0) = H(1)) and midpoint,
+    so they share the rule's first SVD (see :func:`_mean_h`)."""
     shape = basis.a_eigs.shape[:-1]
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
     first = np.broadcast_to(regime, shape).ravel() == 1
     lo, hi = np.where(first, 0.0, alpha), np.where(first, alpha, 1.0)
     mid_map = np.where(first, 0.5 * alpha, 0.5 * (1.0 + alpha))
-    quad = hi - lo >= DEGENERATE_INTERVAL
-    pts, w = gauss_legendre_nodes(lo[:, None], hi[:, None], nodes)
-    exponents = np.concatenate(
-        (np.stack((np.ones_like(alpha), alpha, mid_map), axis=1), np.where(quad[:, None], pts, alpha[:, None])), axis=1
-    )
-    # A degenerate pair keeps its first four exponents only.
-    keep = np.ones(exponents.shape, dtype=bool)
-    keep[~quad, 4:] = False
-    pair, col = np.nonzero(keep)
-    vals = np.zeros((len(kinds),) + exponents.shape)
-    vals[:, pair, col] = norms_from_sv(power_pair_sv(basis.take(pair), exponents[pair, col]), kinds)
-    v_sum, v_alpha, v_mid, v_int = vals[..., 0], vals[..., 1], vals[..., 2], vals[..., 3].copy()
-    v_int[:, quad] = (vals[:, quad, None, 3:] @ w[quad, :, None])[..., 0, 0] / (hi - lo)[quad]
+    at_head, v_int = _mean_h(basis, np.stack((np.ones_like(alpha), alpha, mid_map), axis=1), lo, hi, kinds, QUAD_SPLITS)
+    v_sum, v_alpha, v_mid = np.moveaxis(at_head, -1, 0)
     members = np.stack((v_sum, 0.5 * v_sum + 0.5 * v_alpha, v_int, v_mid, v_alpha), axis=-1)
     return np.moveaxis(members, 0, -2).reshape(shape + (len(kinds), 5))
+
+
+def _mean_h(basis: PairBasis, head, lo, hi, kinds, splits: int) -> tuple[np.ndarray, np.ndarray]:
+    """H(s) = |A^s X B^(1-s) + A^(1-s) X B^s| at each pair's three head
+    exponents, (K, m, 3) over the K norms in kinds and the m pairs of the
+    flattened basis, and the mean of H over each pair's [lo, hi], (K, m).
+
+    H at head[:, 0] and head[:, 1] is H at the interval's ends, in either
+    order (the rule weighs them alike), and head[:, 2] is its midpoint.  The
+    first SVD takes every head exponent and the other 14 nodes of the
+    17-point level.  Each (pair, norm) takes the first level that passes the
+    QUAD_RTOL test; only pairs with a norm still pending evaluate the next
+    level's nodes, in one SVD per level.  One that the 65-point level
+    leaves unconverged has a kink: while splits remain, its interval splits
+    at the interior node where the norm's closing gap (:func:`_kink_gap`)
+    is least, and its mean is the length-weighted mean of the halves' means
+    with one split fewer; otherwise it takes the 65-point mean.  A mean is
+    summed node by node, so its bits depend on its own pair and norm alone.
+    An interval shorter than DEGENERATE_INTERVAL takes H(head[:, 1])."""
+    m, k, top, nodes = len(head), len(kinds), QUAD_LEVELS[-1], _rule()[0]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    active = np.flatnonzero(hi - lo >= DEGENERATE_INTERVAL)
+    # The singular values and each norm of H at node j of the finest level for each pair.
+    sv, vals = np.empty((m, top + 1, min(basis.x_rot.shape[-2:]))), np.empty((k, m, top + 1))
+
+    def evaluate(pairs, cols, exponents):
+        sv[pairs, cols] = power_pair_sv(basis.take(pairs), exponents)
+        vals[:, pairs, cols] = norms_from_sv(sv[pairs, cols], kinds)
+
+    new = np.array([j for j in range(0, top, top // QUAD_LEVELS[1]) if j % (top // 2)])
+    evaluate(
+        np.concatenate((np.repeat(np.arange(m), 3), np.repeat(active, new.size))),
+        np.concatenate((np.tile([0, top, top // 2], m), np.tile(new, active.size))),
+        np.concatenate((head.ravel(), (mid[active, None] + half[active, None] * nodes[new]).ravel())),
+    )
+    at_head, mean, kinked = vals[:, :, [0, top, top // 2]], vals[:, :, top].copy(), []
+    pending = np.zeros((k, m), dtype=bool)
+    pending[:, active] = True
+    coarse = _mean_rule(vals[:, active], QUAD_LEVELS[0])
+    for n in QUAD_LEVELS[1:]:
+        if n > QUAD_LEVELS[1]:
+            new = np.arange(top // n, top, 2 * top // n)
+            exponents = mid[active, None] + half[active, None] * nodes[new]
+            evaluate(np.repeat(active, new.size), np.tile(new, active.size), exponents.ravel())
+        fine = _mean_rule(vals[:, active], n)
+        accept = pending[:, active] & (np.abs(fine - coarse) <= QUAD_RTOL * np.abs(fine))
+        if n == top:
+            kinked = [(i, active[row]) for i, row in enumerate(pending[:, active] & ~accept) if splits and row.any()]
+            accept = pending[:, active]
+        mean[:, active] = np.where(accept, fine, mean[:, active])
+        pending[:, active] &= ~accept
+        keep = pending[:, active].any(axis=0)
+        active, coarse = active[keep], fine[:, keep]
+        if not active.size:
+            break
+    for i, p in kinked:
+        cut = mid[p] + half[p] * nodes[1 + np.argmin(_kink_gap(sv[p, 1:top], kinds[i]), axis=1)]
+        ends = (np.concatenate((lo[p], cut)), np.concatenate((cut, hi[p])))
+        head = np.stack(ends + (0.5 * (ends[0] + ends[1]),), axis=1)
+        halves = _mean_h(basis.take(np.tile(p, 2)), head, *ends, (kinds[i],), splits - 1)[1][0]
+        mean[i, p] = ((cut - lo[p]) * halves[: p.size] + (hi[p] - cut) * halves[p.size :]) / (hi[p] - lo[p])
+    return at_head, mean
+
+
+def _kink_gap(sv: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The gap between descending singular values (last axis) whose closing
+    kinks H in this norm: s_1 - s_2 for the operator norm, s_k - s_(k+1)
+    for Ky Fan k, and s_n, a vanishing singular value, for Schatten norms."""
+    i = 0 if kind.family == "operator" else int(kind.param) - 1 if kind.family == "kyfan" else -1
+    return -np.diff(sv, axis=-1, append=0.0)[..., i]
+
+
+def _mean_rule(vals: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 1)-point mean of rows of H at the finest level's nodes, summed node by node."""
+    total = 0.0
+    for w, col in zip(_rule()[1][n], range(0, QUAD_LEVELS[-1] + 1, QUAD_LEVELS[-1] // n)):
+        total = total + w * vals[..., col]
+    return total

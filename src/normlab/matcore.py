@@ -2,7 +2,7 @@
 
 Matrices are numpy ``complex128`` arrays throughout; ``as_matrix`` is the
 boundary validator (2-D, finite entries), ``as_matrices`` the one for a
-matrix or an (m, n, k) stack of them, and ``as_spectrum`` the one for real
+matrix or an (..., n, k) stack of them, and ``as_spectrum`` the one for real
 spectra (nonempty, finite, nonzero entries).  Decompositions wrap LAPACK
 via numpy, take one matrix or a stack (one LAPACK call per stack), and
 normalize its conventions: eigenvalues ascending, singular values
@@ -280,8 +280,9 @@ class SvdResult:
 def as_matrix(a) -> np.ndarray:
     """Validate and coerce to a 2-D complex128 array.
 
-    Raises DimensionMismatch for non-2-D input and ValueError for NaN/Inf
-    entries (no non-finite value is admitted into any matrix).
+    Raises DimensionMismatch for non-2-D input and InvalidParams (a
+    ValueError) for NaN/Inf entries (no non-finite value is admitted into
+    any matrix).
     """
     out = as_matrices(a)
     if out.ndim != 2:
@@ -290,12 +291,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_matrices(a) -> np.ndarray:
-    """as_matrix for one matrix or an (m, n, k) stack of them."""
+    """as_matrix for one matrix or an (..., n, k) stack of them."""
     out = np.asarray(a, dtype=complex)
-    if out.ndim not in (2, 3):
+    if out.ndim < 2:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidParams("matrix entries must be finite")
     return out
 
 

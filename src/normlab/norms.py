@@ -17,7 +17,7 @@ import numpy as np
 from . import matcore
 from .errors import InvalidParams, NonFinite
 
-__all__ = ["NormKind", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
+__all__ = ["NormKind", "require_kyfan_k", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
 
 # Singular values below this fraction of the largest are clamped to zero
 # before p-th powers, stabilizing Schatten norms near p=1.
@@ -86,6 +86,13 @@ TR = NormKind.schatten(1.0)
 FRO = NormKind.schatten(2.0)
 
 
+def require_kyfan_k(kinds, n: int) -> None:
+    """Raise InvalidParams for the first Ky Fan k in kinds beyond n singular values."""
+    for kind in kinds:
+        if kind.family == "kyfan" and kind.param > n:
+            raise InvalidParams(f"Ky Fan k must be at most the dimension {n}, got {int(kind.param)}")
+
+
 def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     """Every norm in kinds for every row of an (m, n) stack of descending
     singular values: entry [i, j] is the kinds[i] norm of row j.  An
@@ -93,7 +100,8 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
 
     Singular values below SV_CLIP_RTOL times their row's largest are
     clamped to zero, then the whole stack is reduced at once, row by row
-    as for one row alone.  An empty row has every norm 0.  A row whose
+    as for one row alone.  An empty row has every norm 0; a Ky Fan k past a
+    nonempty row's length raises InvalidParams.  A row whose
     largest p-th power falls below the smallest normal float (a large p on
     small values), or whose plain sum of p-th powers overflows while its
     values are finite (a large p on large values), takes its Schatten norm
@@ -107,6 +115,7 @@ def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:
     out = np.zeros((len(kinds), sv.shape[0]))
     if sv.shape[1] == 0:
         return out.reshape((len(kinds),) + lead)
+    require_kyfan_k(kinds, sv.shape[1])
     top = sv[:, 0]
     clipped = np.where(sv < SV_CLIP_RTOL * top[:, None], 0.0, sv)
     # An overflowing sum is rescaled (Schatten rows) or raises NonFinite below.

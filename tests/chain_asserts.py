@@ -1,6 +1,18 @@
-"""Bit-for-bit equality of chain results, shared by the test modules."""
+"""Bit-for-bit equality of chain results, and a fine reference for the
+chains' "mean H" member, shared by the test modules."""
 
 import numpy as np
+
+
+def gauss_mean(h, lo, hi, nodes, panels=1):
+    """Mean over [lo, hi] of h, which maps an array of points to an array
+    of values along its last axis, by `nodes`-point Gauss-Legendre on each
+    of `panels` equal panels: a rule independent of the chains' nested one."""
+    base, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    pts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * base).ravel()
+    return np.asarray(h(pts)) @ (half * w).ravel() / (hi - lo)
 
 
 def assert_same_chains(got, want):

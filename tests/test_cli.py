@@ -171,6 +171,20 @@ def test_cond_beyond_kernel_tolerance_exits_2(tmp_path, capsys, suite):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["heinz", "zhan", "cpr"])
+def test_kyfan_k_past_the_dimension_exits_2(tmp_path, capsys, suite):
+    # A Ky Fan k beyond the --dim singular values of each matrix has no
+    # norm to stand for; norms_from_sv owns the bound and the CLI calls it.
+    argv = ["verify", "--suite", suite, "--dim", "3", "--count", "1", "--no-timing"]
+    out = tmp_path / "past.jsonl"
+    assert cli.main([*argv, "--norms", "op,kyfan:99", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid configuration: Ky Fan k must be at most the dimension 3, got 99\n"
+    assert not out.exists()
+    out = tmp_path / "at.jsonl"
+    assert cli.main([*argv, "--norms", "kyfan:3", "--out", str(out)]) == 0
+    assert {json.loads(line)["norm"] for line in out.read_text().splitlines()} == {"kyfan:3"}
+
+
 @pytest.mark.parametrize("command", ["verify --suite dk --dim 3", "dk-probe --eigs 1,2,-3"])
 def test_k_beyond_probe_bound_exits_2(tmp_path, capsys, command):
     # Past classes.DK_K_MAX rounding alone would decide the probe's verdict,

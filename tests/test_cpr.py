@@ -225,8 +225,8 @@ def test_zhan_regime_continuity_at_r1():
     # reflections of each other around the symmetry point of H.
     a, b, x = _posdef_triple(83, n=5)
     basis = heinz.pair_basis(a, b, x)
-    regime1 = cpr._zhan_reports(basis, 0.5, 1.0, 1, KINDS, 1e-8, 32)
-    regime2 = cpr._zhan_reports(basis, 0.5, 1.0, 2, KINDS, 1e-8, 32)
+    regime1 = cpr._zhan_reports(basis, 0.5, 1.0, 1, KINDS, 1e-8)
+    regime2 = cpr._zhan_reports(basis, 0.5, 1.0, 2, KINDS, 1e-8)
     for r1, r2 in zip(regime1, regime2):
         for v1, v2 in zip(r1.values, r2.values):
             assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))

@@ -8,6 +8,7 @@ kind of free matrix random_probe_matrix draws."""
 import numpy as np
 import pytest
 
+from chain_asserts import gauss_mean
 from normlab import cpr, heinz, matcore
 from normlab.cpr import ZhanParams
 from normlab.norms import OP, NormKind, norms_from_sv, stack_norms
@@ -92,15 +93,16 @@ def test_zhan_h_members_match_total_power_two(n, probe_kind):
     g = stack_norms((a @ x @ b,), KINDS)[:, 0]
     for r in (0.5, 0.75, 1.0, 1.25, 1.5):
         lo, hi, mid = (0.0, r - 0.5, (2.0 * r + 1.0) / 4.0) if r <= 1.0 else (r - 0.5, 1.0, (2.0 * r + 3.0) / 4.0)
-        # A window shorter than DEGENERATE_INTERVAL is its endpoint lo.
-        degenerate = hi - lo < heinz.DEGENERATE_INTERVAL
-        nodes, w = (np.array([lo]), None) if degenerate else heinz.gauss_legendre_nodes(lo, hi, heinz.DEFAULT_NODES)
-        h = norms_from_sv(heinz.power_pair_sv(basis, np.concatenate(([1.5, r, mid], nodes + 0.5)), total=2.0), KINDS)
+        h = norms_from_sv(heinz.power_pair_sv(basis, np.array([1.5, r, mid]), total=2.0), KINDS)
+        # A window shorter than DEGENERATE_INTERVAL is its endpoint lo, which is r - 1/2.
+        if hi - lo < heinz.DEGENERATE_INTERVAL:
+            means = h[:, 1]
+        else:
+            means = gauss_mean(lambda s: norms_from_sv(heinz.power_pair_sv(basis, s + 0.5, 2.0), KINDS), lo, hi, 32)
         for t in T_GRID:
             c = 4.0 - 2.0 * t
-            for rep, h_row, g_k in zip(cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS), h, g):
-                h32, h_r, h_mid = h_row[:3]
-                mean_h = h_row[3] if w is None else np.dot(w, h_row[3:]) / (hi - lo)
+            reports = cpr.zhan_chain(a, b, x, ZhanParams(t, r), KINDS)
+            for rep, (h32, h_r, h_mid), mean_h, g_k in zip(reports, h, means, g):
                 want = [4.0 * h32, 2.0 * h32 + 2.0 * h_r, 4.0 * mean_h, 4.0 * h_mid, 4.0 * h_r]
                 assert list(rep.values[2:7]) == pytest.approx([v - c * g_k for v in want], rel=RTOL)
                 assert rep.values[7] == pytest.approx((t + 2.0) * h_r, rel=RTOL)

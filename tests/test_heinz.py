@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_asserts import gauss_mean
 from normlab import heinz, matcore
 from normlab.errors import DimensionMismatch, InvalidParams, NotPositiveDefinite
 from normlab.norms import FRO, OP, TR, NormKind, norm, norms_from_sv
@@ -148,9 +149,9 @@ def test_integral_mean_short_interval_limit():
 
 def test_integral_mean_node_refinement():
     a, b, x = _pair(61, n=5, cond=100.0)
-    coarse = heinz.integral_mean_norm(a, b, x, 0.0, 0.5, TR, nodes=32)
-    fine = heinz.integral_mean_norm(a, b, x, 0.0, 0.5, TR, nodes=64)
-    assert abs(coarse - fine) <= 1e-8 * max(1.0, abs(fine))
+    got = heinz.integral_mean_norm(a, b, x, 0.0, 0.5, TR)
+    fine = gauss_mean(lambda s: [norm(heinz.heinz_expr(a, b, x, p), TR) for p in s], 0.0, 0.5, 64)
+    assert abs(got - fine) <= 1e-8 * max(1.0, abs(fine))
 
 
 def test_integral_mean_rejects_bad_interval():
@@ -163,13 +164,20 @@ def test_integral_mean_rejects_bad_interval():
         heinz.integral_mean_norm(a, b, x, 0.0, 1.1, OP)
 
 
-def test_gauss_legendre_weights():
-    pts, w = heinz.gauss_legendre_nodes(0.25, 0.75, 16)
-    assert np.all((pts > 0.25) & (pts < 0.75))
-    assert abs(w.sum() - 0.5) <= 1e-14
-    # Degree-31 polynomial exactness is overkill for a smooth integrand;
-    # spot-check cubic moments.
-    assert np.dot(w, pts**3) == pytest.approx((0.75**4 - 0.25**4) / 4.0, abs=1e-14)
+def test_clenshaw_curtis_rule_is_exact_to_degree_16():
+    # The 17-point level integrates every polynomial of degree <= 16
+    # exactly; the mean of u^d over [-1, 1] is 1/(d+1) for even d, else 0.
+    top = heinz.QUAD_LEVELS[-1]
+    nodes = np.cos(np.pi * np.arange(top + 1) / top)
+    np.testing.assert_allclose(heinz._rule()[0], nodes, rtol=0, atol=1e-15)
+    assert heinz._rule()[0].tolist() == (-heinz._rule()[0][::-1]).tolist()
+    powers = np.stack([heinz._rule()[0]**d for d in range(17)])
+    want = [1.0 / (d + 1) if d % 2 == 0 else 0.0 for d in range(17)]
+    np.testing.assert_allclose(heinz._mean_rule(powers, 16), want, rtol=0, atol=1e-15)
+    for n in heinz.QUAD_LEVELS:
+        assert np.all(heinz._rule()[1][n] > 0.0) and abs(heinz._rule()[1][n].sum() - 1.0) <= 1e-15
+    # The 9-point level is not exact at degree 10.
+    assert abs(heinz._mean_rule(heinz._rule()[0]**10, 8) - 1.0 / 11.0) > 1e-6
 
 
 def test_integrand_symmetry_on_nodes():
@@ -199,8 +207,8 @@ def test_kittaneh_regimes_agree_at_half():
     # same numbers by the nu <-> 1-nu symmetry.
     a, b, x = _pair(65)
     basis = heinz.pair_basis(a, b, x)
-    regime1 = heinz._kittaneh_reports(basis, 0.5, 1, KINDS, 1e-8, 32)
-    regime2 = heinz._kittaneh_reports(basis, 0.5, 2, KINDS, 1e-8, 32)
+    regime1 = heinz._kittaneh_reports(basis, 0.5, 1, KINDS, 1e-8)
+    regime2 = heinz._kittaneh_reports(basis, 0.5, 2, KINDS, 1e-8)
     for r1, r2 in zip(regime1, regime2):
         for v1, v2 in zip(r1.values, r2.values):
             assert abs(v1 - v2) <= 1e-10 * max(1.0, v1)

@@ -28,6 +28,22 @@ def test_as_matrix_rejects_bad_input():
         matcore.as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_one_finite_entries_check_raises_invalid_params():
+    # as_matrices owns the check, for one matrix or a stack of any depth,
+    # and the conjecture's PSD test calls it.
+    bad = np.full((2, 3, 2, 2), 1.0)
+    bad[1, 2, 0, 1] = np.nan
+    for call in (matcore.as_matrix, matcore.as_matrices, conjecture.psd_check):
+        with pytest.raises(InvalidParams, match="^matrix entries must be finite$"):
+            call(bad[1, 2] if call is matcore.as_matrix else bad)
+    assert matcore.as_matrices(np.eye(2)[None, None]).shape == (1, 1, 2, 2)
+    # A complex stack passes through without a copy.
+    c = np.eye(2, dtype=complex)[None]
+    assert matcore.as_matrices(c) is c
+    with pytest.raises(DimensionMismatch):
+        conjecture.psd_check(np.ones(3))
+
+
 def test_as_matrix_accepts_noncontiguous_views():
     # conj().T of a complex array is a strided view; validation must not
     # depend on memory layout.

@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab import matcore
-from normlab.errors import NonFinite
+from normlab.errors import InvalidParams, NonFinite
 from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norms_from_sv
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
+
+
+def test_kyfan_k_past_the_row_length_is_refused():
+    sv = np.array([[3.0, 2.0, 1.0], [1.0, 0.5, 0.0]])
+    assert norms_from_sv(sv, (NormKind.kyfan(3),)).tolist() == [[6.0, 1.5]]
+    with pytest.raises(InvalidParams, match="got 4$"):
+        norms_from_sv(sv, (OP, NormKind.kyfan(2), NormKind.kyfan(4)))
+    # Rows with no singular values keep every norm 0.
+    assert norms_from_sv(np.zeros((2, 0)), (NormKind.kyfan(4),)).tolist() == [[0.0, 0.0]]
 
 
 def test_parse_grammar():
@@ -41,8 +50,9 @@ def test_hand_values():
     assert norm(np.diag([3.0, 1.0, 2.0]), OP) == pytest.approx(3.0, abs=1e-14)
     assert norm(np.diag([1.0, 2.0, 3.0]), TR) == pytest.approx(6.0, abs=1e-13)
     assert norm(np.diag([3.0, 2.0, 1.0]), NormKind.kyfan(2)) == pytest.approx(5.0, abs=1e-13)
-    # k larger than the dimension sums every singular value.
-    assert norm(np.diag([3.0, 2.0, 1.0]), NormKind.kyfan(7)) == pytest.approx(6.0, abs=1e-13)
+    # A k beyond the dimension has no Ky Fan norm.
+    with pytest.raises(InvalidParams, match="at most the dimension 3, got 7$"):
+        norm(np.diag([3.0, 2.0, 1.0]), NormKind.kyfan(7))
     assert norm(np.diag([3.0, 4.0]), FRO) == pytest.approx(5.0, abs=1e-13)
 
 

@@ -96,15 +96,26 @@ def test_stacked_row_norms_match_single_rows(n):
     assert norms_from_sv(sv.reshape(30, 10, n), KINDS).tobytes() == table.tobytes()
 
 
+def _rule_sum(row, n):
+    # The (n + 1)-point mean of one row of H at the finest level's nodes,
+    # summed in Python floats one node at a time in node order.
+    top = heinz.QUAD_LEVELS[-1]
+    total = 0.0
+    for w, col in zip(heinz._rule()[1][n].tolist(), range(0, top + 1, top // n)):
+        total = total + w * row[col]
+    return total
+
+
 @pytest.mark.parametrize("nodes", [8, 32])
 def test_stacked_quadrature_matches_per_row_dot(nodes):
-    # kittaneh_members takes each pair's quadrature sum in one matmul of
-    # (K, m, 1, N) rows against (m, N, 1) weights: numpy's dot per pair.
+    # kittaneh_members sums each pair's mean node by node, elementwise over
+    # the (K, m) stack, so an entry has the bits of its own row's sum
+    # whatever the stack around it; a matmul or a pairwise sum rounds apart.
     g = np.random.default_rng(nodes)
-    vals = g.uniform(0.0, 10.0, size=(3, STACK, nodes))
-    w = g.uniform(0.0, 1.0, size=(STACK, nodes))
-    stacked = (vals[:, :, None, :] @ w[:, :, None])[..., 0, 0]
-    assert _same_bits(stacked, [[np.dot(w[i], vals[k, i]) for i in range(STACK)] for k in range(3)])
+    vals = g.uniform(0.0, 10.0, size=(3, STACK, heinz.QUAD_LEVELS[-1] + 1))
+    stacked = heinz._mean_rule(vals, nodes)
+    assert _same_bits(stacked, [[_rule_sum(vals[k, i].tolist(), nodes) for i in range(STACK)] for k in range(3)])
+    assert heinz._mean_rule(vals[1:, ::7], nodes).tobytes() == stacked[1:, ::7].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -120,28 +131,56 @@ def test_flattened_power_pairs_match_per_pair_calls(n):
     assert _same_bits(stacked, [heinz.power_pair_sv(heinz.PairBasis(la[i], mu[i], x[i]), s[i]) for i in range(40)])
 
 
-def _pair(seed: int, n: int):
+def _pair(seed: int, n: int, cond: float = 50.0):
     rng = matcore.Rng(seed)
-    a = matcore.random_posdef(n, 50.0, rng.substream(0))
-    b = matcore.random_posdef(n, 50.0, rng.substream(1))
+    a = matcore.random_posdef(n, cond, rng.substream(0))
+    b = matcore.random_posdef(n, cond, rng.substream(1))
     return a, b, matcore.random_probe_matrix(n, rng.substream(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_quadrature_member_is_the_per_row_dot(n, alpha):
-    # The stacked quadrature must stay numpy's dot of the node weights with
-    # each row of norms; an einsum or a gemv rounds apart.
+    # The mean member is the nested Clenshaw-Curtis sum of the norms of its
+    # own nodes, in node order, at the first level whose mean passes the
+    # QUAD_RTOL test (each of these does by 65 points; an unconverged one
+    # splits, see test_quadrature): the nodes 0, top and top/2 are H at the
+    # chain's exponents 1, alpha and the midpoint map.
     basis = heinz.pair_basis(*_pair(90 + n, n))
     regime = 1 if alpha <= 0.5 else 2
     lo, hi = (0.0, alpha) if regime == 1 else (alpha, 1.0)
     mid = 0.5 * alpha if regime == 1 else 0.5 * (1.0 + alpha)
-    pts, w = heinz.gauss_legendre_nodes(lo, hi, heinz.DEFAULT_NODES)
-    rows = norms_from_sv(heinz.power_pair_sv(basis, np.concatenate(([1.0, alpha, mid], pts))), KINDS)
-    members = heinz.kittaneh_members(basis, alpha, regime, KINDS, heinz.DEFAULT_NODES)
+    levels, top = heinz.QUAD_LEVELS, heinz.QUAD_LEVELS[-1]
+    pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * heinz._rule()[0]
+    pts[[0, top, top // 2]] = (1.0, alpha, mid)
+    rows = norms_from_sv(heinz.power_pair_sv(basis, pts), KINDS).tolist()
+    members = heinz.kittaneh_members(basis, alpha, regime, KINDS)
     for got, row in zip(members.tolist(), rows):
-        v_sum, v_alpha, v_mid = row[:3].tolist()
-        assert got == [v_sum, 0.5 * v_sum + 0.5 * v_alpha, float(np.dot(w, row[3:]) / (hi - lo)), v_mid, v_alpha]
+        means = [_rule_sum(row, level) for level in levels]
+        j = next(j for j in range(1, len(levels)) if abs(means[j] - means[j - 1]) <= heinz.QUAD_RTOL * abs(means[j]))
+        v_sum, v_alpha, v_mid = row[0], row[top], row[top // 2]
+        assert got == [v_sum, 0.5 * v_sum + 0.5 * v_alpha, means[j], v_mid, v_alpha]
+
+
+def test_stacked_chains_equal_per_instance_calls():
+    # Pairs that stop at 17, 33 and 65 points, with degenerate and
+    # near-degenerate intervals, in one stack: each chain has the bits of
+    # its own call, in every norm.
+    alphas = np.array([0.0, 1e-11, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0 - 1e-11, 1.0] * 2)
+    conds = np.repeat([10.0, 1e12], 11)
+    pairs = [_pair(700 + i, 4, cond) for i, cond in enumerate(conds)]
+    a, b, x = (np.stack(m) for m in zip(*pairs))
+    stacked = heinz.kittaneh_chain(a, b, x, alphas, KINDS)
+    for i, alpha in enumerate(alphas):
+        for kind, stack in zip(KINDS, stacked):
+            (one,) = heinz.kittaneh_chain(*pairs[i], alpha, (kind,))
+            assert stack.values[i].tobytes() == one.values.tobytes(), (i, kind.label)
+    ts, rs = np.resize([-1.0, 0.5, 2.0], 22), np.resize([0.5, 0.75, 1.0, 1.25, 1.5, 1.0 + 1e-12], 22)
+    stacked = cpr.zhan_chain(a, b, x, cpr.ZhanParams(ts, rs), KINDS)
+    for i in range(22):
+        for kind, stack in zip(KINDS, stacked):
+            (one,) = cpr.zhan_chain(*pairs[i], cpr.ZhanParams(ts[i], rs[i]), (kind,))
+            assert stack.values[i].tobytes() == one.values.tobytes(), (i, kind.label)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
