@@ -14,7 +14,9 @@ both the ratio probe and the conjecture search), the residual check, the
 bound check against the classical PSD multiplier theorem, and a
 multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
 which descends all its live starts as one (S, n, n) stack with one
-batched SVD of M o Y and Y per iteration.
+batched SVD of M o Y and Y per iteration.  The last two decompose S by
+matcore.selfadjoint_eigen, matcore's decomposition for self-adjoint
+operators, and phi inverts it by matcore.inverse, under one singularity rule.
 Sampled checks of the fourteen norm identities that characterize scalar
 multiples of self-adjoint, normal, unitary, and reflection classes round
 out the module; they stay explicit products, and take an instance or an
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import matcore
 from .chains import DEFAULT_TOL, ChainStack, chain
-from .errors import DimensionMismatch, InvalidK, InvalidParams, NotPSD, Singular
+from .errors import DimensionMismatch, InvalidK, InvalidParams, NotPSD
 from .heinz import sandwich_weights
 from .norms import OP, stack_norms
 
@@ -53,18 +55,12 @@ __all__ = [
 
 # Pass threshold slack for the pairwise spectral criterion.
 SPECTRAL_SLACK = 1e-12
-# A multiplier matrix whose least eigenvalue is below -PSD_RTOL times its
-# largest is not positive semidefinite.
-PSD_RTOL = 1e-10
 # Equality characterizations are exact theorems on their classes.
 EQUALITY_TOL = 1e-9
 # The ratio probe reads "violated" only for a witness this far below k+2.
 VIOLATION_SLACK = 1e-9
 # A probe start whose subgradient norm falls below this keeps its iterate.
 FROZEN_GRAD_NORM = 1e-14
-# A self-adjoint S with an eigenvalue magnitude at or below this fraction of
-# the largest counts as numerically singular.
-SELFADJOINT_SINGULAR_RTOL = 1e-12
 # Largest k the ratio probe accepts: the verdicts compare against k+2 with
 # the absolute slacks above, so one ulp of k+2 (1.1e-13 at this bound) must
 # stay far below SPECTRAL_SLACK.
@@ -177,14 +173,6 @@ def _frobenius(y: np.ndarray) -> np.ndarray:
     return np.sqrt(f.real @ f.real.transpose(0, 2, 1) + f.imag @ f.imag.transpose(0, 2, 1))
 
 
-def _selfadjoint_eigen(s) -> matcore.HermEigen:
-    dec = matcore.herm_eigen(s)
-    mags = np.abs(dec.eigenvalues)
-    if mags.min() <= SELFADJOINT_SINGULAR_RTOL * mags.max():
-        raise Singular("self-adjoint matrix is numerically singular")
-    return dec
-
-
 def schur_rep_residual(s, k: float, x) -> float:
     """Residual of the eigenbasis multiplier representation of phi.
 
@@ -192,10 +180,9 @@ def schur_rep_residual(s, k: float, x) -> float:
     Q (M o (Q*XQ)) Q*, returning the Frobenius gap over max(1, |phi|_F).
     The two routes share no factorization.
     """
-    s = matcore.as_matrix(s)
     x = matcore.as_matrix(x)
     direct = phi(s, k, x)
-    dec = _selfadjoint_eigen(s)
+    dec = matcore.selfadjoint_eigen(s)
     m = sandwich_weights(dec.eigenvalues, dec.eigenvalues, k)
     q = dec.vectors
     rep = q @ (m * (q.conj().T @ x @ q)) @ q.conj().T
@@ -205,9 +192,7 @@ def schur_rep_residual(s, k: float, x) -> float:
 def schur_theorem_bound_check(n_mat, x, tol: float = DEFAULT_TOL) -> ChainStack:
     """max_i N_ii |X| >= |N o X| in the operator norm, for PSD N."""
     n_mat = matcore.as_matrix(n_mat)
-    matcore.require_hermitian(n_mat)
-    eigs = np.linalg.eigvalsh(n_mat)
-    if eigs[0] < -PSD_RTOL * max(eigs[-1], 0.0):
+    if not matcore.psd_eigvals(n_mat)[1]:
         raise NotPSD("multiplier matrix must be positive semidefinite")
     x = matcore.as_matrix(x)
     if x.shape != n_mat.shape:
@@ -247,7 +232,7 @@ def dk_ratio_minimize(
     matcore.require_within((starts, iters), 0, np.inf, InvalidParams, "the ratio probe takes starts and iters >= 0")
     if rng is None:
         rng = matcore.Rng(0)
-    dec = _selfadjoint_eigen(s)
+    dec = matcore.selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
     m = sandwich_weights(eigs, eigs, k)

@@ -55,8 +55,6 @@ __all__ = [
     "load_violations",
 ]
 
-# PSD verdicts tolerate eigenvalues this far below zero (scaled).
-PSD_SLACK = 1e-10
 # Relative floor below which a denominator counts as degenerate.
 DEGENERATE_RTOL = 1e-12
 HIST_BINS = 20
@@ -120,23 +118,14 @@ def build_conj_matrix(lambdas, k: float) -> np.ndarray:
 
 
 def psd_check(c) -> tuple[float, bool]:
-    """(min eigenvalue, PSD verdict) with slack scaled by the top eigenvalue.
-
-    An (..., n, n) stack gives both as (...)-shaped arrays from one
-    eigvalsh.  matcore.as_matrices validates C and casts it to complex, so
-    a real C goes through LAPACK's Hermitian solver too: the stored
-    conjecture-search reference (bench/reference) was computed that way,
-    and the real symmetric solver moves min_eig by up to 2.4e-5 relative on
-    its seed-1 spectra, far past the 1e-12 to which those values are
-    checked."""
-    c = matcore.as_matrices(c)
-    matcore.require_hermitian(c)
-    eigs = np.linalg.eigvalsh(c)
-    min_eig = eigs[..., 0]
-    ok = min_eig >= -PSD_SLACK * np.maximum(1.0, eigs[..., -1])
-    if c.ndim == 2:
-        return float(min_eig), bool(ok)
-    return min_eig, ok
+    """(min eigenvalue, PSD verdict) by matcore.psd_eigvals, (...)-shaped for
+    an (..., n, n) stack.  A real C takes the complex Hermitian solver, as
+    the stored conjecture-search reference did: the real one moves min_eig
+    by up to 2.4e-5 relative on its seed-1 spectra, past its 1e-12 check."""
+    eigs, ok = matcore.psd_eigvals(c)
+    if eigs.ndim == 1:
+        return float(eigs[0]), bool(ok)
+    return eigs[..., 0], ok
 
 
 def sample_constrained_spectrum(

@@ -4,11 +4,11 @@ power-pair chain, including direct-sum variants and a Schatten power form.
 Every check takes a tuple of norm kinds and returns one ChainStack per
 kind (:func:`final_cor_check` takes Schatten exponents instead), and runs on
 the :mod:`normlab.heinz` multiplier engine: a pair basis, weights, one
-SVD stack for every norm.  Each check on an invertible S is a sum
-A* X B^-1 + A^-1 X B* with A, B among S, S* and T: sandwich weights on
-rotate(sig_A, U_A, sig_B, V_B, X).  S = U diag(sig) V* makes S* =
-V diag(sig) U*, so one SVD of S serves both; a direct sum's singular
-values are the sorted union of its blocks'.
+SVD stack for every norm, with each operator decomposed once, by its
+class: sandwich weights on the eigenvalues of self-adjoint S, T or positive
+P, Q, or on the singular values of an arbitrary S = U diag(sig) V*, which
+serves S* = V diag(sig) U* too.  A direct sum's singular values are the
+sorted union of its blocks'.
 
 Like the engine, every check also takes (m, n, n) stacks of its matrices,
 with t and r scalars or one per instance, and then its ChainStacks have
@@ -86,30 +86,29 @@ class ZhanParams:
 
 def cpr_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|SXS^-1 + S^-1XS| >= 2|X| for self-adjoint invertible S."""
-    s = matcore.as_matrices(s)
-    matcore.require_hermitian(s)
-    d = matcore.invertible_svd(s)
-    return _sandwich_dominance("|SXS^-1+S^-1XS|", d, d, x, kinds, tol)
+    d = matcore.selfadjoint_eigen(s)
+    basis = rotate(d.eigenvalues, d.vectors, d.eigenvalues, d.vectors, x)
+    return _sandwich_dominance(("|SXS^-1+S^-1XS|", "2|X|"), basis, 0.0, kinds, tol)
 
 
 def cpr_two_sided_check(s, t, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|SXT^-1 + S^-1XT| >= 2|X| for self-adjoint invertible S, T."""
-    s, t = matcore.as_matrices(s), matcore.as_matrices(t)
-    matcore.require_hermitian(s)
-    matcore.require_hermitian(t)
-    return _sandwich_dominance("|SXT^-1+S^-1XT|", matcore.invertible_svd(s), matcore.invertible_svd(t), x, kinds, tol)
+    ds, dt = matcore.selfadjoint_eigen(s), matcore.selfadjoint_eigen(t)
+    basis = rotate(ds.eigenvalues, ds.vectors, dt.eigenvalues, dt.vectors, x)
+    return _sandwich_dominance(("|SXT^-1+S^-1XT|", "2|X|"), basis, 0.0, kinds, tol)
 
 
 def cpr_star_check(s, x, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|S*XS^-1 + S^-1XS*| >= 2|X| for arbitrary invertible S."""
     d = matcore.invertible_svd(s)
-    return _sandwich_dominance("|S*XS^-1+S^-1XS*|", d, d, x, kinds, tol)
+    basis = rotate(d.singular_values, d.left, d.singular_values, d.right, x)
+    return _sandwich_dominance(("|S*XS^-1+S^-1XS*|", "2|X|"), basis, 0.0, kinds, tol)
 
 
-def _sandwich_dominance(label, da, db, x, kinds, tol: float) -> tuple:
-    # |A* X B^-1 + A^-1 X B*| >= 2|X| from the SVDs of A and B.
-    basis = rotate(da.singular_values, da.left, db.singular_values, db.right, x)
-    return dominance((label, "2|X|"), norms_from_sv(sandwich_sv([basis], 0.0)[:, 0], kinds), 2.0, tol)
+def _sandwich_dominance(labels, basis: PairBasis, k, kinds, tol: float) -> tuple:
+    # |A X B^-1 + A^-1 X B + kX| >= (k+2)|X| on the basis of A and B.
+    rows = norms_from_sv(sandwich_sv([basis], k)[:, 0], kinds)
+    return dominance(labels, rows, np.asarray(k) + 2.0, tol)
 
 
 def zhan_chain(
@@ -214,8 +213,7 @@ def cor23_check(a, b, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
 def cor24_check(p, q, x, t, kinds, tol: float = DEFAULT_TOL) -> tuple:
     """|PXQ^-1 + P^-1XQ + tX| >= (t+2)|X| for positive definite P, Q, t <= 2."""
     require_t(t)
-    rows = norms_from_sv(sandwich_sv([pair_basis(p, q, x)], t)[:, 0], kinds)
-    return dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), rows, np.asarray(t) + 2.0, tol)
+    return _sandwich_dominance(("|PXQ^-1+P^-1XQ+tX|", "(t+2)|X|"), pair_basis(p, q, x), t, kinds, tol)
 
 
 def mos1_check(s, x, y, kinds, tol: float = DEFAULT_TOL) -> tuple:

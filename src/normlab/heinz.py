@@ -14,8 +14,9 @@ drop: rotate, weight, one batched SVD (:func:`weighted_sv`), reduce with
 * quadratics (:func:`quadratic_sv`): A^2 X + X B^2 + t AXB has
   W_ij = a_i^2 + b_j^2 + t a_i b_j, and AXB has a_i b_j;
 * sandwiches (:func:`sandwich_sv`): A X B^-1 + A^-1 X B + k X has
-  W_ij = a_i/b_j + b_j/a_i + k, and at k = 0 so has A* X B^-1 + A^-1 X B*
-  for invertible A, B, on their singular values with X~ = U_A* X V_B.
+  W_ij = a_i/b_j + b_j/a_i + k, on eigenvalues of either sign for
+  self-adjoint A, B; at k = 0 so has A* X B^-1 + A^-1 X B* for
+  invertible A, B, on their singular values with X~ = U_A* X V_B.
 
 :func:`pair_basis` diagonalizes positive definite A, B (Q_A* X Q_B).
 :func:`abs_pair_basis` serves arbitrary A, B: with A = U_A S_A V_A* and

@@ -8,7 +8,9 @@ via numpy, take one matrix or a stack (one LAPACK call per stack), and
 normalize its conventions: eigenvalues ascending, singular values
 descending, errors mapped onto the :mod:`normlab.errors` taxonomy.
 ``require_hermitian`` passes a stack equal to its adjoint at once and
-measures the Frobenius gap of any other.
+measures the Frobenius gap of any other.  Each class has one decomposition:
+``posdef_eigen`` (positive), ``selfadjoint_eigen`` (self-adjoint) and
+``invertible_svd`` (arbitrary), the last two under the one singularity rule.
 
 Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws the stream that pair fixes, so a
@@ -56,6 +58,8 @@ __all__ = [
     "require_hermitian",
     "herm_eigen",
     "posdef_eigen",
+    "selfadjoint_eigen",
+    "psd_eigvals",
     "svd",
     "invertible_svd",
     "frac_power",
@@ -78,9 +82,11 @@ HERMITICITY_RTOL = 1e-12
 # Eigenvalues below this fraction of the largest are treated as zero when a
 # positive definite input is required.
 POSDEF_RTOL = 1e-12
-# Smallest singular value below this fraction of the Frobenius norm means
-# numerically singular.
+# Smallest singular value at or below this fraction of the Frobenius norm
+# means numerically singular.
 SINGULAR_RTOL = 1e-13
+# psd_eigvals' slack, relative to max(1, the largest eigenvalue).
+PSD_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -330,9 +336,12 @@ def _require_square(a: np.ndarray) -> None:
 
 
 def _require_nonsingular(singular_values: np.ndarray) -> None:
-    # The Frobenius norm of a matrix is the 2-norm of its singular values.
-    frobenius = np.linalg.norm(singular_values, axis=-1)
-    if np.any(singular_values[..., -1] <= SINGULAR_RTOL * np.maximum(frobenius, 1e-300)):
+    # The Frobenius norm, the 2-norm of the descending singular values, as
+    # top * |s / top| so that no square leaves the float range; 0 / 0 fails.
+    top = singular_values[..., 0]
+    with np.errstate(invalid="ignore"):
+        relative = np.linalg.norm(singular_values / top[..., None], axis=-1)
+    if not np.all(singular_values[..., -1] > SINGULAR_RTOL * top * relative):
         raise Singular("matrix is numerically singular")
 
 
@@ -376,6 +385,23 @@ def posdef_eigen(a) -> HermEigen:
     if np.any(low <= POSDEF_RTOL * top) or np.any(top <= 0.0):
         raise NotPositiveDefinite("matrix is not positive definite within tolerance")
     return dec
+
+
+def selfadjoint_eigen(a) -> HermEigen:
+    """herm_eigen of an invertible self-adjoint matrix or stack: Singular
+    on the test of inverse, taken by the eigenvalue magnitudes."""
+    dec = herm_eigen(a)
+    _require_nonsingular(np.sort(np.abs(dec.eigenvalues), axis=-1)[..., ::-1])
+    return dec
+
+
+def psd_eigvals(a) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix or stack (one eigvalsh) and
+    the one PSD verdict: the least at or above -PSD_SLACK max(1, the largest)."""
+    a = as_matrices(a)
+    require_hermitian(a)
+    eigs = np.linalg.eigvalsh(a)
+    return eigs, eigs[..., 0] >= -PSD_SLACK * np.maximum(1.0, eigs[..., -1])
 
 
 def svd(a) -> SvdResult:
@@ -495,9 +521,9 @@ def random_scaled_selfadjoint(n: int, cond: float, rng) -> np.ndarray:
     )
 
 
-def ginibre(n: int, m: int | None = None, *, rng) -> np.ndarray:
+def ginibre(n: int, *, rng) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex Gaussian entries."""
-    return _sample(rng, lambda g: (g.standard_normal((2, n, n if m is None else m)),), _complex)
+    return _sample(rng, lambda g: (g.standard_normal((2, n, n)),), _complex)
 
 
 def random_probe_matrix(n: int, rng) -> np.ndarray:
@@ -604,7 +630,7 @@ def _hermitian(q: np.ndarray, eigs: np.ndarray) -> np.ndarray:
 
 def inverse(a) -> np.ndarray:
     """Inverse of a matrix or stack; raises Singular when a smallest singular
-    value is below SINGULAR_RTOL times its matrix's Frobenius norm."""
+    value is at or below SINGULAR_RTOL times its matrix's Frobenius norm."""
     a = as_matrices(a)
     _require_square(a)
     _require_nonsingular(np.linalg.svd(a, compute_uv=False))

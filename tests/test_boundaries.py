@@ -206,6 +206,51 @@ def test_explicit_products_only_in_oracles():
     assert products == []
 
 
+def _raises(name: str):
+    """Matcher of `raise name(...)` and `raise name`, the name bare or an
+    attribute of a module."""
+
+    def match(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _dotted(exc).split(".")[-1] == name
+
+    return match
+
+
+def test_guard_finds_raises():
+    source = (
+        "def a():\n"
+        "    raise Singular('x')\n"
+        "def b():\n"
+        "    raise errors.Singular\n"
+        "def c():\n"
+        "    raise NotSingular()\n"
+    )
+    assert _owners(source, "m", _raises("Singular")) == {"m.a", "m.b"}
+
+
+def test_one_decomposition_per_operator_class():
+    # One singularity rule raises Singular; the self-adjoint checks take
+    # matcore's self-adjoint decomposition, which validates S itself; one
+    # function holds the PSD rule and its eigvalsh.
+    assert _package_owners(_raises("Singular")) == {"matcore._require_nonsingular"}
+    validators = {"require_hermitian", "matcore.require_hermitian", "as_matrices", "matcore.as_matrices"}
+    assert _callers((PACKAGE / "cpr.py").read_text(), "cpr", validators) == set()
+    assert _package_callers({"selfadjoint_eigen", "matcore.selfadjoint_eigen"}) == {
+        "cpr.cpr_check",
+        "cpr.cpr_two_sided_check",
+        "classes.dk_ratio_minimize",
+        "classes.schur_rep_residual",
+    }
+    assert _package_callers({"psd_eigvals", "matcore.psd_eigvals"}) == {
+        "conjecture.psd_check",
+        "classes.schur_theorem_bound_check",
+    }
+    assert _package_callers({"np.linalg.eigvalsh"}) == {"matcore.psd_eigvals"}
+
+
 @pytest.mark.parametrize("stem", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_every_exported_name_resolves(stem):
     # A deleted function left in __all__ breaks `from module import *`.

@@ -257,12 +257,13 @@ def test_schur_theorem_validation():
 
 
 def test_schur_theorem_psd_rtol():
-    # A least eigenvalue down to -PSD_RTOL times the largest counts as
-    # rounding; below it the multiplier is not positive semidefinite.
+    # A least eigenvalue down to -PSD_SLACK times max(1, the largest) counts
+    # as rounding; below it the multiplier is not positive semidefinite.
     x = matcore.ginibre(2, rng=matcore.Rng(123))
-    assert classes.schur_theorem_bound_check(np.diag([1.0, -0.5 * classes.PSD_RTOL]), x).ok
+    assert classes.schur_theorem_bound_check(np.diag([1.0, -0.5 * matcore.PSD_SLACK]), x).ok
+    assert classes.schur_theorem_bound_check(np.diag([1e-3, -0.5 * matcore.PSD_SLACK]), x).ok
     with pytest.raises(NotPSD):
-        classes.schur_theorem_bound_check(np.diag([1.0, -2.0 * classes.PSD_RTOL]), x)
+        classes.schur_theorem_bound_check(np.diag([1.0, -2.0 * matcore.PSD_SLACK]), x)
 
 
 def test_probe_identity_conjugation():
@@ -336,7 +337,7 @@ def test_probe_bounds_starts_and_iters():
 def _reference_probe(s, k, starts, iters, rng):
     """The probe as it ran before the starts were stacked: each start
     descends alone, and the best iterate wins on strict improvement."""
-    dec = classes._selfadjoint_eigen(s)
+    dec = matcore.selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
     m = heinz.sandwich_weights(eigs, eigs, k)
@@ -420,7 +421,7 @@ def test_probe_descent_matches_one_start_at_a_time(n, k, i):
 def _stacked_probe(s, k, starts, iters, rng):
     """The stacked probe as it ran before frozen starts were skipped: every
     start, frozen or not, goes through two batched SVDs per iteration."""
-    dec = classes._selfadjoint_eigen(s)
+    dec = matcore.selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
     m = heinz.sandwich_weights(eigs, eigs, k)

@@ -728,6 +728,15 @@ def test_dk_probe_huge_eigenvalue_does_not_overflow(tmp_path, capsys, eigs, code
     assert err == "" if code == 0 else err.startswith("numerical failure: Singular") and err.count("\n") == 1
 
 
+def test_dk_probe_spectrum_near_the_float_range_runs(tmp_path, capsys):
+    # Condition 3 at 1e200: the singularity rule squares no eigenvalue.
+    argv = ["dk-probe", "--eigs", "1e200,-3e200", "--k", "1", "--count", "1", "--starts", "2", "--iters", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--out", str(tmp_path / "dk.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "extra",
     [

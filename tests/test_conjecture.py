@@ -225,7 +225,7 @@ def _reference_psd_check(lam, k):
     np.fill_diagonal(c, 1.0 / (2.0 + k))
     eigs = np.linalg.eigvalsh(c.astype(complex))
     min_eig = float(eigs[0])
-    return min_eig, min_eig >= -conjecture.PSD_SLACK * max(1.0, float(eigs[-1]))
+    return min_eig, min_eig >= -matcore.PSD_SLACK * max(1.0, float(eigs[-1]))
 
 
 def _reference_sampler(n, k, rng, max_draws=10**4):

@@ -143,7 +143,9 @@ def _bad_inputs():
         if name == "cpr_two_sided":
             cases.append(("singular-t", {"t": SINGULAR}, Singular))
             cases.append(("nonsquare-t", {"t": np.ones((2, 3))}, DimensionMismatch))
-            cases.append(("nonhermitian-t", {"s": SINGULAR, "t": NOT_HERMITIAN}, NotHermitian))
+            cases.append(("nonhermitian-t", {"t": NOT_HERMITIAN}, NotHermitian))
+            # S is decomposed, and found singular, before T is read.
+            cases.append(("singular-s-nonhermitian-t", {"s": SINGULAR, "t": NOT_HERMITIAN}, Singular))
         if name in ("cpr", "cpr_two_sided"):
             cases.append(("nonhermitian-s", {"s": NOT_HERMITIAN}, NotHermitian))
         for label, bad, error in cases:

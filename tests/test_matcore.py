@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normlab import classes, conjecture, matcore
+from normlab import classes, conjecture, cpr, matcore
 from normlab.errors import (
     DimensionMismatch,
     InvalidParams,
@@ -15,6 +15,7 @@ from normlab.errors import (
     NotPositiveDefinite,
     Singular,
 )
+from normlab.norms import OP
 
 
 def test_as_matrix_rejects_bad_input():
@@ -274,6 +275,30 @@ def test_random_scaled_unitary_and_reflection():
     assert np.allclose(sq, scale * np.eye(4), atol=1e-10 * abs(scale))
 
 
+# Every owner and user of the singularity rule, as f(S).
+_SINGULARITY_RULE = {
+    "invertible_svd": matcore.invertible_svd,
+    "inverse": matcore.inverse,
+    "selfadjoint_eigen": matcore.selfadjoint_eigen,
+    "cpr_star_check": lambda s: cpr.cpr_star_check(s, np.eye(2), (OP,)),
+    "mos1_check": lambda s: cpr.mos1_check(s, np.eye(2), np.eye(2), (OP,)),
+    "phi": lambda s: classes.phi(s, 0.0, np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGULARITY_RULE))
+def test_singularity_rule_is_scale_free(name):
+    # The rule compares the least singular value with the Frobenius norm
+    # taken relative to the largest: condition 2 near 1e200 passes without
+    # an overflow, and condition 1e120 near 1e-200 is singular, where the
+    # squares of its singular values underflow to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _SINGULARITY_RULE[name](np.diag([1e200, 2e200]))
+    with pytest.raises(Singular):
+        _SINGULARITY_RULE[name](np.diag([1e-170, 1e-290]))
+
+
 def test_inverse():
     assert np.allclose(matcore.inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
     a = matcore.random_invertible(5, 1000.0, matcore.Rng(12))
@@ -444,7 +469,6 @@ _SAMPLERS = {
     "random_scaled_reflection": matcore.random_scaled_reflection,
     "random_scaled_selfadjoint": lambda n, rng: matcore.random_scaled_selfadjoint(n, 30.0, rng),
     "ginibre": lambda n, rng: matcore.ginibre(n, rng=rng),
-    "ginibre_rectangular": lambda n, rng: matcore.ginibre(n, n + 2, rng=rng),
     "random_probe_matrix": matcore.random_probe_matrix,
     **{
         f"sample_for_form[{family}]": lambda n, rng, form=form: classes.sample_for_form(form, n, rng, 40.0)
