@@ -17,14 +17,19 @@ argv's own flags so that one parse converts both and argv wins.
 The theorem suites sample, decompose and check their instances in chunks
 of THEOREM_CHUNK, each chunk as one stack, and write the records one
 instance at a time would; a record's ``wall_time`` is its chunk's check
-time split evenly over the chunk's records.  Their records stay as
-blocks of arrays (``_Block``: a run of instances' points and one
-ChainStack per norm and form) until the campaign ends; the JSONL writer
-encodes a block's fixed fields once and formats only each record's
-numbers, every line still ``json.dumps(record, sort_keys=True)``, and
-the summary folds each run of one point's records at once.  The probe
-suites and ``report`` keep dict records.  Nothing is written before the
-campaign finishes.
+time split evenly over the chunk's records.  Their records are blocks
+of arrays (``_Block``: a run of instances' points and one ChainStack per
+norm and form); the JSONL writer encodes a block's fixed fields once and
+formats only each record's numbers, every line still
+``json.dumps(record, sort_keys=True)``, and the summary folds each run
+of one point's records at once.  The probe suites and ``report`` keep
+dict records.  ``verify`` streams: each block or dict record goes to
+``<out>.tmp`` and into the summary groups as soon as the runner yields
+it, so memory depends on one chunk and the number of summary groups, not
+on --count.  The temp file is renamed onto ``<out>`` when the campaign
+finishes and removed when it fails, so a failed run writes no JSONL and
+leaves an earlier ``<out>`` as it was.  ``report`` decodes, checks and
+folds each line as it reads it.
 
 Everything emitted is a deterministic function of (config, seed) except
 wall-time fields, which ``--no-timing`` zeroes; reruns with the same
@@ -41,11 +46,13 @@ below it), 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -55,7 +62,7 @@ import numpy as np
 from . import classes, conjecture, cpr, heinz, matcore
 from .chains import DEFAULT_TOL
 from .errors import ConfigInvalid, IoFailure, NormlabError, UsageError
-from .norms import NormKind, require_kyfan_k
+from .norms import NormKind, parse_norms
 
 __all__ = ["CampaignConfig", "parse_args", "run", "main"]
 
@@ -224,7 +231,7 @@ def _theorem(points, samplers, check):
     """
 
     def records(config):
-        kinds = [NormKind.parse(s) for s in config.norms]
+        kinds = parse_norms(config.norms, config.dim)
         pairs = ((pi, point, i) for pi, point in enumerate(points(config)) for i in range(config.count))
         slots = len(samplers)
         while chunk := list(itertools.islice(pairs, THEOREM_CHUNK)):
@@ -542,7 +549,7 @@ def _validate(config: CampaignConfig) -> None:
     if not 1.0 <= config.cond <= 1.0 / matcore.POSDEF_RTOL:
         raise ConfigInvalid(f"--cond must be in [1, {1.0 / matcore.POSDEF_RTOL:g}], got {config.cond}")
     try:
-        require_kyfan_k([NormKind.parse(sel) for sel in config.norms], config.dim)
+        parse_norms(config.norms, config.dim)
         _DOMAINS.get(config.suite, lambda c: None)(config)
     except ValueError as exc:  # InvalidParams, or a selector's number that does not parse
         raise ConfigInvalid(str(exc)) from None
@@ -576,22 +583,51 @@ _DOMAINS = {
 }
 
 
-def _collect_records(config: CampaignConfig) -> list:
-    """Run the config's suite, numbering records in the order produced: a
-    list of dict records (probe suites) or of record blocks (theorem
-    suites)."""
-    records, count = [], 0
+def _collect_records(config: CampaignConfig, fh) -> tuple[dict, bool]:
+    """Run the config's suite and stream its records: each dict record
+    (probe suites) or record block (theorem suites) is numbered in the
+    order produced, written to fh and folded into the summary groups as
+    soon as the runner yields it.  Returns the groups and whether every
+    record passed."""
+    groups, count, passed = {}, 0, True
     for item in _SUITES[config.suite](config):
         if isinstance(item, _Block):
             item = dataclasses.replace(item, start=count, wall=0.0 if config.no_timing else item.wall)
             count += item.size
+            _fold_block(groups, item)
+            passed = passed and item.passed()
         else:
             item.update(suite=config.suite, instance=count)
             if config.no_timing:
                 item["wall_time"] = 0.0
             count += 1
-        records.append(item)
-    return records
+            _fold_record(groups, item)
+            passed = passed and bool(item["pass"])
+        _write_jsonl(fh, [item])
+    return groups, passed
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that becomes path: it is written as path + ".tmp",
+    renamed onto path when the with block ends and removed when the block
+    raises, so a failed run leaves path as it was.  An OSError on the file
+    is an IoFailure naming path, as writing path itself would name it."""
+    tmp = path + ".tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is not None:
+            exc = OSError(exc.errno, exc.strerror, path)
+        raise IoFailure(f"cannot write {path}: {exc}") from None
 
 
 def _block_text(block: _Block) -> str:
@@ -634,15 +670,10 @@ def _block_text(block: _Block) -> str:
     return "".join(lines)
 
 
-def _write_jsonl(path: str, records: list) -> None:
-    """Write dict records and record blocks, one JSON line per record."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(
-                _block_text(item) if isinstance(item, _Block) else _JSON.encode(item) + "\n" for item in records
-            )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from None
+def _write_jsonl(fh, records) -> None:
+    """Write dict records and record blocks to the text file fh, one JSON
+    line per record."""
+    fh.writelines(_block_text(item) if isinstance(item, _Block) else _JSON.encode(item) + "\n" for item in records)
 
 
 def _is_number(value) -> bool:
@@ -651,16 +682,20 @@ def _is_number(value) -> bool:
 
 
 def _bad_field(record: dict) -> str | None:
-    """The first field _write_summary reads whose type it cannot use."""
+    """What is wrong with the first field the summary reads that it cannot
+    use, or None."""
     for key in ("count", "pass_count", "fail_count", "instance"):
         if key in record and type(record[key]) is not int:
-            return key
+            return f"{key!r} has the wrong type"
+    for key in ("count", "pass_count", "fail_count"):
+        if record.get(key, 0) < 0:
+            return f"{key!r} is negative"
     for key in ("min_margin", "min_eig"):
         if record.get(key) is not None and not _is_number(record[key]):
-            return key
+            return f"{key!r} has the wrong type"
     margins = record.get("margins", [])
     if not (isinstance(margins, list) and all(map(_is_number, margins))):
-        return "margins"
+        return "'margins' has the wrong type"
     return None
 
 
@@ -669,8 +704,8 @@ def _bad_field(record: dict) -> str | None:
 _DECODE = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
+def _records(path: str):
+    """Each record of a JSONL file, decoded and checked as it is read."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -687,14 +722,37 @@ def _read_jsonl(path: str) -> list[dict]:
                         raise IoFailure(f"{path} holds a line that is not a JSON object: {line[:40]!r}")
                     bad = _bad_field(record)
                     if bad is not None:
-                        raise IoFailure(f"{path} holds a record whose {bad!r} has the wrong type: {line[:40]!r}")
-                    records.append(record)
+                        raise IoFailure(f"{path} holds a record whose {bad}: {line[:40]!r}")
+                    yield record
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         # A JSONDecodeError, or an integer literal past Python's digit limit.
         raise IoFailure(f"{path} is not valid JSONL: {exc}") from None
-    return records
+
+
+def _instance(record: dict) -> int:
+    return record.get("instance", 0)
+
+
+def _read_jsonl(path: str) -> dict:
+    """The summary groups of a JSONL file's records, folded in instance
+    order as each is read.  A file whose instance numbers ever decrease is
+    read again and folded sorted by instance (stably, a record without one
+    at 0): once a margin is NaN, the fold's min depends on the order."""
+    groups, last = {}, float("-inf")
+    with contextlib.closing(_records(path)) as records:
+        for record in records:
+            if _instance(record) < last:
+                break
+            last = _instance(record)
+            _fold_record(groups, record)
+        else:
+            return groups
+    groups = {}
+    for record in sorted(_records(path), key=_instance):
+        _fold_record(groups, record)
+    return groups
 
 
 def _fold_block(groups: dict, block: _Block) -> None:
@@ -733,15 +791,9 @@ def _fold_record(groups: dict, r: dict) -> None:
         grp[4] = me if grp[4] is None else min(grp[4], me)
 
 
-def _write_summary(path: str, records: list) -> None:
-    # Groups (count, pass, fail, min_margin, min_eig) in order of first
-    # appearance, records in instance order.
-    groups: dict[tuple, list] = {}
-    for item in sorted(records, key=lambda r: r.start if isinstance(r, _Block) else r.get("instance", 0)):
-        if isinstance(item, _Block):
-            _fold_block(groups, item)
-        else:
-            _fold_record(groups, item)
+def _write_summary(path: str, groups: dict) -> None:
+    """Write the summary CSV: one row per group (count, pass, fail,
+    min_margin, min_eig), in order of first appearance."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -757,15 +809,12 @@ def run(config: CampaignConfig) -> int:
     """Execute a parsed config; returns the process exit status."""
     _validate(config)
     if config.command == "report":
-        records = _read_jsonl(config.out)
-        _write_summary(config.out + ".summary.csv", records)
+        _write_summary(config.out + ".summary.csv", _read_jsonl(config.out))
         return 0
-    records = _collect_records(config)
-    _write_jsonl(config.out, records)
-    _write_summary(config.out + ".summary.csv", records)
-    if config.suite in PROBE_SUITES:
-        return 0
-    return 0 if all(r.passed() if isinstance(r, _Block) else r["pass"] for r in records) else 1
+    with _replacing(config.out) as fh:
+        groups, passed = _collect_records(config, fh)
+    _write_summary(config.out + ".summary.csv", groups)
+    return 0 if passed or config.suite in PROBE_SUITES else 1
 
 
 def main(argv=None) -> int:

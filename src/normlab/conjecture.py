@@ -36,6 +36,7 @@ in instance order at the end of each chunk.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import matcore
 from .classes import constraint_check
-from .errors import DegenerateDenominator, InvalidK, InvalidParams, NonFinite, SamplerExhausted
+from .errors import DegenerateDenominator, InvalidK, InvalidParams, IoFailure, NonFinite, SamplerExhausted
 
 __all__ = [
     "require_k",
@@ -210,7 +211,8 @@ def conjecture_search(
     instance, so a crashed run keeps every chunk finished before the
     crash.  An n below 2 or a count that is not an integer >= 0
     (InvalidParams), or a k outside [0, 2] (InvalidK), is rejected before
-    the file is opened.
+    the file is opened; a file that cannot be opened, appended to or
+    closed raises IoFailure.
     """
     if n < 2:
         raise InvalidParams(f"search needs n >= 2 (n=1 is trivially PSD), got {n}")
@@ -219,48 +221,48 @@ def conjecture_search(
     k_list = [float(k) for k in k_list]
     require_k(k_list)
     summaries = []
-    sink = open(violations_path, "a") if violations_path is not None else None
     try:
-        for k_idx, k in enumerate(k_list):
-            prefix = [rng.path + (k_idx,)]
-            min_eigs = np.empty(count)
-            rejected = 0
-            violations = 0
-            for start in range(0, count, SEARCH_CHUNK):
-                stop = min(start + SEARCH_CHUNK, count)
-                streams = matcore.substreams(rng.seed, prefix, np.arange(start, stop))
-                lams, rej = sample_constrained_spectrum(n, k, streams, max_draws=max_draws)
-                rejected += int(rej.sum())
-                mins, ok = psd_check(build_conj_matrix(lams, k))
-                min_eigs[start:stop] = mins
-                bad = np.flatnonzero(~ok)
-                violations += bad.size
-                if sink is not None and bad.size:
-                    for b in bad:
-                        record = {
-                            "k": k,
-                            "lambdas": [float(v) for v in lams[b]],
-                            "min_eig": float(mins[b]),
-                            "seed": rng.seed,
-                            "instance": start + int(b),
-                        }
-                        sink.write(json.dumps(record) + "\n")
-                    sink.flush()
-            counts, edges = np.histogram(min_eigs, bins=HIST_BINS)
-            summaries.append(
-                KSummary(
-                    k=k,
-                    accepted=count,
-                    rejected=rejected,
-                    violations=violations,
-                    min_eig_overall=float(min_eigs.min()) if count else float("nan"),
-                    hist_counts=counts,
-                    hist_edges=edges,
+        with open(violations_path, "a") if violations_path is not None else contextlib.nullcontext() as sink:
+            for k_idx, k in enumerate(k_list):
+                prefix = [rng.path + (k_idx,)]
+                min_eigs = np.empty(count)
+                rejected = 0
+                violations = 0
+                for start in range(0, count, SEARCH_CHUNK):
+                    stop = min(start + SEARCH_CHUNK, count)
+                    streams = matcore.substreams(rng.seed, prefix, np.arange(start, stop))
+                    lams, rej = sample_constrained_spectrum(n, k, streams, max_draws=max_draws)
+                    rejected += int(rej.sum())
+                    mins, ok = psd_check(build_conj_matrix(lams, k))
+                    min_eigs[start:stop] = mins
+                    bad = np.flatnonzero(~ok)
+                    violations += bad.size
+                    if sink is not None and bad.size:
+                        for b in bad:
+                            record = {
+                                "k": k,
+                                "lambdas": [float(v) for v in lams[b]],
+                                "min_eig": float(mins[b]),
+                                "seed": rng.seed,
+                                "instance": start + int(b),
+                            }
+                            sink.write(json.dumps(record) + "\n")
+                        sink.flush()
+                counts, edges = np.histogram(min_eigs, bins=HIST_BINS)
+                summaries.append(
+                    KSummary(
+                        k=k,
+                        accepted=count,
+                        rejected=rejected,
+                        violations=violations,
+                        min_eig_overall=float(min_eigs.min()) if count else float("nan"),
+                        hist_counts=counts,
+                        hist_edges=edges,
+                    )
                 )
-            )
-    finally:
-        if sink is not None:
-            sink.close()
+    except OSError as exc:
+        # Opening, appending to or closing the violations file.
+        raise IoFailure(f"cannot write {violations_path}: {exc}") from None
     return summaries
 
 

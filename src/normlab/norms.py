@@ -17,7 +17,8 @@ import numpy as np
 from . import matcore
 from .errors import InvalidParams, NonFinite
 
-__all__ = ["NormKind", "require_kyfan_k", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm", "OP", "TR", "FRO"]
+__all__ = ["NormKind", "require_kyfan_k", "parse_norms", "norm", "norms_from_sv", "stack_norms", "direct_sum_norm",
+           "OP", "TR", "FRO"]
 
 # Singular values below this fraction of the largest are clamped to zero
 # before p-th powers, stabilizing Schatten norms near p=1.
@@ -91,6 +92,20 @@ def require_kyfan_k(kinds, n: int) -> None:
     for kind in kinds:
         if kind.family == "kyfan" and kind.param > n:
             raise InvalidParams(f"Ky Fan k must be at most the dimension {n}, got {int(kind.param)}")
+
+
+def parse_norms(selectors, n: int) -> list[NormKind]:
+    """The norms that selector strings name for n singular values, each
+    parsed by NormKind.parse.  Raises InvalidParams for a Ky Fan k beyond n
+    and for a norm named twice ("tr" and "schatten:1" are one norm), whose
+    records and summary rows would be counted twice."""
+    kinds = [NormKind.parse(text) for text in selectors]
+    require_kyfan_k(kinds, n)
+    labels = [kind.label for kind in kinds]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidParams(f"norm {label} is selected twice: {','.join(selectors)}")
+    return kinds
 
 
 def norms_from_sv(sv: np.ndarray, kinds) -> np.ndarray:

@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -183,6 +185,18 @@ def test_kyfan_k_past_the_dimension_exits_2(tmp_path, capsys, suite):
     out = tmp_path / "at.jsonl"
     assert cli.main([*argv, "--norms", "kyfan:3", "--out", str(out)]) == 0
     assert {json.loads(line)["norm"] for line in out.read_text().splitlines()} == {"kyfan:3"}
+
+
+@pytest.mark.parametrize(
+    "norms, label", [("tr,schatten:1", "schatten:1"), ("op,op", "op"), ("fro,schatten:2", "schatten:2")]
+)
+def test_a_norm_selected_twice_exits_2(tmp_path, capsys, norms, label):
+    # Its records and summary row would count every instance twice.
+    out = tmp_path / "twice.jsonl"
+    argv = ["verify", "--suite", "agm", "--dim", "3", "--count", "1", "--norms", norms, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"invalid configuration: norm {label} is selected twice: {norms}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify --suite dk --dim 3", "dk-probe --eigs 1,2,-3"])
@@ -453,6 +467,10 @@ def test_report_rejects_records_that_are_not_objects(tmp_path, capsys):
         ("min_margin", int("1" * 400)),
         ("min_eig", -(10**400)),
         ("margins", [0.5, 2**1024]),
+        # Counts below zero, which the summary would add as they are.
+        ("count", -5),
+        ("pass_count", -1),
+        ("fail_count", -1),
     ],
 )
 def test_report_rejects_fields_of_the_wrong_type(tmp_path, capsys, field, value):
@@ -510,6 +528,19 @@ def test_suite_record_layout(tmp_path, suite):
     assert [r["instance"] for r in records] == list(range(len(records)))
     assert all(r["suite"] == suite for r in records)
     assert [(r["norm"], r["params"]) for r in records[:per_instance]] == first
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_conjecture_violations_that_cannot_be_written_exit_4(tmp_path, capsys):
+    # The search appends its violations itself; a full device is an I/O
+    # failure, not a traceback with the exit code of a failing theorem.
+    out = tmp_path / "v.jsonl"
+    (tmp_path / "v.jsonl.violations.jsonl").symlink_to("/dev/full")
+    assert cli.main(["conjecture", "--n", "4", "--k", "1", "--count", "50", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"io failure: cannot write {out}.violations.jsonl: ")
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "v.jsonl.tmp").exists()
 
 
 def test_conjecture_run(tmp_path):
@@ -658,7 +689,7 @@ _VERIFY_FUZZ = {
     "--tol": ([1e-8, 1e308], [0.0, -1.0, _NAN, _INF]),
     "--norms": (
         ["op", "tr,fro", "schatten:3,kyfan:2"],
-        ["kyfan:99", "kyfan:0", "schatten:0.5", "schatten:nan", "bogus"],
+        ["kyfan:99", "kyfan:0", "schatten:0.5", "schatten:nan", "bogus", "tr,schatten:1"],
     ),
 }
 _LIST_FLAGS = ("--t", "--r", "--k", "--p")
@@ -869,22 +900,12 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_exit_one_on_failing_record(tmp_path, monkeypatch):
     # Exit-status mapping for theorem suites: any failing record flips the
-    # process status to 1.  Collection is stubbed; honest failures are
-    # exercised at module level.
-    def fake_collect(config):
-        return [
-            {
-                "suite": config.suite,
-                "instance": 0,
-                "norm": "op",
-                "params": {},
-                "pass": False,
-                "margins": [-1.0],
-                "wall_time": 0.0,
-            }
-        ]
+    # process status to 1.  The suite's records are stubbed; honest
+    # failures are exercised at module level.
+    def fake_suite(config):
+        yield {"norm": "op", "params": {}, "pass": False, "margins": [-1.0], "wall_time": 0.0}
 
-    monkeypatch.setattr(cli, "_collect_records", fake_collect)
+    monkeypatch.setitem(cli._SUITES, "heinz", fake_suite)
     out = tmp_path / "fail.jsonl"
     assert cli.main(_verify_argv(out)) == 1
 
@@ -950,6 +971,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, suite):
     assert "Traceback" not in err
 
 
+def _write_jsonl(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        cli._write_jsonl(fh, records)
+
+
+def _groups(records):
+    """The summary groups of dict records and record blocks, folded in order."""
+    groups = {}
+    for item in records:
+        (cli._fold_block if isinstance(item, cli._Block) else cli._fold_record)(groups, item)
+    return groups
+
+
 def _reference_summary(path, records):
     """The summary writer as it was: one json.dumps of the params per record,
     groups in order of first appearance."""
@@ -1011,23 +1045,24 @@ def test_writers_match_per_record_json_dumps(tmp_path):
         ["conjecture", "--n", "3", "--count", "40", "--k", "0,2"],
     ):
         config = cli.parse_args([*argv, "--seed", "3", "--out", str(tmp_path / "probe.jsonl")])
-        for rec in cli._collect_records(config):
-            rec["instance"] = len(records)
+        for rec in cli._SUITES[config.suite](config):
+            rec.update(suite=config.suite, instance=len(records))
             records.append(rec)
     out = tmp_path / "records.jsonl"
-    cli._write_jsonl(str(out), records)
+    _write_jsonl(out, records)
     assert out.read_text(encoding="utf-8").splitlines() == [json.dumps(r, sort_keys=True) for r in records]
-    cli._write_summary(str(out) + ".summary.csv", records)
+    cli._write_summary(str(out) + ".summary.csv", _groups(sorted(records, key=lambda r: r["instance"])))
     _reference_summary(tmp_path / "reference.csv", records)
     summary = (tmp_path / "records.jsonl.summary.csv").read_bytes()
     assert summary == (tmp_path / "reference.csv").read_bytes()
     assert summary.count(b"\nzhan,op,") == 4
-    # The report read-back gives every record its own params dict.
+    # The report read-back gives every record its own params dict, and
+    # folds this out-of-order file sorted by instance.
     assert cli.main(["report", "--out", str(out)]) == 0
     assert (tmp_path / "records.jsonl.summary.csv").read_bytes() == summary
-    _reference_summary(tmp_path / "read_back.csv", cli._read_jsonl(str(out)))
+    _reference_summary(tmp_path / "read_back.csv", [json.loads(line) for line in out.read_text().splitlines()])
     assert (tmp_path / "read_back.csv").read_bytes() == summary
-    cli._write_jsonl(str(out), [])
+    _write_jsonl(out, [])
     assert out.read_bytes() == b""
 
 
@@ -1045,6 +1080,68 @@ def test_report_rewrites_the_summary_of_every_theorem_suite(tmp_path, monkeypatc
     summary.unlink()
     assert cli.main(["report", "--out", str(out)]) == 0
     assert summary.read_bytes() == written
+    # The lines reversed take report's sorted pass, which folds them as
+    # the streamed pass folds the file in order.
+    reverse = tmp_path / "reverse.jsonl"
+    reverse.write_text("".join(reversed(out.read_text().splitlines(keepends=True))))
+    assert cli.main(["report", "--out", str(reverse)]) == 0
+    assert (tmp_path / "reverse.jsonl.summary.csv").read_bytes() == written
+
+
+def test_report_folds_an_out_of_order_file_by_instance(tmp_path):
+    # With a NaN margin Python's min depends on the order: the file's order
+    # gives nan, instance order 0.5.
+    records = [
+        {"suite": "cpr", "norm": "op", "pass": True, "margins": [0.5], "instance": 0},
+        {"suite": "cpr", "norm": "op", "pass": False, "margins": [math.nan], "instance": 1},
+        {"suite": "cpr", "norm": "tr", "pass": True, "margins": [0.25], "instance": 2},
+    ]
+    for name, order in (("sorted", records), ("shuffled", [records[1], records[2], records[0]])):
+        _write_jsonl(tmp_path / f"{name}.jsonl", order)
+        assert cli.main(["report", "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+    summary = (tmp_path / "sorted.jsonl.summary.csv").read_bytes()
+    assert (tmp_path / "shuffled.jsonl.summary.csv").read_bytes() == summary
+    assert summary.splitlines()[1] == b'cpr,op,{},2,1,1,0.5,'
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_memory_does_not_grow_with_the_file(tmp_path):
+    # report holds one line and the summary groups: 20,000 records of four
+    # groups peak within 64 KB of 2,000, where holding the records as dicts
+    # adds about 2.2 KB each (40 MB).
+    paths = []
+    for count in (2000, 20000):
+        paths.append(tmp_path / f"r{count}.jsonl")
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            for i in range(count):
+                margins = [0.5 + i % 7 / 100, 0.25 - i % 3 / 100]
+                record = {"suite": "heinz", "norm": ("op", "tr")[i % 2], "params": {"alpha": i // 2 % 2 / 4},
+                          "labels": ["a", "b", "c"], "values": [1.0 + i, 2.0, 3.0], "margins": margins,
+                          "link_pass": [True, True], "relations": ["ge", "ge"], "pass": True,
+                          "min_margin": min(margins), "wall_time": 0.0, "instance": i}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _traced_peak(["report", "--out", str(paths[0])])
+    small, large = (_traced_peak(["report", "--out", str(path)]) for path in paths)
+    assert abs(large - small) < 64 * 1024, (small, large)
+
+
+def test_verify_memory_does_not_grow_with_the_count(tmp_path):
+    # verify writes and folds each chunk's blocks as they come: 3,000
+    # instances (24 chunks) peak within 64 KB of 300 (3 chunks), where
+    # holding every block adds about 250 KB.
+    argv = ["verify", "--suite", "agm", "--dim", "2", "--seed", "4", "--no-timing", "--out", str(tmp_path / "v.jsonl")]
+    _traced_peak([*argv, "--count", "300"])
+    small, large = (_traced_peak([*argv, "--count", str(count)]) for count in (300, 3000))
+    assert cli.THEOREM_CHUNK < 300
+    assert abs(large - small) < 64 * 1024, (small, large)
 
 
 def _block_dicts(blocks):
@@ -1096,9 +1193,9 @@ def test_block_writers_match_per_record_json_dumps(tmp_path):
     ]
     records = _block_dicts(blocks)
     out = tmp_path / "blocks.jsonl"
-    cli._write_jsonl(str(out), blocks)
+    _write_jsonl(out, blocks)
     assert out.read_text(encoding="utf-8").splitlines() == [json.dumps(r, sort_keys=True) for r in records]
-    cli._write_summary(str(out) + ".summary.csv", blocks)
+    cli._write_summary(str(out) + ".summary.csv", _groups(blocks))
     _reference_summary(tmp_path / "reference.csv", records)
     summary = (tmp_path / "blocks.jsonl.summary.csv").read_bytes()
     assert summary == (tmp_path / "reference.csv").read_bytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from normlab import matcore
 from normlab.errors import InvalidParams, NonFinite
-from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norms_from_sv
+from normlab.norms import FRO, OP, TR, NormKind, direct_sum_norm, norm, norms_from_sv, parse_norms
 
 KINDS = [OP, TR, FRO, NormKind.kyfan(2), NormKind.schatten(3.0)]
 
@@ -30,6 +30,16 @@ def test_parse_grammar():
     assert NormKind.parse("schatten:3") == NormKind.schatten(3.0)
     assert NormKind.parse("kyfan:2") == NormKind.kyfan(2)
     assert NormKind.parse(" OP ") == OP
+
+
+def test_parse_norms_refuses_a_norm_named_twice():
+    assert parse_norms(["op", "tr", "fro", "kyfan:2"], 2) == [OP, TR, FRO, NormKind.kyfan(2)]
+    for selectors, label in ((["tr", "schatten:1"], "schatten:1"), (["op", "op"], "op"),
+                             (["fro", "kyfan:2", "schatten:2"], "schatten:2")):
+        with pytest.raises(InvalidParams, match=f"^norm {label} is selected twice"):
+            parse_norms(selectors, 3)
+    with pytest.raises(InvalidParams, match="got 4$"):
+        parse_norms(["kyfan:4"], 3)
 
 
 def test_parse_labels_round_trip():

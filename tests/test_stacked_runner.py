@@ -227,8 +227,12 @@ def test_stacked_runner_writes_the_per_instance_bytes(tmp_path, monkeypatch, sui
         rec.update(suite=suite, instance=len(records))
         records.append(rec)
     ref = tmp_path / "reference.jsonl"
-    cli._write_jsonl(str(ref), records)
-    cli._write_summary(str(ref) + ".summary.csv", records)
+    with open(ref, "w", encoding="utf-8") as fh:
+        cli._write_jsonl(fh, records)
+    groups = {}
+    for rec in records:
+        cli._fold_record(groups, rec)
+    cli._write_summary(str(ref) + ".summary.csv", groups)
     assert out.read_bytes() == ref.read_bytes()
     summary = tmp_path / "stacked.jsonl.summary.csv"
     assert summary.read_bytes() == (tmp_path / "reference.jsonl.summary.csv").read_bytes()
@@ -306,3 +310,31 @@ def test_campaign_with_a_bad_last_member_exits_3_without_records(tmp_path, capsy
     assert cli.main(["verify", "--suite", suite, "--dim", "3", "--count", "5", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
+    assert not (tmp_path / "out.jsonl.tmp").exists()
+
+
+def test_failure_after_a_streamed_chunk_keeps_the_earlier_output(tmp_path, capsys, monkeypatch):
+    # The first chunk's records go to <out>.tmp before the second chunk's
+    # singular S fails the run: the temp file is removed, and the <out> and
+    # summary of an earlier run stay as they were.
+    monkeypatch.setattr(cli, "THEOREM_CHUNK", 5)
+    out, tmp = tmp_path / "out.jsonl", tmp_path / "out.jsonl.tmp"
+    argv = ["verify", "--suite", "cpr", "--dim", "3", "--count", "12", "--no-timing", "--out", str(out)]
+    assert cli.main(argv) == 0
+    earlier = out.read_bytes(), (tmp_path / "out.jsonl.summary.csv").read_bytes()
+    real, seen = matcore.random_selfadjoint_invertible, []
+
+    def singular_in_the_second_chunk(n, cond, rngs):
+        # cpr draws two self-adjoint slots per chunk.
+        seen.append(tmp.exists())
+        mats = real(n, cond, rngs)
+        if len(seen) > 2:
+            mats[0] = _SINGULAR
+        return mats
+
+    monkeypatch.setattr(matcore, "random_selfadjoint_invertible", singular_in_the_second_chunk)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: Singular")
+    assert seen == [True] * 4
+    assert not tmp.exists()
+    assert (out.read_bytes(), (tmp_path / "out.jsonl.summary.csv").read_bytes()) == earlier
