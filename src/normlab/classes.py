@@ -8,13 +8,13 @@ eigenbasis: with S = Q diag(l) Q* and X~ = Q*XQ,
 
 the sandwich weights ``heinz.sandwich_weights(l, l, k)`` of the multiplier
 engine.  That representation powers the pairwise criterion min |M_ij| >= k+2
-over i != j (constraint_check, which forms those weights at the
-off-diagonal pairs only, takes one spectrum or a stack of them and serves
-both the ratio probe and the conjecture search), the residual check, the
-bound check against the classical PSD multiplier theorem, and a
-multistart minimizer probing inf |phi(X)| / |X| over the unit sphere,
-which descends all its live starts as one (S, n, n) stack with one
-batched SVD of M o Y and Y per iteration.  The last two decompose S by
+over i != j (constraint_check, which serves both the ratio probe and the
+conjecture search), the residual check, the bound check against the
+classical PSD multiplier theorem, and a multistart minimizer probing
+inf |phi(X)| / |X| over the unit sphere.  The minimizer descends its live
+starts as one (S, n, n) stack and reads only the top singular triplets of
+M o Y and Y, from one batched eigh of their Gram matrices per iteration
+(matcore.top_singular).  It and the residual check decompose S by
 matcore.selfadjoint_eigen, matcore's decomposition for self-adjoint
 operators, and phi inverts it by matcore.inverse, under one singularity rule.
 Sampled checks of the fourteen norm identities that characterize scalar
@@ -141,8 +141,10 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
     n = lam.shape[-1]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool)) if n > 1 else (np.zeros(1, dtype=np.intp),) * 2
     with np.errstate(over="ignore", divide="ignore"):
-        ratio = lam[..., rows] / lam[..., cols]
-        vals = np.abs(ratio + 1.0 / ratio + k)
+        vals = lam[..., rows] / lam[..., cols]
+        vals += 1.0 / vals
+        vals += k
+        np.abs(vals, out=vals)
     min_value = vals.min(axis=-1)
     threshold = k + 2.0
     ok = min_value >= threshold - SPECTRAL_SLACK
@@ -153,15 +155,12 @@ def constraint_check(lambdas, k: float) -> ConstraintResult:
 
 def _ratio_subgradients(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ratio |M o Y| / |Y| (operator norm) of every matrix of an (S, n, n)
-    stack, and a subgradient of each ratio, from one batched SVD of the
-    matrices M o Y and Y."""
-    u, sv, vh = np.linalg.svd(np.concatenate((m * y, y)))
-    h = len(y)
-    un, ud, sn, sd, vhn, vhd = u[:h], u[h:], sv[:h], sv[h:], vh[:h], vh[h:]
-    ratio = sn[:, 0] / sd[:, 0]
-    g_num = m * (un[:, :, :1] * vhn[:, :1, :])
-    g_den = ud[:, :, :1] * vhd[:, :1, :]
-    return ratio, (g_num - ratio[:, None, None] * g_den) / sd[:, 0, None, None]
+    stack and a subgradient of each, from the top singular triplets of M o Y
+    and Y: one matcore.top_singular, a batched eigh of their Gram matrices."""
+    sv, u, v = matcore.top_singular(np.stack((m * y, y)))
+    uv_num, uv_den = u[..., :, None] * v.conj()[..., None, :]
+    ratio = sv[0] / sv[1]
+    return ratio, (m * uv_num - ratio[:, None, None] * uv_den) / sv[1, :, None, None]
 
 
 def _frobenius(y: np.ndarray) -> np.ndarray:
@@ -223,20 +222,20 @@ def dk_ratio_minimize(
     descend together as one (S, n, n) stack, evaluated at their seeds and
     after each of `iters` steps.  A start whose subgradient norm falls
     below FROZEN_GRAD_NORM keeps its iterate from then on, and only the
-    live starts go through the batched SVDs.  The witness is
-    the best iterate over all starts and iterations; ties go to the earliest
-    iteration, then the lowest start.  Deterministic given the rng.  Raises
-    InvalidK for a k that require_probe_k refuses, InvalidParams for starts or iters < 0.
+    live starts go through the Gram eigensolve of _ratio_subgradients.  The
+    witness is the best iterate over all starts and iterations; ties go to
+    the earliest iteration, then the lowest start.  Deterministic given the
+    rng; a best_ratio the descent finds (not a seed's) keeps its verdict but
+    not its last bits under any change of arithmetic.  Raises InvalidK for a
+    k that require_probe_k refuses, InvalidParams for starts or iters < 0.
     """
     require_probe_k(k)
     matcore.require_within((starts, iters), 0, np.inf, InvalidParams, "the ratio probe takes starts and iters >= 0")
-    if rng is None:
-        rng = matcore.Rng(0)
+    rng = matcore.Rng(0) if rng is None else rng
     dec = matcore.selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
     m = sandwich_weights(eigs, eigs, k)
-    spectral_ok = constraint_check(eigs, k).ok
 
     # One draw, consumed start by start: the real part, then the imaginary.
     w = rng.generator().standard_normal((int(starts), 2, n, n))
@@ -244,9 +243,8 @@ def dk_ratio_minimize(
     seeds = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     y = np.concatenate((seeds, np.eye(n, dtype=complex)[None] / np.sqrt(n), z / _frobenius(z)))
 
-    # A frozen start's iterate, ratio and subgradient stay as they are, so
-    # only the live starts (indices into y) are evaluated; the frozen ones
-    # keep their last ratios in the argmin.
+    # Only the live starts (indices into y) are evaluated: a frozen start
+    # keeps its iterate, and its last ratio stays in the argmin.
     ratio, live = np.empty(len(y)), np.arange(len(y))
     best_ratio, best_y = np.inf, y[0]
     for it in range(int(iters) + 1):
@@ -254,6 +252,8 @@ def dk_ratio_minimize(
         i = int(np.argmin(ratio))
         if ratio[i] < best_ratio:
             best_ratio, best_y = ratio[i], y[i].copy()
+        if it == int(iters):
+            break
         gnorm = _frobenius(grad)
         moving = gnorm[:, 0, 0] >= FROZEN_GRAD_NORM
         live, grad, gnorm = live[moving], grad[moving], gnorm[moving]
@@ -265,14 +265,7 @@ def dk_ratio_minimize(
         y[live] = step / _frobenius(step)
 
     witness = dec.vectors @ best_y @ dec.vectors.conj().T
-    return DkProbeResult(
-        eigenvalues=eigs,
-        k=float(k),
-        spectral_ok=spectral_ok,
-        best_ratio=float(best_ratio),
-        witness=witness,
-        starts_used=len(y),
-    )
+    return DkProbeResult(eigs, float(k), constraint_check(eigs, k).ok, float(best_ratio), witness, len(y))
 
 
 @dataclass(frozen=True)

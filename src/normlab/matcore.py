@@ -10,21 +10,17 @@ descending, errors mapped onto the :mod:`normlab.errors` taxonomy.
 ``require_hermitian`` passes a stack equal to its adjoint at once and
 measures the Frobenius gap of any other.  Each class has one decomposition:
 ``posdef_eigen`` (positive), ``selfadjoint_eigen`` (self-adjoint) and
-``invertible_svd`` (arbitrary), the last two under the one singularity rule.
+``invertible_svd`` (arbitrary), the last two under the one singularity rule;
+``top_singular`` gives only the largest singular triplet of each matrix of a
+stack, from one batched eigh of its Gram stack (the ratio probe's kernel).
 
 Random sampling is purely functional: an :class:`Rng` is an immutable
 (seed, path) pair and every sampler draws the stream that pair fixes, so a
 given Rng always produces the same matrix.  Distinct instances must use
 distinct substreams (``rng.substream(i)``).  Every sampler takes one Rng,
-or a :class:`Streams` of m and then returns an (m, n, n) stack equal to m
-single calls.  A stream is fixed by its Philox key, which numpy's
-SeedSequence derives from (seed, path).  ``substreams`` keys a Streams in
-one pass: it starts from SeedSequence's pool of the seed, hashes each path
-prefix into it once per prefix and mixes every index into every prefix.
-A stream's draws are raw generator output (uniforms, normals, integers),
-taken from one reused generator (:func:`philox`) set to each stream's key
-and start by ``seek``; every transform of them (exponentials, sorts,
-signs, complex combines, the QR and the products) runs once on the stack.
+or a :class:`Streams` of m (keyed in one pass by :func:`substreams`) and
+then returns an (m, n, n) stack equal to m single calls: it draws from one
+reused generator (:func:`philox`, :func:`seek`) and transforms the stack.
 """
 
 from __future__ import annotations
@@ -62,6 +58,7 @@ __all__ = [
     "psd_eigvals",
     "svd",
     "invertible_svd",
+    "top_singular",
     "frac_power",
     "haar_unitary",
     "random_posdef",
@@ -98,13 +95,10 @@ class Rng:
     independent child stream.  Philox keyed through SeedSequence gives
     counter-based, order-independent streams.
 
-    The stream is fixed by its Philox ``key``, which ``substreams``
-    computes for many streams at once.  A Philox generator set to that
-    key, to counter c and to an empty buffer (:func:`seek`) draws next the
-    doubles 4c, 4c+1, ... of the stream, so a sampler may draw any block of
-    any stream from one reused generator and get the values ``generator()``
-    gives.  The matrix samplers and the conjecture search do so, and
-    ``rng.generator()`` still regenerates any of their draws.
+    The stream is fixed by its Philox ``key`` (``substreams`` computes many
+    at once).  The matrix samplers and the conjecture search draw blocks of
+    it from one reused generator set by :func:`seek`, and ``generator()``
+    still regenerates any of their draws.
     """
 
     seed: int
@@ -423,6 +417,19 @@ def invertible_svd(a) -> SvdResult:
     dec = svd(a)
     _require_nonsingular(dec.singular_values)
     return dec
+
+
+def top_singular(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest singular value s1 of each matrix of an (..., m, n) stack and
+    its vectors (u1, v1), from one batched eigh of the Gram stack A*A:
+    s1 = sqrt(lambda_max), v1 its eigenvector, u1 = A v1 / s1 (0 where s1 = 0).
+    Entries must stay below about 1e154; u1 v1* is defined when s1 is simple."""
+    try:
+        lam, q = np.linalg.eigh(_adjoint(a) @ a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    top, right = np.sqrt(lam[..., -1]), q[..., :, -1]
+    return top, (a @ right[..., None])[..., 0] / np.where(top > 0.0, top, np.inf)[..., None], right
 
 
 def frac_power(p, s: float) -> np.ndarray:

@@ -165,22 +165,23 @@ def test_stream_layer_stays_in_matcore():
 
 def test_one_multiplier_engine():
     # Every positive-pair check goes rotate -> weights -> weighted_sv; the
-    # other SVDs are the explicit-product norms, the ratio probe's
-    # subgradients and the matcore kernels.  Matrix powers are formed only
-    # by the explicit Heinz bracket, a test oracle.
+    # other SVDs are the explicit-product norms and the matcore kernels (the
+    # ratio probe reads only top singular triplets, from a Gram eigensolve).
+    # Matrix powers are formed only by the explicit Heinz bracket, a test
+    # oracle.
     assert _package_callers({"np.linalg.svd"}) == {
         "norms.stack_norms",
         "heinz.weighted_sv",
-        "classes._ratio_subgradients",
         "matcore.svd",
         "matcore.inverse",
     }
     assert _package_callers({"frac_power", "matcore.frac_power"}) == {"heinz.heinz_expr"}
     # The theorem runner samples and decomposes whole chunks: Haar QR runs
-    # once per stack in one helper, every eigh in one decomposition, and
-    # cli.py draws no generator of its own.
+    # once per stack in one helper, every eigh in one decomposition or the
+    # probe's top-singular-triplet kernel, and cli.py draws no generator of
+    # its own.
     assert _package_callers({"np.linalg.qr"}) == {"matcore._haar"}
-    assert _package_callers({"np.linalg.eigh"}) == {"matcore.herm_eigen"}
+    assert _package_callers({"np.linalg.eigh"}) == {"matcore.herm_eigen", "matcore.top_singular"}
     cli_tree = ast.parse((PACKAGE / "cli.py").read_text())
     generators = [
         node.lineno

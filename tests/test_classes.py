@@ -420,7 +420,8 @@ def test_probe_descent_matches_one_start_at_a_time(n, k, i):
 
 def _stacked_probe(s, k, starts, iters, rng):
     """The stacked probe as it ran before frozen starts were skipped: every
-    start, frozen or not, goes through two batched SVDs per iteration."""
+    start, frozen or not, goes through two top-singular-triplet kernels
+    (batched Gram eigensolves) per iteration."""
     dec = matcore.selfadjoint_eigen(s)
     eigs = dec.eigenvalues
     n = eigs.size
@@ -431,11 +432,11 @@ def _stacked_probe(s, k, starts, iters, rng):
     y = np.concatenate((seeds, np.eye(n, dtype=complex)[None] / np.sqrt(n), z / classes._frobenius(z)))
     best_ratio, best_y = np.inf, y[0]
     for it in range(int(iters) + 1):
-        un, sn, vhn = np.linalg.svd(m * y)
-        ud, sd, vhd = np.linalg.svd(y)
-        ratio = sn[:, 0] / sd[:, 0]
-        grad = (m * (un[:, :, :1] * vhn[:, :1, :]) - ratio[:, None, None] * (ud[:, :, :1] * vhd[:, :1, :]))
-        grad = grad / sd[:, 0, None, None]
+        sn, un, vn = matcore.top_singular(m * y)
+        sd, ud, vd = matcore.top_singular(y)
+        ratio = sn / sd
+        g_num = m * (un[:, :, None] * vn.conj()[:, None, :])
+        grad = (g_num - ratio[:, None, None] * (ud[:, :, None] * vd.conj()[:, None, :])) / sd[:, None, None]
         i = int(np.argmin(ratio))
         if ratio[i] < best_ratio:
             best_ratio, best_y = ratio[i], y[i]
@@ -466,6 +467,51 @@ def test_probe_skipping_frozen_starts_gives_the_same_result(s, k, starts, iters)
     assert (got.k, got.spectral_ok, got.best_ratio, got.starts_used, got.verdict) == (
         want.k, want.spectral_ok, want.best_ratio, want.starts_used, want.verdict)
     assert np.array_equal(got.eigenvalues, want.eigenvalues) and np.array_equal(got.witness, want.witness)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ratio_kernel_matches_the_svd(n):
+    # The probe's top-singular-triplet kernel (a Gram eigensolve) against the
+    # full SVD, on random unit stacks away from a tie of the top two singular
+    # values; the subgradient is measured against the scale of its terms.
+    g = matcore.Rng(n).generator()
+    lam = g.uniform(0.2, 5.0, n) * np.where(g.random(n) < 0.5, -1.0, 1.0)
+    m = heinz.sandwich_weights(lam, lam, 1.0)
+    w = g.standard_normal((2, 400, n, n))
+    y = (w[0] + 1j * w[1]) / np.linalg.norm(w[0] + 1j * w[1], axis=(1, 2))[:, None, None]
+    sv = np.linalg.svd(np.concatenate((m * y, y)), compute_uv=False)
+    y = y[np.all((sv[:, 1] < 0.99 * sv[:, 0]).reshape(2, -1), axis=0)]
+    u, sv, vh = np.linalg.svd(np.concatenate((m * y, y)))
+    h = len(y)
+    want = sv[:h, 0] / sv[h:, 0]
+    g_num = m * (u[:h, :, :1] * vh[:h, :1, :])
+    want_grad = (g_num - want[:, None, None] * (u[h:, :, :1] * vh[h:, :1, :])) / sv[h:, 0, None, None]
+    ratio, grad = classes._ratio_subgradients(m, y)
+    assert h > 300
+    assert np.all(np.abs(ratio - want) <= 1e-14 * want)
+    scale = np.linalg.norm(g_num, axis=(1, 2)) / sv[h:, 0]
+    assert np.all(np.linalg.norm(grad - want_grad, axis=(1, 2)) <= 1e-12 * scale)
+
+    # The rank-one seeds e_i e_j* take ratio |M_ij| and freeze at iteration 0.
+    seeds = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    ratio, grad = classes._ratio_subgradients(m, seeds)
+    assert np.array_equal(ratio, np.abs(m).ravel())
+    assert np.all(classes._frobenius(grad) < classes.FROZEN_GRAD_NORM)
+
+
+def test_ratio_kernel_on_a_zero_multiplied_matrix():
+    # Spectrum (1, -1) at k = 2 has M_12 = 0, so the seed e_1 e_2* has
+    # M o Y = 0: ratio 0 and a finite subgradient, without a NaN or a warning.
+    s = np.diag([1.0, -1.0])
+    m = heinz.sandwich_weights(np.array([1.0, -1.0]), np.array([1.0, -1.0]), 2.0)
+    assert m[0, 1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio, grad = classes._ratio_subgradients(m, np.eye(4, dtype=complex).reshape(4, 2, 2)[1:2])
+        res = classes.dk_ratio_minimize(s, 2.0, starts=4, iters=10, rng=matcore.Rng(0))
+    assert ratio.tolist() == [0.0] and np.all(np.isfinite(grad))
+    assert res.best_ratio == 0.0 and res.verdict == "spectrally-excluded"
+    assert np.all(np.isfinite(res.witness))
 
 
 @settings(max_examples=15, deadline=None)
